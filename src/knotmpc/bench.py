@@ -540,9 +540,9 @@ def _run_robustness(task: _Task) -> list[dict]:
     steps = int(round(cfg.duration * cfg.rate))
 
     rows = []
-    for tok_text in cfg.resolved_controllers():
+    for c_idx, tok_text in enumerate(cfg.resolved_controllers()):
         tok = parse_controller_token(tok_text)
-        controller = _controller_from_token(tok, cfg, _derived_seed(cfg, task.links, task.trial, hash(tok_text) % 2**31))
+        controller = _controller_from_token(tok, cfg, _derived_seed(cfg, task.links, task.trial, c_idx))
         reports = {}
         for mult in sorted(set(cfg.multipliers) | {1.0}):
             wrong = apply_error_multiplier(plant.params, mult)

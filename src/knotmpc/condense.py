@@ -111,48 +111,59 @@ def prediction_matrices(model: DiscreteLinearModel, T: int, x0: np.ndarray) -> P
     Bd on the diagonal, which avoids forming explicit powers of Ad.
     """
     n, m = model.n, model.m
-    x0 = np.asarray(x0, float)
     S = np.zeros((n * T, m * T))
-    v = np.empty(n * T)
     S[:n, :m] = model.Bd
-    v[:n] = model.Ad @ x0 + model.wd
     for k in range(1, T):
         rows = slice(k * n, (k + 1) * n)
         prev = slice((k - 1) * n, k * n)
         S[rows, : k * m] = model.Ad @ S[prev, : k * m]
         S[rows, k * m : (k + 1) * m] = model.Bd
-        v[rows] = model.Ad @ v[prev] + model.wd
-    return PredictionMatrices(S, v)
+    return PredictionMatrices(S, _free_response(model, T, x0))
 
 
-def _param_prediction(model: DiscreteLinearModel, sched: KnotSchedule, x0: np.ndarray):
-    """S in knot coordinates (nT x mp), built by the same forward recursion."""
-    n, m, T = model.n, model.m, sched.T
-    W = interpolation_matrix(sched)
-    S = np.zeros((n * T, m * sched.p))
-    v = np.empty(n * T)
-    S[:n] = np.kron(W[0], model.Bd)
-    v[:n] = model.Ad @ x0 + model.wd
-    for k in range(1, T):
-        rows = slice(k * n, (k + 1) * n)
-        prev = slice((k - 1) * n, k * n)
-        S[rows] = model.Ad @ S[prev] + np.kron(W[k], model.Bd)
-        v[rows] = model.Ad @ v[prev] + model.wd
-    return S, v, W
+def _free_response(model: DiscreteLinearModel, T: int, x0) -> np.ndarray:
+    """Stacked states x_1..x_T under zero input (the v of S u + v)."""
+    v = np.empty((T, model.n))
+    x = np.asarray(x0, float)
+    for k in range(T):
+        x = model.Ad @ x + model.wd
+        v[k] = x
+    return v.ravel()
+
+
+def _param_prediction(model: DiscreteLinearModel, W: np.ndarray, x0: np.ndarray):
+    """S in knot coordinates (nT x mp) and v, for interpolation weights W (T, p).
+
+    Block row k is Ad times block row k-1 plus the forcing kron(W[k], Bd);
+    all T forcing blocks are formed in one broadcast and the recursion
+    accumulates into them in place.
+    """
+    n, m = model.n, model.m
+    T, p = W.shape
+    S = (W[:, None, :, None] * model.Bd[None, :, None, :]).reshape(T, n, p * m)
+    prev = S[0]
+    for blk in S[1:]:
+        blk += model.Ad @ prev
+        prev = blk
+    return S.reshape(T * n, p * m), _free_response(model, T, x0)
 
 
 # ---------------------------------------------------------------------------
 # large (sparse) formulations
 
 
-def _large_problem(spec: MpcSpec, x0: np.ndarray, input_block, n_inputs: int, u_goal_stack):
-    """Shared assembly: decision vector [x_0 .. x_T, inputs, 1]."""
+def _large_problem(spec: MpcSpec, x0: np.ndarray, input_block, R_in, u_goal_stack):
+    """Shared assembly: decision vector [x_0 .. x_T, inputs, 1].
+
+    ``R_in`` is the input-cost quadratic over the stacked input variables.
+    """
     model, T = spec.model, spec.T
     n = model.n
+    n_inputs = R_in.shape[0]
     x0 = np.asarray(x0, float)
 
     Qbig = sp.kron(sp.eye(T + 1), spec.Q)
-    Rblk = sp.csc_matrix(_input_cost_block(spec, n_inputs))
+    Rblk = sp.csc_matrix(R_in)
     P = sp.block_diag([Qbig, Rblk, sp.csc_matrix((1, 1))], format="csc")
     z_goal = np.concatenate([np.tile(spec.x_goal, T + 1), u_goal_stack, [1.0]])
     q = -(P @ z_goal)
@@ -194,19 +205,22 @@ def _input_cost_block(spec: MpcSpec, n_inputs: int):
     return np.kron(np.eye(reps), spec.R)
 
 
-def _param_input_cost(spec: MpcSpec, sched: KnotSchedule):
-    """Knot-space quadratic equal to the per-step input cost under interpolation."""
-    W = interpolation_matrix(sched)
-    Wbig = np.kron(W, np.eye(spec.model.m))
-    Rbig = np.kron(np.eye(sched.T), spec.R)
-    return Wbig.T @ Rbig @ Wbig, Wbig
+def _param_input_cost(spec: MpcSpec, W: np.ndarray) -> np.ndarray:
+    """Knot-space quadratic equal to the per-step input cost under interpolation.
+
+    With Wbig = kron(W, I_m) the summed cost is Wbig' kron(I_T, R) Wbig,
+    which by the mixed-product rule equals kron(W'W, R): a (p, p) product
+    instead of two (mT, mT) ones.
+    """
+    return np.kron(W.T @ W, spec.R)
 
 
 def build_large(spec: MpcSpec, x0: np.ndarray) -> QpProblem:
     """Sparse formulation over [x_0..x_T, u_0..u_{T-1}, 1]."""
     model, T = spec.model, spec.T
     input_block = sp.kron(sp.eye(T), model.Bd)
-    return _large_problem(spec, x0, input_block, model.m * T, np.tile(spec.u_goal, T))
+    R_in = _input_cost_block(spec, model.m * T)
+    return _large_problem(spec, x0, input_block, R_in, np.tile(spec.u_goal, T))
 
 
 def build_large_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpProblem:
@@ -216,16 +230,8 @@ def build_large_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
         raise ValueError("knot schedule horizon does not match the spec")
     W = interpolation_matrix(sched)
     input_block = sp.kron(sp.csc_matrix(W), model.Bd)
-    prob = _large_problem(spec, x0, input_block, model.m * sched.p, np.tile(spec.u_goal, sched.p))
-    # replace the knot-block of the cost with the interpolated input cost
-    R_knot, _ = _param_input_cost(spec, sched)
-    n = model.n
-    P = prob.P.tolil()
-    off = n * (T + 1)
-    P[off : off + R_knot.shape[0], off : off + R_knot.shape[0]] = R_knot
-    P = P.tocsc()
-    z_goal = np.concatenate([np.tile(spec.x_goal, T + 1), np.tile(spec.u_goal, sched.p), [1.0]])
-    return QpProblem(P, -(P @ z_goal), prob.A, prob.lb, prob.ub)
+    R_knot = _param_input_cost(spec, W)
+    return _large_problem(spec, x0, input_block, R_knot, np.tile(spec.u_goal, sched.p))
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +259,7 @@ def _small_problem(spec: MpcSpec, S, v, R_in, u_goal_stack):
 
 def _blockdiag_apply(Q, M, n):
     """(I kron Q) @ M without materializing the block diagonal."""
-    T = M.shape[0] // n
-    out = M.reshape(T, n, -1)
-    return np.einsum("ij,tjk->tik", Q, out).reshape(M.shape[0], -1)
+    return (Q @ M.reshape(M.shape[0] // n, n, -1)).reshape(M.shape[0], -1)
 
 
 def build_small(spec: MpcSpec, x0: np.ndarray) -> QpProblem:
@@ -269,8 +273,9 @@ def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
     """Condensed formulation over the stacked knot points."""
     if sched.T != spec.T:
         raise ValueError("knot schedule horizon does not match the spec")
-    S, v, _ = _param_prediction(spec.model, sched, np.asarray(x0, float))
-    R_knot, _ = _param_input_cost(spec, sched)
+    W = interpolation_matrix(sched)
+    S, v = _param_prediction(spec.model, W, x0)
+    R_knot = _param_input_cost(spec, W)
     return _small_problem(spec, S, v, R_knot, np.tile(spec.u_goal, sched.p))
 
 
@@ -322,8 +327,7 @@ def objective_constant(spec: MpcSpec, x0, kind: str) -> float:
         return float((T + 1) * xg @ spec.Q @ xg + T * ug @ spec.R @ ug)
     if kind in ("small", "small_param"):
         x0 = np.asarray(x0, float)
-        pred = prediction_matrices(spec.model, T, x0)
-        e = pred.v - np.tile(xg, T)
+        e = _free_response(spec.model, T, x0) - np.tile(xg, T)
         err0 = xg - x0
         return float(
             e @ _blockdiag_apply(spec.Q, e[:, None], spec.model.n).ravel()

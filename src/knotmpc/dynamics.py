@@ -89,13 +89,21 @@ class Pendulum:
 
 @dataclass(frozen=True)
 class NLinkParams:
-    """Planar serial chain of ``links`` revolute joints, point tip masses."""
+    """Planar serial chain of ``links`` revolute joints, point tip masses.
+
+    ``inertia_weights`` (G[j,k] l_j l_k) and ``gravity_weights``
+    (g cummass[j] l_j, with cummass[j] the mass at or beyond link j) are
+    derived from the other fields when the params are built, so the
+    dynamics never recompute them; ``dataclasses.replace`` rebuilds them.
+    """
 
     links: int
     mass: float | np.ndarray = 1.0
     length: float | np.ndarray = 0.25
     damping: float = 0.01
     gravity: float = 0.0
+    inertia_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    gravity_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.links < 1:
@@ -106,28 +114,18 @@ class NLinkParams:
             raise ValueError("masses and lengths must be positive")
         if self.damping < 0:
             raise ValueError("damping must be non-negative")
-
-
-def _chain_terms(params: NLinkParams, q: np.ndarray):
-    """Absolute angles and the shared G = cumulative-mass weight matrix."""
-    th = np.cumsum(q)
-    cummass = np.cumsum(params.mass[::-1])[::-1]  # cummass[j] = sum_{i>=j} m_i
-    idx = np.arange(params.links)
-    G = cummass[np.maximum.outer(idx, idx)]
-    return th, cummass, G
-
-
-def _mass_matrix_abs(params: NLinkParams, th: np.ndarray, G: np.ndarray) -> np.ndarray:
-    l = params.length
-    dth = np.subtract.outer(th, th)
-    return G * np.outer(l, l) * np.cos(dth)
+        l = self.length
+        cummass = np.cumsum(self.mass[::-1])[::-1]
+        idx = np.arange(self.links)
+        G = cummass[np.maximum.outer(idx, idx)]
+        object.__setattr__(self, "inertia_weights", G * np.outer(l, l))
+        object.__setattr__(self, "gravity_weights", self.gravity * cummass * l)
 
 
 def nlink_mass_matrix(params: NLinkParams, q: np.ndarray) -> np.ndarray:
     """Joint-space inertia matrix M(q), symmetric positive definite."""
-    q = np.asarray(q, float)
-    th, _, G = _chain_terms(params, q)
-    M_th = _mass_matrix_abs(params, th, G)
+    th = np.cumsum(np.asarray(q, float))
+    M_th = params.inertia_weights * np.cos(np.subtract.outer(th, th))
     # congruence with the cumulative-sum map is a reversed 2-D cumsum
     return np.flip(np.cumsum(np.cumsum(np.flip(M_th), axis=0), axis=1))
 
@@ -137,14 +135,13 @@ def nlink_accel(params: NLinkParams, q: np.ndarray, qd: np.ndarray, tau: np.ndar
     q = np.asarray(q, float)
     qd = np.asarray(qd, float)
     tau = np.asarray(tau, float)
-    th, cummass, G = _chain_terms(params, q)
+    th = np.cumsum(q)
     thd = np.cumsum(qd)
-    l = params.length
 
-    M_th = _mass_matrix_abs(params, th, G)
-    sin_dth = np.sin(np.subtract.outer(th, th))
-    c_th = (G * np.outer(l, l) * sin_dth) @ (thd**2)
-    grav_th = params.gravity * cummass * l * np.cos(th)
+    dth = np.subtract.outer(th, th)
+    M_th = params.inertia_weights * np.cos(dth)
+    c_th = (params.inertia_weights * np.sin(dth)) @ (thd**2)
+    grav_th = params.gravity_weights * np.cos(th)
 
     f = tau - params.damping * qd
     # generalized force in absolute coordinates: y with sum_{k>=j} y_k = f_j
@@ -190,11 +187,11 @@ def total_energy(params, state) -> float:
     if isinstance(params, NLinkParams):
         N = params.links
         q, qd = state[:N], state[N:]
-        th, cummass, G = _chain_terms(params, q)
+        th = np.cumsum(q)
         thd = np.cumsum(qd)
-        M_th = _mass_matrix_abs(params, th, G)
+        M_th = params.inertia_weights * np.cos(np.subtract.outer(th, th))
         ke = 0.5 * thd @ M_th @ thd
-        pe = params.gravity * np.sum(cummass * params.length * np.sin(th))
+        pe = np.sum(params.gravity_weights * np.sin(th))
         return float(ke + pe)
     raise TypeError(f"unknown parameter type {type(params)!r}")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condense import MpcSpec, build_small_param
+from .condense import MpcSpec, build_small_param, objective_constant
 from .param import KnotSchedule, interpolation_matrix
 
 
@@ -126,8 +126,9 @@ class _CostModel:
     points, so after condensing once per solve every generation is scored
     with one small matrix product instead of a fresh rollout.  The additive
     constant between the condensed objective and the full tracking cost is
-    recovered from a single reference rollout.  Specs with state bounds
-    keep the rollout path (the search never enforces state bounds anyway).
+    ``objective_constant``, which needs only the free response of the
+    model.  Specs with state bounds cannot be condensed and keep the
+    rollout path (the search never enforces state bounds anyway).
     """
 
     def __init__(self, spec: MpcSpec, sched: KnotSchedule, x0):
@@ -137,12 +138,7 @@ class _CostModel:
         self.quad = None
         if not spec.has_state_bounds:
             prob = build_small_param(spec, sched, self.x0)
-            ref = np.tile(spec.u_goal, sched.p)
-            base = _rollout_costs(
-                ref.reshape(1, sched.p, spec.model.m), spec, sched, self.x0
-            )[0]
-            c0 = base - float(ref @ (prob.P @ ref) + 2.0 * prob.q @ ref)
-            self.quad = (prob.P, prob.q, c0)
+            self.quad = (prob.P, prob.q, objective_constant(spec, self.x0, "small_param"))
 
     def __call__(self, cands: np.ndarray) -> np.ndarray:
         if self.quad is None:

@@ -26,7 +26,8 @@ unscaled problem, so reported accuracy is unaffected by scaling.  Once
 the iterates are roughly converged the solver attempts to polish: it
 reads the active set off the dual signs, solves that equality-constrained
 subproblem exactly, and accepts the result only if it passes the full
-KKT conditions at the configured tolerances.
+KKT conditions at the configured tolerances (stationarity allowing for the
+rounding floor of its own computation, see ``_dual_tol``).
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ class AdmmSolver:
         status = "max_iters"
         iters = s.max_iters
         check_no = 0
-        next_polish = 1 if s.polish else -1
+        next_polish = 1
         rhs = np.empty(d + r)
         for i in range(1, s.max_iters + 1):
             rhs[:d] = s.sigma * x - q2s
@@ -237,7 +238,7 @@ class AdmmSolver:
                 # check inside), so dense problems retry every check while
                 # sparse ones back off because each attempt refactors.
                 check_no += 1
-                if check_no >= next_polish:
+                if s.polish and check_no >= next_polish:
                     polished = self._try_polish(prob, P2s, As, q2s, D, E, lbs, ubs, y, z)
                     if polished is not None:
                         xs, ys = polished
@@ -299,8 +300,9 @@ class AdmmSolver:
         rows the candidate violates are added, rows with wrong-sign
         multipliers dropped.  Returns unscaled (z, dual) only when a
         candidate satisfies the full KKT conditions to the configured
-        tolerances, else None and the ADMM iteration carries on; a failed
-        attempt costs time, never accuracy.
+        tolerances (stationarity within ``_dual_tol``), else None and the
+        ADMM iteration carries on; a failed attempt costs time, never
+        accuracy.
         """
         s = self.settings
         sparse = sp.issparse(As)
@@ -327,7 +329,8 @@ class AdmmSolver:
             if res is None:
                 return None
             x_hat, y_hat = res
-            r_dual = np.max(np.abs((P2s @ x_hat + q2s + As.T @ y_hat) / D))
+            Px = P2s @ x_hat
+            r_dual = np.max(np.abs((Px + q2s + As.T @ y_hat) / D))
             if not np.isfinite(r_dual):
                 return None
             Ax = (As @ x_hat) / E
@@ -340,7 +343,7 @@ class AdmmSolver:
             feasible = not (
                 np.any(viol_lo > s.eps_prim) or np.any(viol_up > s.eps_prim)
             )
-            if r_dual > s.eps_dual:
+            if r_dual > _dual_tol(s.eps_dual, Px / D, prob.q):
                 return None
             if feasible and not bad_low.any() and not bad_up.any():
                 return D * x_hat, y0
@@ -437,8 +440,9 @@ class AdmmSolver:
         y_hat = np.zeros_like(x)
         bnd = fixed | low | up
         y_hat[bnd] = -g[bnd] / a[bnd]
-        r_dual = np.max(np.abs((P2s @ x + q2s + a * y_hat) / D))
-        if not np.isfinite(r_dual) or r_dual > s.eps_dual:
+        Px = P2s @ x
+        r_dual = np.max(np.abs((Px + q2s + a * y_hat) / D))
+        if not np.isfinite(r_dual) or r_dual > _dual_tol(s.eps_dual, Px / D, prob.q):
             return None
         Ax = (a * x) / E
         if np.any(Ax < prob.lb - s.eps_prim) or np.any(Ax > prob.ub + s.eps_prim):
@@ -489,6 +493,19 @@ class AdmmSolver:
         y_hat = np.zeros(lbs.size)
         y_hat[act] = sol[d:]
         return x_hat, y_hat
+
+
+def _dual_tol(eps_dual: float, Pz2: np.ndarray, q: np.ndarray) -> float:
+    """Stationarity tolerance for accepting a polished candidate.
+
+    ``Pz2`` is the unscaled 2Pz.  Forming 2Pz + 2q + A'y rounds at about
+    machine epsilon times the largest term, so on a badly scaled problem
+    (|q| ~ 1e11) a bare eps_dual of 1e-6 is below what any candidate can
+    reach.  The fixed relative allowance of 1e-13 (a few hundred ulps)
+    covers that rounding floor; the ADMM termination test does not use it.
+    """
+    scale = max(np.max(np.abs(Pz2), initial=0.0), 2.0 * np.max(np.abs(q), initial=0.0))
+    return eps_dual + 1e-13 * scale
 
 
 def _col_inf_norm(M) -> np.ndarray:

@@ -1,8 +1,14 @@
 """Tests for the experiment configs, runners, and CSV output."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import knotmpc
 from knotmpc.bench import (
     COLUMNS,
     EXPERIMENTS,
@@ -262,6 +268,35 @@ def test_worker_count_does_not_change_results(tmp_path):
         rows = run_experiment(cfg, out_dir=str(tmp_path), workers=workers)
         texts.append(rows_to_csv_text(rows, include_timing=False))
     assert texts[0] == texts[1] == texts[2]
+
+
+_ROBUSTNESS_ROWS = """
+import sys
+from knotmpc.bench import config_from_mapping, rows_to_csv_text, run_experiment
+cfg = config_from_mapping({
+    "experiment": "robustness", "robot": "pendulum_nograv", "trials": "1",
+    "duration": "0.1", "T": "10", "multipliers": "0.8,1.0", "links": "1",
+    "controllers": "small,empc:2:1", "empc_sims": "32", "empc_parents": "4",
+})
+sys.stdout.write(rows_to_csv_text(run_experiment(cfg, out_dir=sys.argv[1]), include_timing=False))
+"""
+
+
+def test_robustness_rows_independent_of_hash_seed(tmp_path):
+    # controller seeds must not come from salted string hashes, or EMPC rows
+    # change from one interpreter process to the next
+    src = str(Path(knotmpc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": hash_seed}
+        proc = subprocess.run(
+            [sys.executable, "-c", _ROBUSTNESS_ROWS, str(tmp_path)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        outs.append(proc.stdout)
+    assert "empc" in outs[0]
+    assert outs[0] == outs[1]
 
 
 def test_seed_changes_rows(tmp_path):

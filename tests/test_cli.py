@@ -1,9 +1,13 @@
 """Tests for the command-line entry point."""
 
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import knotmpc
 from knotmpc.cli import main
 
 TINY = """\
@@ -90,6 +94,20 @@ def test_timing_strict_forces_single_worker(tiny_config, tmp_path):
 
 
 def test_installed_entry_point():
-    proc = subprocess.run(["knotmpc", "presets"], capture_output=True, text=True)
+    # `python -m knotmpc` runs the same main as the installed script, so this
+    # works from a source checkout; the script mapping is checked below
+    src = str(Path(knotmpc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "knotmpc", "presets"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
     assert proc.returncode == 0
     assert "param_sweep_linear" in proc.stdout
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts["knotmpc"] == "knotmpc.cli:main"

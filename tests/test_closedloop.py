@@ -29,6 +29,7 @@ from knotmpc.dynamics import (
     PendulumParams,
     discretize,
     linearize,
+    nlink_accel,
 )
 
 # second-order system zeta=0.5, wn=2, unit step
@@ -172,6 +173,19 @@ def test_error_multiplier_nlink():
     light = apply_error_multiplier(base, 0.7)
     np.testing.assert_allclose(light.mass, [0.7, 1.4, 0.35])
     np.testing.assert_allclose(light.length, base.length)
+
+
+def test_error_multiplier_rebuilds_chain_constants():
+    # replace() reruns NLinkParams.__post_init__, so the derived inertia and
+    # gravity weights follow the scaled masses
+    base = NLinkParams(links=4, gravity=9.81)
+    heavy = apply_error_multiplier(base, 2.0)
+    fresh = NLinkParams(links=4, mass=2.0, gravity=9.81)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        q, qd, tau = rng.uniform(-2, 2, 4), rng.normal(size=4), rng.normal(size=4)
+        np.testing.assert_array_equal(nlink_accel(heavy, q, qd, tau), nlink_accel(fresh, q, qd, tau))
+        assert not np.array_equal(nlink_accel(heavy, q, qd, tau), nlink_accel(base, q, qd, tau))
 
 
 def test_error_multiplier_validation():

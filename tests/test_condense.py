@@ -1,5 +1,7 @@
 """Tests for the four MPC problem builders and the prediction matrices."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -79,7 +81,7 @@ def test_knot_prediction_is_condensed_full_prediction():
     Wbig = np.kron(W, np.eye(2))
     pm = prediction_matrices(model, 11, x0)
     from knotmpc.condense import _param_prediction
-    Sp, vp, _ = _param_prediction(model, sched, x0)
+    Sp, vp = _param_prediction(model, W, x0)
     np.testing.assert_allclose(Sp, pm.S @ Wbig, atol=1e-10)
     np.testing.assert_allclose(vp, pm.v, atol=1e-12)
 
@@ -89,7 +91,7 @@ def test_knot_prediction_second_block_row():
     # x_2 = Ad Bd U_0 + Bd (U_0 + U_1)/2 + ...
     model = _model(2, 1, seed=2)
     from knotmpc.condense import _param_prediction
-    Sp, _, _ = _param_prediction(model, KnotSchedule(T=5, p=3), np.zeros(2))
+    Sp, _ = _param_prediction(model, interpolation_matrix(KnotSchedule(T=5, p=3)), np.zeros(2))
     blk = Sp[2:4]
     want = np.hstack([
         (model.Ad + 0.5 * np.eye(2)) @ model.Bd,
@@ -97,6 +99,43 @@ def test_knot_prediction_second_block_row():
         np.zeros((2, 1)),
     ])
     np.testing.assert_allclose(blk, want, atol=1e-14)
+
+
+@pytest.mark.parametrize("p", [1, 4, 11])
+def test_knot_input_cost_matches_stacked_reference(p):
+    # kron(W'W, R) must equal the stacked form Wbig' kron(I_T, R) Wbig, here
+    # with a full (non-diagonal) R
+    from knotmpc.condense import _param_input_cost
+    rng = np.random.default_rng(p)
+    m, T = 3, 11
+    L = rng.normal(size=(m, m))
+    spec = replace(_spec(_model(2, m, seed=p), T), R=L @ L.T + 0.1 * np.eye(m))
+    assert np.count_nonzero(spec.R - np.diag(np.diagonal(spec.R)))
+    W = interpolation_matrix(KnotSchedule(T=T, p=p))
+    Wbig = np.kron(W, np.eye(m))
+    want = Wbig.T @ np.kron(np.eye(T), spec.R) @ Wbig
+    np.testing.assert_allclose(_param_input_cost(spec, W), want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("p", [1, 4, 11])
+def test_knot_prediction_matches_kron_loop(p):
+    # same arithmetic as the per-step kron recursion, so bit-identical
+    from knotmpc.condense import _param_prediction
+    model = _model(3, 2, seed=9)
+    x0 = np.array([0.4, -0.2, 0.1])
+    W = interpolation_matrix(KnotSchedule(T=11, p=p))
+    n, T = 3, 11
+    S_ref = np.zeros((n * T, 2 * p))
+    v_ref = np.empty(n * T)
+    S_ref[:n] = np.kron(W[0], model.Bd)
+    v_ref[:n] = model.Ad @ x0 + model.wd
+    for k in range(1, T):
+        rows, prev = slice(k * n, (k + 1) * n), slice((k - 1) * n, k * n)
+        S_ref[rows] = model.Ad @ S_ref[prev] + np.kron(W[k], model.Bd)
+        v_ref[rows] = model.Ad @ v_ref[prev] + model.wd
+    S, v = _param_prediction(model, W, x0)
+    np.testing.assert_array_equal(S, S_ref)
+    np.testing.assert_array_equal(v, v_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,21 @@ def test_population_costs_match_evaluate_cost():
         )
 
 
+def test_condensed_scoring_matches_rollout_with_offsets():
+    # non-diagonal Q, full R and a nonzero u_goal exercise every term of the
+    # condensed quadratic and of objective_constant
+    from knotmpc.empc import _CostModel
+    base = _spec()
+    spec = MpcSpec(
+        base.model, 20, Q=np.array([[10.0, 1.5], [1.5, 0.4]]), R=0.01 * np.eye(1),
+        x_goal=base.x_goal, u_goal=np.array([0.7]), u_min=base.u_min, u_max=base.u_max,
+    )
+    cands = np.random.default_rng(5).uniform(-4.0, 4.0, size=(16, 3, 1))
+    got = _CostModel(spec, SCHED, X0)(cands)
+    want = [evaluate_cost(c, spec, SCHED, X0) for c in cands]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
 def test_result_fields_consistent():
     res = solve_empc(SPEC, SCHED, _small_settings(generations=2), X0)
     assert res.best.shape == (3, 1)

@@ -203,6 +203,46 @@ def test_polish_disabled_still_converges():
     np.testing.assert_allclose(sol.z, KKT_Z, atol=1e-4)
 
 
+def test_polish_disabled_never_polishes(monkeypatch):
+    calls = []
+    try_polish = AdmmSolver._try_polish
+
+    def counting(self, *args):
+        calls.append(1)
+        return try_polish(self, *args)
+
+    monkeypatch.setattr(AdmmSolver, "_try_polish", counting)
+    rng = np.random.default_rng(8)
+    M = rng.normal(size=(5, 5))
+    prob = QpProblem(M.T @ M + np.eye(5), rng.normal(size=5), np.eye(5), -0.1 * np.ones(5), 0.1 * np.ones(5))
+    s = QpSettings(max_iters=40, check_interval=1, polish=False, eps_prim=1e-30, eps_dual=1e-30)
+    assert AdmmSolver(s).solve(prob).status == "max_iters"
+    assert calls == []
+    AdmmSolver(QpSettings(max_iters=40, check_interval=1, eps_prim=1e-30, eps_dual=1e-30)).solve(prob)
+    assert calls  # the counter does see polish attempts when they are on
+
+
+def _scaled_box_problem(c):
+    rng = np.random.default_rng(11)
+    M = rng.normal(size=(18, 18))
+    P = M.T @ M + np.eye(18)
+    q = 3.0 * rng.normal(size=18)
+    return QpProblem(c * P, c * q, np.eye(18), -np.ones(18), np.ones(18))
+
+
+@pytest.mark.parametrize("c", [1.0, 1e6, 1e9, 1e11])
+def test_polish_accepts_badly_scaled_box_qp(c):
+    # with |q| ~ c the stationarity residual of the exact optimum rounds at
+    # about 1e-16 c, above an absolute 1e-6 once c >= 1e9; the polish must
+    # still accept it at iteration 0 and return the unscaled optimum
+    ref = AdmmSolver().solve(_scaled_box_problem(1.0))
+    sol = AdmmSolver().solve(_scaled_box_problem(c))
+    assert sol.status == "solved"
+    assert sol.iterations == 0
+    assert np.any(np.abs(ref.z) > 1.0 - 1e-9)  # some bounds are active
+    np.testing.assert_allclose(sol.z, ref.z, atol=1e-9)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         QpProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))  # not symmetric
