@@ -7,47 +7,24 @@ simulation against nonlinear pendulum and n-link arm plants, and a
 benchmark harness with CSV output.
 """
 
-from .bench import (
-    BoxStats,
-    ConfigError,
-    ExperimentConfig,
-    PRESETS,
-    load_config,
-    preset_config,
-    run_experiment,
-    summarize,
-    time_solver,
-)
+from .bench import ConfigError, ExperimentConfig, PRESETS, load_config, preset_config, run_experiment
 from .closedloop import (
     Controller,
     MetricsReport,
     SimResult,
-    actual_cost,
     apply_error_multiplier,
     compute_metrics,
-    cost_ratio,
-    itae,
-    normalized_cost,
-    percent_overshoot,
-    rise_time,
     run_closed_loop,
 )
 from .condense import (
+    CONTROLLER_KINDS,
     FORMULATIONS,
     ConfigurationError,
     MpcSpec,
-    PredictionMatrices,
     build,
-    build_large,
-    build_large_param,
-    build_small,
-    build_small_param,
     extract_first_input,
-    objective_constant,
-    prediction_matrices,
 )
 from .dynamics import (
-    ContinuousLinearModel,
     DiscreteLinearModel,
     NLinkArm,
     NLinkParams,
@@ -55,44 +32,19 @@ from .dynamics import (
     PendulumParams,
     SingularInertiaError,
     discretize,
-    integrate,
     linearize,
-    nlink_accel,
-    nlink_mass_matrix,
-    pendulum_accel,
-    rk4_step,
-    rollout,
-    step,
-    total_energy,
 )
-from .empc import (
-    EmpcResult,
-    EmpcSettings,
-    Population,
-    evaluate_cost,
-    evolve_generation,
-    init_population,
-    solve_empc,
-)
-from .param import (
-    KnotSchedule,
-    KnotTrajectory,
-    expand,
-    input_at,
-    interp_coeffs,
-    interpolation_matrix,
-    knot_spacing,
-)
+from .empc import EmpcResult, EmpcSettings, Population, solve_empc
+from .param import KnotSchedule
 from .qp import AdmmSolver, QpProblem, QpSettings, QpSolution, solve_qp
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdmmSolver",
-    "BoxStats",
+    "CONTROLLER_KINDS",
     "ConfigError",
     "ConfigurationError",
-    "ContinuousLinearModel",
     "Controller",
     "DiscreteLinearModel",
     "EmpcResult",
@@ -100,7 +52,6 @@ __all__ = [
     "ExperimentConfig",
     "FORMULATIONS",
     "KnotSchedule",
-    "KnotTrajectory",
     "MetricsReport",
     "MpcSpec",
     "NLinkArm",
@@ -108,53 +59,22 @@ __all__ = [
     "Pendulum",
     "PendulumParams",
     "Population",
-    "PredictionMatrices",
     "PRESETS",
     "QpProblem",
     "QpSettings",
     "QpSolution",
     "SimResult",
     "SingularInertiaError",
-    "actual_cost",
     "apply_error_multiplier",
     "build",
-    "build_large",
-    "build_large_param",
-    "build_small",
-    "build_small_param",
     "compute_metrics",
-    "cost_ratio",
     "discretize",
-    "evaluate_cost",
-    "evolve_generation",
-    "expand",
     "extract_first_input",
-    "init_population",
-    "input_at",
-    "integrate",
-    "interp_coeffs",
-    "interpolation_matrix",
-    "itae",
-    "knot_spacing",
     "linearize",
     "load_config",
-    "nlink_accel",
-    "nlink_mass_matrix",
-    "normalized_cost",
-    "objective_constant",
-    "pendulum_accel",
-    "percent_overshoot",
     "preset_config",
-    "prediction_matrices",
-    "rise_time",
-    "rk4_step",
-    "rollout",
     "run_closed_loop",
     "run_experiment",
     "solve_empc",
     "solve_qp",
-    "step",
-    "summarize",
-    "time_solver",
-    "total_energy",
 ]

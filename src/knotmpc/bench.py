@@ -28,7 +28,7 @@ import io
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .closedloop import (
     cost_ratio,
     run_closed_loop,
 )
-from .condense import MpcSpec, build
+from .condense import CONTROLLER_KINDS, MpcSpec, build
 from .dynamics import NLinkArm, NLinkParams, Pendulum, PendulumParams, discretize, linearize
 from .empc import EmpcSettings, solve_empc
 from .param import KnotSchedule
@@ -140,6 +140,8 @@ class ExperimentConfig:
             raise ConfigError(f"duration: must be positive, got {self.duration}")
         if self.rate <= 0:
             raise ConfigError(f"rate: must be positive, got {self.rate}")
+        if round(self.duration * self.rate) < 1:
+            raise ConfigError("duration: duration * rate must round to at least one control step")
         if self.workers < 1:
             raise ConfigError(f"workers: must be >= 1, got {self.workers}")
         if any(p < 1 for p in self.p):
@@ -152,6 +154,12 @@ class ExperimentConfig:
             raise ConfigError(f"u_max: must be positive, got {self.u_max}")
         for tok in self.controllers:
             parse_controller_token(tok)
+        horizon = self.horizon()
+        for text in self.resolved_controllers():
+            p = parse_controller_token(text).p
+            if p is not None and p > horizon:
+                where = "round(duration * rate)" if self.experiment == "param_sweep" else "T"
+                raise ConfigError(f"{text!r}: {p} knots do not fit the {horizon}-step horizon ({where})")
         for name in ("q_pos", "q_vel", "r_input", "qp_rho", "qp_eps_prim", "qp_eps_dual"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be positive")
@@ -161,14 +169,23 @@ class ExperimentConfig:
             raise ConfigError("empc_parents: need 1 <= empc_parents <= empc_sims")
 
     def resolved_controllers(self) -> tuple[str, ...]:
-        if self.controllers:
-            return self.controllers
-        return _DEFAULT_CONTROLLERS[self.experiment]
+        """Controller tokens the experiment runs; the first is the cost baseline.
+
+        The sweeps fix their controllers: the knot sweep runs ``small`` and
+        ``small_param:P`` for each P in ``p``, the horizon sweep ``small``.
+        """
+        if self.experiment == "param_sweep":
+            return ("small",) + tuple(f"small_param:{p}" for p in self.p)
+        if self.experiment == "horizon_sweep":
+            return ("small",)
+        return self.controllers or _DEFAULT_CONTROLLERS[self.experiment]
+
+    def horizon(self) -> int:
+        """MPC horizon in steps; the knot sweep plans over the whole run."""
+        return int(round(self.duration * self.rate)) if self.experiment == "param_sweep" else self.T
 
 
 _DEFAULT_CONTROLLERS = {
-    "param_sweep": ("small", "small_param"),
-    "horizon_sweep": ("small",),
     "robustness": ("small", "small_param:2", "small_param:4", "small_param:8"),
     "solve_time_scaling": ("large", "small", "large_param:5", "small_param:5"),
     "closedloop_comparison": ("large", "small_param:3", "empc:3:1", "empc:3:3"),
@@ -184,33 +201,20 @@ class ControllerToken:
 
 
 def parse_controller_token(token: str) -> ControllerToken:
-    """Parse a controller token.
-
-    Grammar: ``large`` | ``small`` | ``large_param:P`` | ``small_param:P``
-    | ``empc:P:G`` with P the knot count and G the generations per step.
+    """Parse a controller token: a kind of ``condense.CONTROLLER_KINDS``
+    followed by its positive integer arguments, ``large`` | ``small`` |
+    ``large_param:p`` | ``small_param:p`` | ``empc:p:generations``.
     """
-    parts = token.split(":")
-    kind = parts[0]
-    if kind in ("large", "small"):
-        if len(parts) != 1:
-            raise ConfigError(f"controllers: {token!r} takes no arguments")
-        return ControllerToken(kind, text=token)
-    if kind in ("large_param", "small_param"):
-        if len(parts) != 2:
-            raise ConfigError(f"controllers: {token!r} must look like {kind}:P")
-        p = _parse_int(parts[1], "controllers")
-        if p < 1:
-            raise ConfigError(f"controllers: knot count must be positive in {token!r}")
-        return ControllerToken(kind, p=p, text=token)
-    if kind == "empc":
-        if len(parts) != 3:
-            raise ConfigError(f"controllers: {token!r} must look like empc:P:G")
-        p = _parse_int(parts[1], "controllers")
-        gens = _parse_int(parts[2], "controllers")
-        if p < 1 or gens < 1:
-            raise ConfigError(f"controllers: knots and generations must be positive in {token!r}")
-        return ControllerToken(kind, p=p, generations=gens, text=token)
-    raise ConfigError(f"controllers: unknown controller kind {kind!r} in {token!r}")
+    kind, *args = token.split(":")
+    if kind not in CONTROLLER_KINDS:
+        raise ConfigError(f"controllers: unknown controller kind {kind!r} in {token!r}")
+    names = CONTROLLER_KINDS[kind]
+    if len(args) != len(names):
+        raise ConfigError(f"controllers: {token!r} must look like {':'.join([kind, *names])}")
+    values = {name: _parse_int(arg, "controllers") for name, arg in zip(names, args)}
+    if any(v < 1 for v in values.values()):
+        raise ConfigError(f"controllers: {' and '.join(names)} must be positive in {token!r}")
+    return ControllerToken(kind, text=token, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -435,32 +439,56 @@ class _Task:
     trial: int
 
 
-def _new_row(cfg: ExperimentConfig, links: int, trial: int) -> dict:
+def _trial_setup(task: _Task, step: float | None = None):
+    """The trial's plant and its start/goal states."""
+    plant = make_plant(task.cfg.robot, task.links)
+    x0, xg = _sample_endpoints(_trial_rng(task.cfg, task.links, task.trial), plant.m, step)
+    return plant, x0, xg
+
+
+def _controllers(task: _Task):
+    """(token, controller) for each controller the trial runs, baseline first."""
+    cfg = task.cfg
+    for c_idx, text in enumerate(cfg.resolved_controllers()):
+        tok = parse_controller_token(text)
+        yield tok, _controller_from_token(tok, cfg, _derived_seed(cfg, task.links, task.trial, c_idx))
+
+
+def _row(task: _Task, tok: ControllerToken, T: int, x0, xg, report=None, **extra) -> dict:
+    """One CSV row: one controller's result in one trial; ``extra`` sets
+    the columns the experiment adds (and ``steps`` for a one-shot solve)."""
+    cfg = task.cfg
     row = {c: "" for c in COLUMNS}
     row.update(
         experiment=cfg.experiment,
         robot=cfg.robot,
-        trial=trial,
+        links=task.links if cfg.robot == "nlink" else 1,
+        T=T,
+        p=tok.p if tok.p is not None else "",
+        controller=tok.kind,
+        generations=tok.generations if tok.kind == "empc" else "",
+        trial=task.trial,
         seed=cfg.seed,
-        links=links if cfg.robot == "nlink" else 1,
+        start=_fmt_vec(x0),
+        goal=_fmt_vec(xg),
+        steps=int(round(cfg.duration * cfg.rate)),
     )
+    if report is not None:
+        row.update(
+            actual_cost=report.actual_cost,
+            rise_time=report.rise_time,
+            overshoot=report.overshoot,
+            itae=report.itae,
+            opt_time_q1=report.opt_time_quartiles[0],
+            opt_time_med=report.opt_time_quartiles[1],
+            opt_time_q3=report.opt_time_quartiles[2],
+            mpc_time_q1=report.mpc_time_quartiles[0],
+            mpc_time_med=report.mpc_time_quartiles[1],
+            mpc_time_q3=report.mpc_time_quartiles[2],
+            failures=report.failures,
+        )
+    row.update(extra)
     return row
-
-
-def _fill_metrics(row: dict, report) -> None:
-    row.update(
-        actual_cost=report.actual_cost,
-        rise_time=report.rise_time,
-        overshoot=report.overshoot,
-        itae=report.itae,
-        opt_time_q1=report.opt_time_quartiles[0],
-        opt_time_med=report.opt_time_quartiles[1],
-        opt_time_q3=report.opt_time_quartiles[2],
-        mpc_time_q1=report.mpc_time_quartiles[0],
-        mpc_time_med=report.mpc_time_quartiles[1],
-        mpc_time_q3=report.mpc_time_quartiles[2],
-        failures=report.failures,
-    )
 
 
 def _fmt_vec(v: np.ndarray) -> str:
@@ -479,183 +507,89 @@ def _closed_loop(plant, controller, template, x0, xg, cfg, *, controller_plant=N
         controller_plant=controller_plant,
         qp_settings=qp_settings(cfg),
     )
-    report = compute_metrics(result, template.Q, template.R, xg, cfg.rate, plant.m)
-    return result, report
+    return compute_metrics(result, template.Q, template.R, xg, cfg.rate, plant.m)
 
 
-def _run_param_sweep(task: _Task) -> list[dict]:
+def _run_comparison(task: _Task) -> list[dict]:
+    """Closed-loop runs of each controller, costs relative to the first."""
     cfg = task.cfg
-    plant = make_plant(cfg.robot, task.links)
-    T_full = int(round(cfg.duration * cfg.rate))
-    template = make_template(plant, cfg, T_full)
-    rng = _trial_rng(cfg, task.links, task.trial)
-    x0, xg = _sample_endpoints(rng, plant.m)
-
+    plant, x0, xg = _trial_setup(task)
+    template = make_template(plant, cfg, cfg.horizon())
     rows = []
-    _, base_report = _closed_loop(plant, Controller("small"), template, x0, xg, cfg)
-    row = _new_row(cfg, task.links, task.trial)
-    row.update(T=T_full, controller="small", start=_fmt_vec(x0), goal=_fmt_vec(xg), steps=T_full)
-    _fill_metrics(row, base_report)
-    row["cost_ratio"] = 1.0
-    rows.append(row)
-
-    for p in cfg.p:
-        _, report = _closed_loop(plant, Controller("small_param", p=p), template, x0, xg, cfg)
-        row = _new_row(cfg, task.links, task.trial)
-        row.update(T=T_full, p=p, controller="small_param", start=_fmt_vec(x0), goal=_fmt_vec(xg), steps=T_full)
-        _fill_metrics(row, report)
-        row["cost_ratio"] = cost_ratio(report.actual_cost, base_report.actual_cost)
-        rows.append(row)
+    base_cost = None
+    for tok, controller in _controllers(task):
+        report = _closed_loop(plant, controller, template, x0, xg, cfg)
+        if base_cost is None:
+            base_cost = report.actual_cost
+        rows.append(_row(task, tok, template.T, x0, xg, report,
+                         cost_ratio=cost_ratio(report.actual_cost, base_cost)))
     return rows
 
 
 def _run_horizon_sweep(task: _Task) -> list[dict]:
     cfg = task.cfg
-    plant = make_plant(cfg.robot, task.links)
-    rng = _trial_rng(cfg, task.links, task.trial)
-    x0, xg = _sample_endpoints(rng, plant.m)
-    steps = int(round(cfg.duration * cfg.rate))
-
-    base_template = make_template(plant, cfg, cfg.T)
-    _, base_report = _closed_loop(plant, Controller("small"), base_template, x0, xg, cfg)
+    plant, x0, xg = _trial_setup(task)
+    tok, controller = next(_controllers(task))
+    base = _closed_loop(plant, controller, make_template(plant, cfg, cfg.T), x0, xg, cfg)
 
     rows = []
     for T in cfg.horizons:
-        template = make_template(plant, cfg, T)
-        _, report = _closed_loop(plant, Controller("small"), template, x0, xg, cfg)
-        row = _new_row(cfg, task.links, task.trial)
-        row.update(T=T, controller="small", start=_fmt_vec(x0), goal=_fmt_vec(xg), steps=steps)
-        _fill_metrics(row, report)
-        row["cost_ratio"] = cost_ratio(report.actual_cost, base_report.actual_cost)
-        rows.append(row)
+        report = _closed_loop(plant, controller, make_template(plant, cfg, T), x0, xg, cfg)
+        rows.append(_row(task, tok, T, x0, xg, report,
+                         cost_ratio=cost_ratio(report.actual_cost, base.actual_cost)))
     return rows
 
 
 def _run_robustness(task: _Task) -> list[dict]:
     cfg = task.cfg
-    plant = make_plant(cfg.robot, task.links)
+    plant, x0, xg = _trial_setup(task, step=1.0)
     template = make_template(plant, cfg, cfg.T)
-    rng = _trial_rng(cfg, task.links, task.trial)
-    x0, xg = _sample_endpoints(rng, plant.m, step=1.0)
-    steps = int(round(cfg.duration * cfg.rate))
 
     rows = []
-    for c_idx, tok_text in enumerate(cfg.resolved_controllers()):
-        tok = parse_controller_token(tok_text)
-        controller = _controller_from_token(tok, cfg, _derived_seed(cfg, task.links, task.trial, c_idx))
+    for tok, controller in _controllers(task):
         reports = {}
         for mult in sorted(set(cfg.multipliers) | {1.0}):
             wrong = apply_error_multiplier(plant.params, mult)
             model_plant = type(plant)(wrong) if mult != 1.0 else None
-            _, report = _closed_loop(plant, controller, template, x0, xg, cfg, controller_plant=model_plant)
-            reports[mult] = report
+            reports[mult] = _closed_loop(plant, controller, template, x0, xg, cfg, controller_plant=model_plant)
         for mult in cfg.multipliers:
             report = reports[mult]
-            row = _new_row(cfg, task.links, task.trial)
-            row.update(
-                T=cfg.T,
-                p=tok.p if tok.p is not None else "",
-                controller=tok.kind,
-                generations=tok.generations if tok.kind == "empc" else "",
-                multiplier=mult,
-                start=_fmt_vec(x0),
-                goal=_fmt_vec(xg),
-                steps=steps,
-            )
-            _fill_metrics(row, report)
-            row["normalized_cost"] = cost_ratio(report.actual_cost, reports[1.0].actual_cost)
-            rows.append(row)
+            rows.append(_row(task, tok, cfg.T, x0, xg, report, multiplier=mult,
+                             normalized_cost=cost_ratio(report.actual_cost, reports[1.0].actual_cost)))
     return rows
 
 
 def _run_solve_time_scaling(task: _Task) -> list[dict]:
+    """Cold one-shot solve per controller; the MPC time adds the QP build."""
     cfg = task.cfg
-    plant = make_plant(cfg.robot, task.links)
-    template = make_template(plant, cfg, cfg.T)
-    rng = _trial_rng(cfg, task.links, task.trial)
-    x0, xg = _sample_endpoints(rng, plant.m)
-
-    clin = linearize(plant.ode, x0, np.zeros(plant.m))
-    model = discretize(clin, 1.0 / cfg.rate)
-    spec = replace(template, model=model, x_goal=xg)
+    plant, x0, xg = _trial_setup(task)
+    model = discretize(linearize(plant.ode, x0, np.zeros(plant.m)), 1.0 / cfg.rate)
+    spec = replace(make_template(plant, cfg, cfg.T), model=model, x_goal=xg)
 
     rows = []
-    for c_idx, tok_text in enumerate(cfg.resolved_controllers()):
-        tok = parse_controller_token(tok_text)
-        row = _new_row(cfg, task.links, task.trial)
-        row.update(
-            T=cfg.T,
-            p=tok.p if tok.p is not None else "",
-            controller=tok.kind,
-            generations=tok.generations if tok.kind == "empc" else "",
-            start=_fmt_vec(x0),
-            goal=_fmt_vec(xg),
-            steps=1,
-        )
+    for tok, controller in _controllers(task):
         sched = KnotSchedule(cfg.T, tok.p) if tok.p is not None else None
         if tok.kind == "empc":
-            settings = EmpcSettings(
-                num_sims=cfg.empc_sims,
-                num_parents=cfg.empc_parents,
-                generations=tok.generations,
-                seed=_derived_seed(cfg, task.links, task.trial, c_idx),
-            )
             t0 = time.perf_counter()
-            solve_empc(spec, sched, settings, x0)
-            elapsed = time.perf_counter() - t0
-            row.update(opt_time_med=elapsed, mpc_time_med=elapsed, failures=0)
+            solve_empc(spec, sched, controller.empc, x0)
+            opt = total = time.perf_counter() - t0
+            failed = 0
         else:
             solver = AdmmSolver(qp_settings(cfg))
-            opt, total, sol = time_solver(
-                lambda: build(tok.kind, spec, x0, sched), solver.solve
-            )
-            row.update(
-                opt_time_med=opt,
-                mpc_time_med=total,
-                failures=0 if sol.status == "solved" else 1,
-            )
-        rows.append(row)
-    return rows
-
-
-def _run_closedloop_comparison(task: _Task) -> list[dict]:
-    cfg = task.cfg
-    plant = make_plant(cfg.robot, task.links)
-    template = make_template(plant, cfg, cfg.T)
-    rng = _trial_rng(cfg, task.links, task.trial)
-    x0, xg = _sample_endpoints(rng, plant.m)
-    steps = int(round(cfg.duration * cfg.rate))
-
-    rows = []
-    base_cost = None
-    for c_idx, tok_text in enumerate(cfg.resolved_controllers()):
-        tok = parse_controller_token(tok_text)
-        controller = _controller_from_token(tok, cfg, _derived_seed(cfg, task.links, task.trial, c_idx))
-        _, report = _closed_loop(plant, controller, template, x0, xg, cfg)
-        if base_cost is None:
-            base_cost = report.actual_cost  # first controller in the list is the baseline
-        row = _new_row(cfg, task.links, task.trial)
-        row.update(
-            T=cfg.T,
-            p=tok.p if tok.p is not None else "",
-            controller=tok.kind,
-            generations=tok.generations if tok.kind == "empc" else "",
-            start=_fmt_vec(x0),
-            goal=_fmt_vec(xg),
-            steps=steps,
-        )
-        _fill_metrics(row, report)
-        row["cost_ratio"] = cost_ratio(report.actual_cost, base_cost)
-        rows.append(row)
+            t0 = time.perf_counter()
+            sol = solver.solve(build(tok.kind, spec, x0, sched))
+            total = time.perf_counter() - t0
+            opt, failed = sol.solve_time, int(sol.status != "solved")
+        rows.append(_row(task, tok, cfg.T, x0, xg, steps=1, opt_time_med=opt, mpc_time_med=total, failures=failed))
     return rows
 
 
 _RUNNERS = {
-    "param_sweep": _run_param_sweep,
+    "param_sweep": _run_comparison,
     "horizon_sweep": _run_horizon_sweep,
     "robustness": _run_robustness,
     "solve_time_scaling": _run_solve_time_scaling,
-    "closedloop_comparison": _run_closedloop_comparison,
+    "closedloop_comparison": _run_comparison,
 }
 
 
@@ -665,24 +599,6 @@ def _run_task(task: _Task) -> list[dict]:
 
 # ---------------------------------------------------------------------------
 # harness entry points
-
-
-def time_solver(build_fn, solve_fn):
-    """Cold-start timing: returns (optimization time, total MPC time, solution).
-
-    Total time adds the matrix construction performed by ``build_fn``;
-    optimization time is the solver's own reported run time when it
-    provides one, else the wall time of ``solve_fn``.
-    """
-    t0 = time.perf_counter()
-    prob = build_fn()
-    t1 = time.perf_counter()
-    sol = solve_fn(prob)
-    t2 = time.perf_counter()
-    opt = getattr(sol, "solve_time", None)
-    if opt is None:
-        opt = t2 - t1
-    return opt, (t1 - t0) + (t2 - t1), sol
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str = ".", workers: int | None = None) -> list[dict]:
@@ -742,32 +658,6 @@ def rows_to_csv_text(rows: list[dict], include_timing: bool = True) -> str:
     for row in rows:
         writer.writerow([_fmt_cell(row[c]) for c in cols])
     return buf.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# box statistics
-
-
-@dataclass(frozen=True)
-class BoxStats:
-    median: float
-    q1: float
-    q3: float
-    whisker_lo: float
-    whisker_hi: float
-
-
-def summarize(values) -> BoxStats:
-    """Median, quartiles, and whiskers at 1.5 IQR for a batch of numbers."""
-    v = np.asarray(list(values), float)
-    v = v[np.isfinite(v)]
-    if v.size == 0:
-        raise ValueError("no finite values to summarize")
-    q1, med, q3 = np.percentile(v, [25, 50, 75])
-    iqr = q3 - q1
-    lo = float(np.min(v[v >= q1 - 1.5 * iqr]))
-    hi = float(np.max(v[v <= q3 + 1.5 * iqr]))
-    return BoxStats(float(med), float(q1), float(q3), lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .condense import MpcSpec, build, extract_first_input
+from .condense import CONTROLLER_KINDS, MpcSpec, build, extract_first_input
 from .dynamics import NLinkParams, PendulumParams, discretize, integrate, linearize
 from .empc import EmpcSettings, solve_empc
 from .param import KnotSchedule
@@ -31,9 +31,8 @@ from .qp import AdmmSolver, QpSettings
 class Controller:
     """Which solver runs inside the loop.
 
-    kind is one of large | small | large_param | small_param | empc; the
-    parameterized kinds and empc need a knot count p, and empc carries its
-    population settings.
+    kind is one of ``condense.CONTROLLER_KINDS``; the kinds whose tokens
+    take a knot count need p, and empc carries its population settings.
     """
 
     kind: str
@@ -41,9 +40,9 @@ class Controller:
     empc: EmpcSettings | None = None
 
     def __post_init__(self):
-        if self.kind not in ("large", "small", "large_param", "small_param", "empc"):
+        if self.kind not in CONTROLLER_KINDS:
             raise ValueError(f"unknown controller kind {self.kind!r}")
-        if self.kind in ("large_param", "small_param", "empc") and self.p is None:
+        if "p" in CONTROLLER_KINDS[self.kind] and self.p is None:
             raise ValueError(f"{self.kind} needs a knot count p")
         if self.kind == "empc" and self.empc is None:
             object.__setattr__(self, "empc", EmpcSettings())
@@ -82,6 +81,8 @@ def run_closed_loop(
     dt = 1.0 / rate
     model_src = controller_plant if controller_plant is not None else plant
     x_goal = np.asarray(x_goal, float)
+    if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(x_goal))):
+        raise ValueError("x0 and x_goal must be finite")
 
     n, m = plant.n, plant.m
     states = np.empty((H + 1, n))
@@ -101,7 +102,7 @@ def run_closed_loop(
     x = states[0].copy()
     for i in range(H):
         clin = linearize(model_src.ode, x, u0_nominal)
-        dmodel = discretize(clin, dt, "exact")
+        dmodel = discretize(clin, dt)
         spec = replace(template, model=dmodel, x_goal=x_goal)
 
         if controller.kind == "empc":
@@ -177,12 +178,6 @@ def cost_ratio(cost: float, baseline: float) -> float:
     if baseline == 0.0:
         return np.nan
     return cost / baseline
-
-
-def normalized_cost(cost: float, cost_at_unity: float) -> float:
-    """Ratio of the cost under a model error to the same controller's
-    cost with a perfect model."""
-    return cost_ratio(cost, cost_at_unity)
 
 
 def rise_time(positions, start, goal, rate: float) -> np.ndarray:

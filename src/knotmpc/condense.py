@@ -32,7 +32,17 @@ from .dynamics import DiscreteLinearModel
 from .param import KnotSchedule, interpolation_matrix
 from .qp import QpProblem, QpSolution
 
-FORMULATIONS = ("large", "small", "large_param", "small_param")
+# Controller kinds, each with the integer arguments its token takes after
+# the name ("small_param:3", "empc:3:1"): the four QP formulations built
+# here, and the evolutionary search over the same knot space (empc.py).
+CONTROLLER_KINDS = {
+    "large": (),
+    "small": (),
+    "large_param": ("p",),
+    "small_param": ("p",),
+    "empc": ("p", "generations"),
+}
+FORMULATIONS = tuple(kind for kind in CONTROLLER_KINDS if kind != "empc")
 
 
 class ConfigurationError(ValueError):
@@ -41,7 +51,10 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class MpcSpec:
-    """Everything defining one finite-horizon tracking problem."""
+    """Everything defining one finite-horizon tracking problem.
+
+    Goals and weights must be finite; bounds may be infinite but not NaN.
+    """
 
     model: DiscreteLinearModel
     T: int
@@ -66,18 +79,23 @@ class MpcSpec:
             object.__setattr__(self, name, M)
         if self.Q.shape != (n, n) or self.R.shape != (m, m):
             raise ValueError("Q and R must match the model dimensions")
+        for name in ("x_goal", "u_goal", "Q", "R"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         _check_symmetric(self.Q, "Q")
         _check_symmetric(self.R, "R")
         if np.min(np.linalg.eigvalsh(self.Q)) < -1e-9:
             raise ValueError("Q must be positive semidefinite")
         if np.min(np.linalg.eigvalsh(self.R)) <= 0:
             raise ValueError("R must be positive definite")
-        if np.any(self.u_min > self.u_max):
-            raise ValueError("u_min must be elementwise <= u_max")
+        if not np.all(self.u_min <= self.u_max):  # also false on NaN
+            raise ValueError("u_min must be elementwise <= u_max, and neither may be NaN")
         for name, size in (("x_min", n), ("x_max", n)):
             val = getattr(self, name)
             if val is not None:
                 arr = np.broadcast_to(np.asarray(val, float), (size,)).copy()
+                if np.any(np.isnan(arr)):
+                    raise ValueError(f"{name} must not be NaN")
                 object.__setattr__(self, name, arr)
 
     @property

@@ -259,32 +259,21 @@ def linearize(f, x0, u0, eps: float = 1e-6) -> ContinuousLinearModel:
     return ContinuousLinearModel(A, B, w)
 
 
-def discretize(model: ContinuousLinearModel, dt: float, method: str = "exact") -> DiscreteLinearModel:
+def discretize(model: ContinuousLinearModel, dt: float) -> DiscreteLinearModel:
     """Discretize an affine continuous model with time step dt.
 
-    ``euler`` gives the first-order hold-free approximation Ad = I + A dt;
-    ``exact`` integrates the affine system under a zero-order hold via the
+    The affine system is integrated exactly under a zero-order hold via the
     matrix exponential of the augmented system.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     n, m = model.n, model.m
-    if method == "euler":
-        Ad = np.eye(n) + model.A * dt
-        Bd = model.B * dt
-        wd = model.w * dt
-    elif method == "exact":
-        aug = np.zeros((n + m + 1, n + m + 1))
-        aug[:n, :n] = model.A
-        aug[:n, n : n + m] = model.B
-        aug[:n, -1] = model.w
-        E = expm(aug * dt)
-        Ad = E[:n, :n]
-        Bd = E[:n, n : n + m]
-        wd = E[:n, -1]
-    else:
-        raise ValueError(f"unknown discretization method {method!r}")
-    return DiscreteLinearModel(Ad, Bd, wd, dt)
+    aug = np.zeros((n + m + 1, n + m + 1))
+    aug[:n, :n] = model.A
+    aug[:n, n : n + m] = model.B
+    aug[:n, -1] = model.w
+    E = expm(aug * dt)
+    return DiscreteLinearModel(E[:n, :n], E[:n, n : n + m], E[:n, -1], dt)
 
 
 def step(model: DiscreteLinearModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:

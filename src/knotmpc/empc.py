@@ -155,10 +155,17 @@ def evaluate_cost(candidate, spec: MpcSpec, sched: KnotSchedule, x0) -> float:
     return float(_rollout_costs(U[None], spec, sched, np.asarray(x0, float))[0])
 
 
+def _require_finite_bounds(spec: MpcSpec) -> None:
+    # candidates are sampled, mutated and clamped within [u_min, u_max]
+    if not (np.all(np.isfinite(spec.u_min)) and np.all(np.isfinite(spec.u_max))):
+        raise ValueError(f"EMPC needs finite input bounds, got u_min={spec.u_min}, u_max={spec.u_max}")
+
+
 def init_population(
     spec: MpcSpec, sched: KnotSchedule, settings: EmpcSettings, x0, cost: _CostModel | None = None
 ) -> Population:
     """Cold start: candidates drawn uniformly within the input bounds."""
+    _require_finite_bounds(spec)
     if cost is None:
         cost = _CostModel(spec, sched, x0)
     rng = _rng(settings.seed, 0)
@@ -217,6 +224,7 @@ def solve_empc(
     ``prev`` the previous population is re-evaluated at the new state
     before mating, so stale costs never drive selection.
     """
+    _require_finite_bounds(spec)
     x0 = np.asarray(x0, float)
     cost = _CostModel(spec, sched, x0)
     if prev is None:

@@ -15,9 +15,10 @@ quasi-definite KKT system
 (P~ = 2P, q~ = 2q internally) with a fixed penalty, a boosted penalty on
 equality rows, and projection of the constraint image onto [lb, ub].  The
 KKT matrix is factored once per solve and the factorization is reused
-across solves while the matrices are unchanged; sparse problems go
-through a sparse LU, dense ones through LAPACK, chosen by the fill ratio
-of the KKT system.
+across solves while the matrices are unchanged.  The constraint structure
+picks the path: a dense square ``A`` that is a positive diagonal (the
+condensed builders' ``A = I``) is a box, factored by LAPACK and polished
+by a box active-set walk; any other ``A`` goes through a sparse LU.
 
 Condensed MPC problems can be badly scaled (prediction matrices stack
 powers of A_d), so the iteration runs on a Ruiz-equilibrated copy of the
@@ -56,14 +57,14 @@ class QpSettings:
     eps_infeas: float = 1e-5
     max_iters: int = 20000
     check_interval: int = 25
-    dense_threshold: float = 0.25
     scaling_iters: int = 10
     polish: bool = True
 
 
 @dataclass(frozen=True)
 class QpProblem:
-    """One box-constrained QP; ``A`` and ``P`` may be dense or scipy-sparse."""
+    """One box-constrained QP; ``A`` and ``P`` may be dense or scipy-sparse.
+    Only the bounds may be infinite, and nothing may be NaN."""
 
     P: object
     q: np.ndarray
@@ -77,6 +78,8 @@ class QpProblem:
         d = q.size
         if self.P.shape != (d, d):
             raise ValueError(f"P must be {d}x{d}, got {self.P.shape}")
+        if not (_all_finite(self.P) and _all_finite(q)):
+            raise ValueError("P and q must be finite")
         asym = _max_abs(self.P - self.P.T)
         if asym > 1e-8 * (1.0 + _max_abs(self.P)):
             raise ValueError("P must be symmetric")
@@ -89,12 +92,15 @@ class QpProblem:
         r = self.A.shape[0]
         if self.A.shape[1] != d:
             raise ValueError(f"A must have {d} columns, got {self.A.shape[1]}")
+        if not _all_finite(self.A):
+            raise ValueError("A must be finite")
         lb = np.full(r, -np.inf) if self.lb is None else np.asarray(self.lb, float).ravel()
         ub = np.full(r, np.inf) if self.ub is None else np.asarray(self.ub, float).ravel()
         if lb.size != r or ub.size != r:
             raise ValueError("lb and ub must match the number of constraint rows")
-        if np.any(lb > ub):
-            raise ValueError("lb must be elementwise <= ub")
+        # each comparison is also false on NaN; lb = +inf or ub = -inf admits no z
+        if not (np.all(lb <= ub) and np.all(lb < np.inf) and np.all(ub > -np.inf)):
+            raise ValueError("need lb <= ub elementwise, with no NaN, lb = +inf or ub = -inf")
         object.__setattr__(self, "lb", lb)
         object.__setattr__(self, "ub", ub)
 
@@ -123,20 +129,28 @@ def _max_abs(M) -> float:
     return float(np.max(np.abs(M))) if M.size else 0.0
 
 
-def _nnz(M) -> int:
-    return M.nnz if sp.issparse(M) else int(np.count_nonzero(M))
+def _all_finite(M) -> bool:
+    return bool(np.all(np.isfinite(M.data if sp.issparse(M) else np.asarray(M, float))))
+
+
+def _is_box(A) -> bool:
+    """Whether A is dense, square, positive on the diagonal and zero elsewhere,
+    so that lb <= A z <= ub bounds each variable on its own."""
+    if sp.issparse(A) or A.shape[0] != A.shape[1]:
+        return False
+    A = np.asarray(A, float)
+    diag = np.diagonal(A)
+    return bool(np.all(diag > 0) and np.count_nonzero(A) == np.count_nonzero(diag))
 
 
 class _DenseKkt:
     def __init__(self, P2, A, sigma, rho_vec):
         d = P2.shape[0]
-        r = A.shape[0] if A is not None else 0
-        K = np.zeros((d + r, d + r))
+        K = np.zeros((2 * d, 2 * d))
         K[:d, :d] = P2 + sigma * np.eye(d)
-        if r:
-            K[:d, d:] = A.T
-            K[d:, :d] = A
-            K[d:, d:] = -np.diag(1.0 / rho_vec)
+        K[:d, d:] = A.T
+        K[d:, :d] = A
+        K[d:, d:] = -np.diag(1.0 / rho_vec)
         self._lu = sla.lu_factor(K)
 
     def solve(self, rhs):
@@ -145,12 +159,8 @@ class _DenseKkt:
 
 class _SparseKkt:
     def __init__(self, P2, A, sigma, rho_vec):
-        d = P2.shape[0]
-        reg = P2 + sigma * sp.eye(d)
-        if A is not None and A.shape[0]:
-            K = sp.bmat([[reg, A.T], [A, -sp.diags(1.0 / rho_vec)]], format="csc")
-        else:
-            K = sp.csc_matrix(reg)
+        reg = P2 + sigma * sp.eye(P2.shape[0])
+        K = sp.bmat([[reg, A.T], [A, -sp.diags(1.0 / rho_vec)]], format="csc")
         self._lu = spla.splu(K)
 
     def solve(self, rhs):
@@ -173,8 +183,8 @@ class AdmmSolver:
         if r == 0:
             return self._solve_unconstrained(prob, q2, t_start)
 
-        dense = _kkt_density(prob) > s.dense_threshold
-        P2, A = _normalize(prob.P, prob.A, dense)
+        box = _is_box(prob.A)
+        P2, A = _normalize(prob.P, prob.A, box)
         P2 = P2 * 2.0
 
         eq = np.isfinite(prob.lb) & (prob.ub - prob.lb < _EQ_TOL)
@@ -182,10 +192,15 @@ class AdmmSolver:
         rho_vec[eq] *= _RHO_EQ_SCALE
         inv_rho = 1.0 / rho_vec
 
-        D, E, P2s, As, kkt = self._prepare(P2, A, rho_vec, dense)
+        D, E, P2s, As, kkt = self._prepare(P2, A, rho_vec, box)
         q2s = D * q2
         lbs = E * prob.lb
         ubs = E * prob.ub
+        if box:
+            a = np.diagonal(As)
+            polish = lambda y, z: self._polish_box(prob, P2s, q2s, D, E, lbs, ubs, a, z)
+        else:
+            polish = lambda y, z: self._try_polish(prob, P2s, As, q2s, D, E, lbs, ubs, y, z)
 
         if warm is not None:
             xw = np.array(warm[0], float).ravel()
@@ -195,14 +210,14 @@ class AdmmSolver:
             x = xw / D
             y = yw / E
         else:
-            x = self._cold_start(P2s, q2s) if dense else np.zeros(d)
+            x = self._cold_start(P2s, q2s) if box else np.zeros(d)
             y = np.zeros(r)
         z = np.clip(As @ x, lbs, ubs)
 
         if s.polish:
             # a warm dual or a clipped PD minimizer often nails the active
             # set outright, making the iteration below a fallback
-            polished = self._try_polish(prob, P2s, As, q2s, D, E, lbs, ubs, y, z)
+            polished = polish(y, z)
             if polished is not None:
                 xs, ys = polished
                 obj = float(xs @ (prob.P @ xs) + 2.0 * prob.q @ xs)
@@ -235,18 +250,18 @@ class AdmmSolver:
                     break
                 # Exact finish from the current active-set guess.  A failed
                 # attempt is discarded (acceptance is gated on the full KKT
-                # check inside), so dense problems retry every check while
-                # sparse ones back off because each attempt refactors.
+                # check inside), so box problems retry every check while
+                # general ones back off because each attempt refactors.
                 check_no += 1
                 if s.polish and check_no >= next_polish:
-                    polished = self._try_polish(prob, P2s, As, q2s, D, E, lbs, ubs, y, z)
+                    polished = polish(y, z)
                     if polished is not None:
                         xs, ys = polished
                         obj = float(xs @ (prob.P @ xs) + 2.0 * prob.q @ xs)
                         return QpSolution(
                             xs, "solved", i, obj, time.perf_counter() - t_start, ys
                         )
-                    next_polish = check_no + 1 if dense else check_no * 2
+                    next_polish = check_no + 1 if box else check_no * 2
                 At_dy0 = (As.T @ dy) / D
                 if _infeasibility_certificate(At_dy0, E * dy, prob.lb, prob.ub, s.eps_infeas):
                     status, iters = "primal_infeasible", i
@@ -277,22 +292,20 @@ class AdmmSolver:
         except (sla.LinAlgError, ValueError):
             return np.zeros(q2s.size)
 
-    def _prepare(self, P2, A, rho_vec, dense):
+    def _prepare(self, P2, A, rho_vec, box):
         """Equilibrate and factor, reusing both while the matrices repeat."""
         if self._cache is not None:
             cP, cA, c_rho, payload = self._cache
             if _same_matrix(cP, P2) and _same_matrix(cA, A) and np.array_equal(c_rho, rho_vec):
                 return payload
         D, E, P2s, As = _ruiz(P2, A, self.settings.scaling_iters)
-        kkt = _DenseKkt(P2s, As, self.settings.sigma, rho_vec) if dense else _SparseKkt(
-            P2s, As, self.settings.sigma, rho_vec
-        )
+        kkt = (_DenseKkt if box else _SparseKkt)(P2s, As, self.settings.sigma, rho_vec)
         payload = (D, E, P2s, As, kkt)
         self._cache = (P2, A, rho_vec.copy(), payload)
         return payload
 
     def _try_polish(self, prob, P2s, As, q2s, D, E, lbs, ubs, y, z):
-        """Active-set finish from the current iterate.
+        """Active-set finish from the current iterate of a general problem.
 
         Rows are classified active by dual sign, falling back to primal
         proximity (the slack iterate clamped at a bound) where the dual is
@@ -305,11 +318,6 @@ class AdmmSolver:
         accuracy.
         """
         s = self.settings
-        sparse = sp.issparse(As)
-        if not sparse and As.shape[0] == As.shape[1]:
-            diag = np.diagonal(As)
-            if np.all(diag > 0) and np.count_nonzero(As) == np.count_nonzero(diag):
-                return self._polish_box(prob, P2s, q2s, D, E, lbs, ubs, diag, z)
         eq = lbs == ubs
         fin_lo = np.isfinite(lbs)
         fin_up = np.isfinite(ubs)
@@ -324,7 +332,7 @@ class AdmmSolver:
         low = ((y < -ytol) | at_lb) & fin_lo & ~eq
         up = ((y > ytol) | at_ub) & fin_up & ~eq
 
-        for _ in range(4 if sparse else 16):
+        for _ in range(4):
             res = self._polish_solve(P2s, As, q2s, lbs, ubs, eq, low, up)
             if res is None:
                 return None
@@ -461,34 +469,23 @@ class AdmmSolver:
         b_act = np.where(up[act], ubs[act], lbs[act])
 
         delta = 1e-9
+        A_act = As.tocsr()[act].tocsc()
         try:
-            if sp.issparse(As):
-                A_act = As.tocsr()[act].tocsc()
-                K = sp.bmat(
-                    [[P2s + delta * sp.eye(d), A_act.T], [A_act, -delta * sp.eye(k)]],
-                    format="csc",
-                )
-                lu = spla.splu(K)
-                solve = lu.solve
-            else:
-                A_act = As[act]
-                K = np.zeros((d + k, d + k))
-                K[:d, :d] = P2s + delta * np.eye(d)
-                K[:d, d:] = A_act.T
-                K[d:, :d] = A_act
-                K[d:, d:] = -delta * np.eye(k)
-                lu = sla.lu_factor(K)
-                solve = lambda rhs: sla.lu_solve(lu, rhs)
-        except (RuntimeError, ValueError, np.linalg.LinAlgError, sla.LinAlgError):
+            K = sp.bmat(
+                [[P2s + delta * sp.eye(d), A_act.T], [A_act, -delta * sp.eye(k)]],
+                format="csc",
+            )
+            lu = spla.splu(K)
+        except (RuntimeError, ValueError):
             return None
 
         rhs = np.concatenate([-q2s, b_act])
-        sol = solve(rhs)
+        sol = lu.solve(rhs)
         # two refinement sweeps against the unregularized system
         for _ in range(2):
             xs_, ys_ = sol[:d], sol[d:]
             resid = rhs - np.concatenate([P2s @ xs_ + A_act.T @ ys_, A_act @ xs_])
-            sol = sol + solve(resid)
+            sol = sol + lu.solve(resid)
         x_hat = sol[:d]
         y_hat = np.zeros(lbs.size)
         y_hat[act] = sol[d:]
@@ -558,11 +555,11 @@ def _ruiz(P2, A, iters):
     return D, E, P2s, As
 
 
-def _normalize(P, A, dense):
+def _normalize(P, A, box):
     """Bring P and A into the representation of the chosen path."""
-    if dense:
+    if box:
         Pn = P.toarray() if sp.issparse(P) else np.asarray(P, float)
-        An = A.toarray() if sp.issparse(A) else np.asarray(A, float)
+        An = np.asarray(A, float)
     else:
         Pn = sp.csc_matrix(P)
         An = sp.csc_matrix(A)
@@ -579,12 +576,6 @@ def _same_matrix(M1, M2) -> bool:
             and np.array_equal(M1.data, M2.data)
         )
     return np.array_equal(M1, M2)
-
-
-def _kkt_density(prob: QpProblem) -> float:
-    d, r = prob.n_vars, prob.n_cons
-    nnz = _nnz(prob.P) + d + 2 * _nnz(prob.A) + r
-    return nnz / float(d + r) ** 2
 
 
 def _infeasibility_certificate(At_dy, dy, lb, ub, eps) -> bool:

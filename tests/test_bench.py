@@ -25,13 +25,11 @@ from knotmpc.bench import (
     preset_config,
     rows_to_csv_text,
     run_experiment,
-    summarize,
-    time_solver,
     write_csv,
 )
-from knotmpc.condense import build_small
+from knotmpc.closedloop import Controller
+from knotmpc.condense import CONTROLLER_KINDS
 from knotmpc.dynamics import NLinkArm, Pendulum
-from knotmpc.qp import AdmmSolver
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +49,27 @@ def test_token_errors():
     for bad in ("small:3", "small_param", "empc:3", "empc", "huge", "large_param", "empc:0:1"):
         with pytest.raises(ConfigError):
             parse_controller_token(bad)
+
+
+def test_token_kinds_are_controller_kinds():
+    from knotmpc.bench import _controller_from_token
+
+    cfg = preset_config("closedloop_arms")
+    for kind, args in CONTROLLER_KINDS.items():
+        tok = parse_controller_token(":".join([kind] + ["3"] * len(args)))
+        controller = _controller_from_token(tok, cfg, seed=5)
+        assert (controller.kind, controller.p) == (kind, tok.p)
+        if "p" in args:
+            with pytest.raises(ValueError):
+                Controller(kind)  # a kind whose token takes p needs it
+        else:
+            assert Controller(kind).p is None
+    # and the reverse: a kind the controller rejects is no token either
+    for kind in ("medium", "Small", "param", "empc_param", ""):
+        with pytest.raises(ValueError):
+            Controller(kind, p=3)
+        with pytest.raises(ConfigError):
+            parse_controller_token(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +116,8 @@ def test_config_errors():
         config_from_mapping({"experiment": "param_sweep", "trials": "0"})
     with pytest.raises(ConfigError):
         config_from_mapping({"experiment": "param_sweep", "robot": "quadrotor"})
+    with pytest.raises(ConfigError):
+        config_from_mapping({"experiment": "robustness", "duration": "0.004", "rate": "100"})  # zero steps
 
 
 def test_dump_load_round_trip(tmp_path):
@@ -112,6 +133,17 @@ def test_dump_load_round_trip(tmp_path):
 def test_preset_config_unknown():
     with pytest.raises(ConfigError):
         preset_config("grand_tour")
+
+
+def test_knot_counts_must_fit_the_horizon():
+    with pytest.raises(ConfigError, match="horizon"):
+        config_from_mapping({"experiment": "closedloop_comparison", "T": "4", "controllers": "small_param:5"})
+    with pytest.raises(ConfigError, match="horizon"):
+        config_from_mapping({"experiment": "robustness", "T": "6"})  # default small_param:8
+    with pytest.raises(ConfigError, match="horizon"):
+        config_from_mapping({"experiment": "param_sweep", "duration": "0.1", "rate": "100", "p": "1,11"})
+    config_from_mapping({"experiment": "param_sweep", "duration": "0.1", "rate": "100", "p": "1,10"})
+    config_from_mapping({"experiment": "closedloop_comparison", "T": "5", "controllers": "empc:5:2"})
 
 
 def test_all_presets_validate():
@@ -154,25 +186,7 @@ def test_make_template_weights():
 
 
 # ---------------------------------------------------------------------------
-# summaries and CSV
-
-def test_summarize_frozen():
-    stats = summarize([1, 2, 3, 4, 5, 6, 7, 8, 100.0])
-    assert stats.median == 5.0
-    assert stats.q1 == 3.0
-    assert stats.q3 == 7.0
-    assert stats.whisker_lo == 1.0
-    assert stats.whisker_hi == 8.0  # the 100 falls outside 1.5 IQR
-
-
-def test_summarize_edge_cases():
-    with pytest.raises(ValueError):
-        summarize([])
-    with pytest.raises(ValueError):
-        summarize([np.nan, np.inf])
-    s = summarize([np.nan, 2.0, np.inf, 4.0])
-    assert s.median == 3.0
-
+# CSV
 
 def test_csv_round_trip(tmp_path):
     rows = [{c: 0 for c in COLUMNS}]
@@ -195,15 +209,6 @@ def test_timing_columns_masked():
     rows2 = [{c: 1.5 for c in COLUMNS}]
     rows2[0]["opt_time_med"] = 99.0
     assert rows_to_csv_text(rows2, include_timing=False) == without
-
-
-def test_time_solver_returns_sane_values():
-    spec = make_template(make_plant("pendulum_nograv", 1), preset_config("param_sweep_linear"), 20)
-    solver = AdmmSolver()
-    x0 = np.array([0.3, 0.0])
-    opt, total, sol = time_solver(lambda: build_small(spec, x0), solver.solve)
-    assert sol.status == "solved"
-    assert 0.0 <= opt <= total
 
 
 def test_sample_endpoints_unit_step():

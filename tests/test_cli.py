@@ -73,6 +73,20 @@ def test_run_invalid_config(tmp_path):
     assert main(["run", str(bad)]) == 1
 
 
+def test_run_knots_beyond_horizon_is_a_config_error(tmp_path, capsys):
+    # caught by validation (exit 1), not by the knot schedule mid-run (exit 2)
+    cases = {
+        "tokens.cfg": "experiment = closedloop_comparison\nT = 4\ncontrollers = small,small_param:5\n",
+        "sweep.cfg": "experiment = param_sweep\nrobot = pendulum_nograv\nduration = 0.05\np = 1,6\n",
+    }
+    for name, text in cases.items():
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+        assert "horizon" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_presets_listing(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out

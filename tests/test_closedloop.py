@@ -17,7 +17,6 @@ from knotmpc.closedloop import (
     compute_metrics,
     cost_ratio,
     itae,
-    normalized_cost,
     percent_overshoot,
     rise_time,
     run_closed_loop,
@@ -153,8 +152,6 @@ def test_actual_cost_counts_every_state_sample():
 def test_cost_ratio_and_normalization():
     assert cost_ratio(2.0, 4.0) == pytest.approx(0.5)
     assert np.isnan(cost_ratio(1.0, 0.0))
-    assert normalized_cost(3.0, 2.0) == pytest.approx(1.5)
-    assert np.isnan(normalized_cost(3.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +281,21 @@ def test_solver_failure_path():
     )
     assert res.failures == 20
     assert np.all(np.isfinite(res.inputs))
+
+
+def test_non_finite_endpoints_rejected_before_the_first_step(monkeypatch):
+    import knotmpc.closedloop as closedloop
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("linearized a non-finite state")
+
+    monkeypatch.setattr(closedloop, "linearize", no_step)
+    plant = Pendulum(PendulumParams(gravity=0.0))
+    template = _template(plant)
+    for x0, goal in (([np.nan, 0.0], [0.5, 0.0]), ([0.0, np.inf], [0.5, 0.0]), ([0.0, 0.0], [np.nan, 0.0])):
+        with pytest.raises(ValueError, match="finite"):
+            run_closed_loop(plant, Controller("small"), template, x0=np.array(x0),
+                            x_goal=np.array(goal), duration=0.1, rate=100.0)
 
 
 def test_controller_validation():

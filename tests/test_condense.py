@@ -312,6 +312,32 @@ def test_spec_validation_errors():
         MpcSpec(model, 5, **{**ok, "x_goal": np.zeros(3)})
 
 
+def test_spec_rejects_non_finite_data():
+    model = _model(2, 1)
+    ok = dict(Q=np.eye(2), R=np.eye(1), x_goal=np.zeros(2), u_goal=np.zeros(1),
+              u_min=-np.ones(1), u_max=np.ones(1))
+    for bad in (np.nan, np.inf):
+        for name, val in (("x_goal", [0.0, bad]), ("u_goal", [bad]), ("Q", np.diag([1.0, bad])),
+                          ("R", [[bad]])):
+            with pytest.raises(ValueError, match=name):
+                MpcSpec(model, 5, **{**ok, name: np.array(val)})
+    for name in ("u_min", "u_max", "x_min", "x_max"):
+        with pytest.raises(ValueError, match="NaN"):
+            MpcSpec(model, 5, **{**ok, name: np.full(1 if name[0] == "u" else 2, np.nan)})
+    # infinite bounds stay allowed
+    MpcSpec(model, 5, **{**ok, "u_min": -np.inf, "u_max": np.inf, "x_min": -np.inf, "x_max": np.inf})
+
+
+def test_build_rejects_non_finite_state():
+    # a NaN state must not be solved as if it were zero
+    spec = _spec(_model(2, 1), 6)
+    sched = KnotSchedule(6, 3)
+    for kind in FORMULATIONS:
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite|NaN"):
+                build(kind, spec, np.array([bad, 0.0]), sched)
+
+
 def test_has_state_bounds():
     model = _model(2, 1)
     assert not _spec(model, 5).has_state_bounds

@@ -48,28 +48,18 @@ M_TWO_LINK_BENT = np.array(
 
 def test_exact_discretization_scalar_oracle():
     model = ContinuousLinearModel(np.array([[-2.0]]), np.array([[3.0]]), np.array([0.5]))
-    dm = discretize(model, 0.1, "exact")
+    dm = discretize(model, 0.1)
     assert dm.Ad[0, 0] == pytest.approx(SCALAR_AD, abs=1e-15)
     assert dm.Bd[0, 0] == pytest.approx(SCALAR_BD, abs=1e-15)
     assert dm.wd[0] == pytest.approx(SCALAR_WD, abs=1e-15)
     assert dm.dt == 0.1
 
 
-def test_euler_discretization_formula():
-    A = np.array([[0.0, 1.0], [-4.0, -0.5]])
-    B = np.array([[0.0], [2.0]])
-    w = np.array([0.1, -0.3])
-    dm = discretize(ContinuousLinearModel(A, B, w), 0.05, "euler")
-    np.testing.assert_allclose(dm.Ad, np.eye(2) + 0.05 * A)
-    np.testing.assert_allclose(dm.Bd, 0.05 * B)
-    np.testing.assert_allclose(dm.wd, 0.05 * w)
-
-
 def test_exact_discretization_matches_ode_integration():
     # independent reference: integrate the affine ODE with tight tolerances
     plant = Pendulum(PendulumParams())
     clin = linearize(plant.ode, np.array([0.4, -0.2]), np.array([0.3]))
-    dm = discretize(clin, 0.05, "exact")
+    dm = discretize(clin, 0.05)
     x0 = np.array([0.1, 0.7])
     u0 = np.array([1.3])
     ref = solve_ivp(
@@ -84,7 +74,7 @@ def test_discretize_rejects_bad_arguments():
     with pytest.raises(ValueError):
         discretize(model, 0.0)
     with pytest.raises(ValueError):
-        discretize(model, 0.1, "trapezoid")
+        discretize(model, -0.1)
 
 
 def test_model_dimension_properties():

@@ -182,3 +182,18 @@ def test_state_bounded_spec_uses_rollout_scoring():
         assert pop.costs[i] == pytest.approx(
             evaluate_cost(pop.candidates[i], spec, SCHED, X0), rel=1e-10
         )
+
+
+def test_infinite_input_bounds_rejected():
+    from dataclasses import replace
+
+    warm = solve_empc(SPEC, SCHED, _small_settings(), X0).population
+    for lo, hi in ((-np.inf, 4.0), (-4.0, np.inf)):
+        spec = replace(SPEC, u_min=np.array([lo]), u_max=np.array([hi]))
+        for call in (
+            lambda: init_population(spec, SCHED, _small_settings(), X0),
+            lambda: solve_empc(spec, SCHED, _small_settings(), X0),
+            lambda: solve_empc(spec, SCHED, _small_settings(), X0, prev=warm),
+        ):
+            with pytest.raises(ValueError, match="finite input bounds"):
+                call()

@@ -7,10 +7,11 @@ active-set enumeration for small box problems.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotmpc.qp import AdmmSolver, QpProblem, QpSettings, QpSolution, solve_qp
+from knotmpc.qp import AdmmSolver, QpProblem, QpSettings, QpSolution, _is_box, solve_qp
 
 # equality-constrained QP assembled from default_rng(42):
 #   M = normal(6,6); P = M'M + I; q = normal(6); A = normal(2,6); b = normal(2)
@@ -182,18 +183,27 @@ def test_repeated_solves_reuse_factorization():
 
 
 def test_sparse_and_dense_paths_agree():
+    # the same box QP, once with a dense A (box path) and once with a
+    # scipy-sparse A (general sparse path)
     rng = np.random.default_rng(21)
     n = 40
-    # tridiagonal quadratic keeps the KKT matrix sparse
     P = np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -0.5), 1) + np.diag(np.full(n - 1, -0.5), -1)
     q = rng.normal(size=n)
-    A = np.eye(n)
     lb, ub = -0.4 * np.ones(n), 0.4 * np.ones(n)
-    prob = QpProblem(P, q, A, lb, ub)
-    dense = solve_qp(prob, settings=QpSettings(dense_threshold=0.0))
-    sparse = solve_qp(prob, settings=QpSettings(dense_threshold=1.0))
+    assert _is_box(np.eye(n)) and not _is_box(sp.eye(n, format="csc"))
+    dense = solve_qp(QpProblem(P, q, np.eye(n), lb, ub))
+    sparse = solve_qp(QpProblem(P, q, sp.eye(n, format="csc"), lb, ub))
     assert dense.status == sparse.status == "solved"
+    assert np.any(np.abs(dense.z) > 0.4 - 1e-9)  # some bounds are active
     np.testing.assert_allclose(dense.z, sparse.z, atol=1e-6)
+
+
+def test_box_detection():
+    assert _is_box(np.diag([1.0, 2.0, 3.0]))
+    assert not _is_box(np.diag([1.0, 0.0, 3.0]))  # a zero row bounds nothing
+    assert not _is_box(np.diag([1.0, -2.0, 3.0]))
+    assert not _is_box(np.eye(3) + np.eye(3, k=1))
+    assert not _is_box(np.eye(3)[:2])
 
 
 def test_polish_disabled_still_converges():
@@ -205,21 +215,30 @@ def test_polish_disabled_still_converges():
 
 def test_polish_disabled_never_polishes(monkeypatch):
     calls = []
-    try_polish = AdmmSolver._try_polish
 
-    def counting(self, *args):
-        calls.append(1)
-        return try_polish(self, *args)
+    def counting(name):
+        polish = getattr(AdmmSolver, name)
 
-    monkeypatch.setattr(AdmmSolver, "_try_polish", counting)
+        def wrapper(self, *args):
+            calls.append(name)
+            return polish(self, *args)
+
+        return wrapper
+
+    for name in ("_try_polish", "_polish_box"):
+        monkeypatch.setattr(AdmmSolver, name, counting(name))
     rng = np.random.default_rng(8)
     M = rng.normal(size=(5, 5))
-    prob = QpProblem(M.T @ M + np.eye(5), rng.normal(size=5), np.eye(5), -0.1 * np.ones(5), 0.1 * np.ones(5))
-    s = QpSettings(max_iters=40, check_interval=1, polish=False, eps_prim=1e-30, eps_dual=1e-30)
-    assert AdmmSolver(s).solve(prob).status == "max_iters"
-    assert calls == []
-    AdmmSolver(QpSettings(max_iters=40, check_interval=1, eps_prim=1e-30, eps_dual=1e-30)).solve(prob)
-    assert calls  # the counter does see polish attempts when they are on
+    P, q = M.T @ M + np.eye(5), rng.normal(size=5)
+    # a dense A takes the box polish, a sparse one the general polish
+    for A, name in ((np.eye(5), "_polish_box"), (sp.eye(5, format="csc"), "_try_polish")):
+        prob = QpProblem(P, q, A, -0.1 * np.ones(5), 0.1 * np.ones(5))
+        calls.clear()
+        s = QpSettings(max_iters=40, check_interval=1, polish=False, eps_prim=1e-30, eps_dual=1e-30)
+        assert AdmmSolver(s).solve(prob).status == "max_iters"
+        assert calls == []
+        AdmmSolver(QpSettings(max_iters=40, check_interval=1, eps_prim=1e-30, eps_dual=1e-30)).solve(prob)
+        assert calls and set(calls) == {name}  # the counter does see polish attempts when they are on
 
 
 def _scaled_box_problem(c):
@@ -252,6 +271,34 @@ def test_problem_validation():
         QpProblem(np.eye(1), np.zeros(1), np.eye(1), np.ones(1), -np.ones(1))
     with pytest.raises(ValueError):
         QpProblem(np.eye(2), np.zeros(2), np.ones((1, 3)), np.zeros(1), np.ones(1))
+
+
+def test_problem_rejects_non_finite_data():
+    P, q, A = np.eye(2), np.zeros(2), np.eye(2)
+    lb, ub = -np.ones(2), np.ones(2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            QpProblem(np.array([[1.0, 0.0], [0.0, bad]]), q, A, lb, ub)
+        with pytest.raises(ValueError, match="finite"):
+            QpProblem(sp.csc_matrix(np.array([[1.0, 0.0], [0.0, bad]])), q, A, lb, ub)
+        with pytest.raises(ValueError, match="finite"):
+            QpProblem(P, np.array([0.0, bad]), A, lb, ub)
+        with pytest.raises(ValueError, match="finite"):
+            QpProblem(P, q, np.array([[1.0, bad], [0.0, 1.0]]), lb, ub)
+        with pytest.raises(ValueError, match="finite"):
+            QpProblem(P, np.array([bad, 0.0]))  # unconstrained too
+    with pytest.raises(ValueError, match="NaN"):
+        QpProblem(P, q, A, np.array([np.nan, -1.0]), ub)
+    with pytest.raises(ValueError, match="NaN"):
+        QpProblem(P, q, A, lb, np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="inf"):
+        QpProblem(P, q, A, np.array([-1.0, np.inf]), np.array([1.0, np.inf]))  # z >= +inf
+    with pytest.raises(ValueError, match="inf"):
+        QpProblem(P, q, A, np.array([-np.inf, -1.0]), np.array([-np.inf, 1.0]))  # z <= -inf
+    # infinite bounds are a free side, not bad data
+    sol = solve_qp(QpProblem(P, np.array([-3.0, 0.5]), A, np.array([-np.inf, -1.0]), np.array([1.0, np.inf])))
+    assert sol.status == "solved"
+    np.testing.assert_allclose(sol.z, [1.0, -0.5], atol=1e-7)
 
 
 def test_solution_type():
