@@ -152,6 +152,8 @@ class ExperimentConfig:
             raise ConfigError("multipliers: must be positive")
         if self.u_max is not None and self.u_max <= 0:
             raise ConfigError(f"u_max: must be positive, got {self.u_max}")
+        if self.controllers and self.experiment in ("param_sweep", "horizon_sweep"):
+            raise ConfigError(f"controllers: {self.experiment} runs fixed controllers; remove this key")
         for tok in self.controllers:
             parse_controller_token(tok)
         horizon = self.horizon()
@@ -527,17 +529,19 @@ def _run_comparison(task: _Task) -> list[dict]:
 
 
 def _run_horizon_sweep(task: _Task) -> list[dict]:
+    """One closed loop per distinct horizon, costs relative to horizon T."""
     cfg = task.cfg
     plant, x0, xg = _trial_setup(task)
     tok, controller = next(_controllers(task))
-    base = _closed_loop(plant, controller, make_template(plant, cfg, cfg.T), x0, xg, cfg)
-
-    rows = []
-    for T in cfg.horizons:
-        report = _closed_loop(plant, controller, make_template(plant, cfg, T), x0, xg, cfg)
-        rows.append(_row(task, tok, T, x0, xg, report,
-                         cost_ratio=cost_ratio(report.actual_cost, base.actual_cost)))
-    return rows
+    reports = {}
+    for T in (cfg.T, *cfg.horizons):
+        if T not in reports:
+            reports[T] = _closed_loop(plant, controller, make_template(plant, cfg, T), x0, xg, cfg)
+    base = reports[cfg.T]
+    return [
+        _row(task, tok, T, x0, xg, reports[T], cost_ratio=cost_ratio(reports[T].actual_cost, base.actual_cost))
+        for T in cfg.horizons
+    ]
 
 
 def _run_robustness(task: _Task) -> list[dict]:

@@ -303,6 +303,9 @@ def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
 
 def build(kind: str, spec: MpcSpec, x0, sched: KnotSchedule | None = None) -> QpProblem:
     """Dispatch to one of the four builders by formulation name."""
+    x0 = np.asarray(x0, float)
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("x0 must be finite")
     if kind == "large":
         return build_large(spec, x0)
     if kind == "small":

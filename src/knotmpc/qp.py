@@ -14,11 +14,13 @@ quasi-definite KKT system
 
 (P~ = 2P, q~ = 2q internally) with a fixed penalty, a boosted penalty on
 equality rows, and projection of the constraint image onto [lb, ub].  The
-KKT matrix is factored once per solve and the factorization is reused
-across solves while the matrices are unchanged.  The constraint structure
-picks the path: a dense square ``A`` that is a positive diagonal (the
-condensed builders' ``A = I``) is a box, factored by LAPACK and polished
-by a box active-set walk; any other ``A`` goes through a sparse LU.
+constraint structure picks the path: a dense square ``A = diag(a)`` with
+a > 0 (the condensed builders' ``A = I``) is a box, whose KKT system
+reduces to (P~ + sigma I + diag(rho a^2)) x = sigma x - q~ + a (rho z - y)
+as in OSQP, factored by a d x d LAPACK LU and polished by a box active-set
+walk; any other ``A`` goes through a sparse LU of the full KKT matrix.
+The factor is built when the first ADMM iteration needs it (never, if the
+polish finishes at iteration 0) and reused while the matrices repeat.
 
 Condensed MPC problems can be badly scaled (prediction matrices stack
 powers of A_d), so the iteration runs on a Ruiz-equilibrated copy of the
@@ -43,6 +45,10 @@ import scipy.sparse.linalg as spla
 
 _EQ_TOL = 1e-12
 _RHO_EQ_SCALE = 1e3
+_SIGMA = 1e-6  # proximal regularization of the x-update
+_ALPHA = 1.6  # over-relaxation
+_EPS_INFEAS = 1e-5  # tolerance of the primal infeasibility certificate
+_SCALING_ITERS = 10  # Ruiz equilibration passes
 
 
 @dataclass
@@ -50,25 +56,22 @@ class QpSettings:
     """Solver knobs; the defaults suit the control problems in this package."""
 
     rho: float = 0.1
-    sigma: float = 1e-6
-    alpha: float = 1.6
     eps_prim: float = 1e-6
     eps_dual: float = 1e-6
-    eps_infeas: float = 1e-5
     max_iters: int = 20000
     check_interval: int = 25
-    scaling_iters: int = 10
     polish: bool = True
 
 
 @dataclass(frozen=True)
 class QpProblem:
-    """One box-constrained QP; ``A`` and ``P`` may be dense or scipy-sparse.
-    Only the bounds may be infinite, and nothing may be NaN."""
+    """One box-constrained QP; ``A`` (at least one row) and ``P`` may be
+    dense or scipy-sparse.  Only the bounds may be infinite (a free side),
+    and nothing may be NaN."""
 
     P: object
     q: np.ndarray
-    A: object = None
+    A: object
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
 
@@ -83,15 +86,9 @@ class QpProblem:
         asym = _max_abs(self.P - self.P.T)
         if asym > 1e-8 * (1.0 + _max_abs(self.P)):
             raise ValueError("P must be symmetric")
-        if self.A is None:
-            if self.lb is not None or self.ub is not None:
-                raise ValueError("bounds given without a constraint matrix")
-            object.__setattr__(self, "lb", np.empty(0))
-            object.__setattr__(self, "ub", np.empty(0))
-            return
         r = self.A.shape[0]
-        if self.A.shape[1] != d:
-            raise ValueError(f"A must have {d} columns, got {self.A.shape[1]}")
+        if r == 0 or self.A.shape[1] != d:
+            raise ValueError(f"A must have {d} columns and at least one row, got {self.A.shape}")
         if not _all_finite(self.A):
             raise ValueError("A must be finite")
         lb = np.full(r, -np.inf) if self.lb is None else np.asarray(self.lb, float).ravel()
@@ -110,7 +107,7 @@ class QpProblem:
 
     @property
     def n_cons(self) -> int:
-        return 0 if self.A is None else self.A.shape[0]
+        return self.A.shape[0]
 
 
 @dataclass
@@ -143,45 +140,49 @@ def _is_box(A) -> bool:
     return bool(np.all(diag > 0) and np.count_nonzero(A) == np.count_nonzero(diag))
 
 
-class _DenseKkt:
-    def __init__(self, P2, A, sigma, rho_vec):
-        d = P2.shape[0]
-        K = np.zeros((2 * d, 2 * d))
-        K[:d, :d] = P2 + sigma * np.eye(d)
-        K[:d, d:] = A.T
-        K[d:, :d] = A
-        K[d:, d:] = -np.diag(1.0 / rho_vec)
-        self._lu = sla.lu_factor(K)
+class _BoxKkt:
+    """ADMM step for A = diag(a) by the reduced d x d system.  LU, not
+    Cholesky: it tolerates a numerically indefinite condensed P."""
 
-    def solve(self, rhs):
-        return sla.lu_solve(self._lu, rhs)
+    def __init__(self, P2, a, rho_vec):
+        self._a = a
+        self._rho = rho_vec
+        self._lu = sla.lu_factor(P2 + np.diag(_SIGMA + rho_vec * a * a))
+
+    def step(self, x, z, y, q2):
+        xt = sla.lu_solve(self._lu, _SIGMA * x - q2 + self._a * (self._rho * z - y))
+        return xt, self._a * xt
 
 
 class _SparseKkt:
-    def __init__(self, P2, A, sigma, rho_vec):
-        reg = P2 + sigma * sp.eye(P2.shape[0])
-        K = sp.bmat([[reg, A.T], [A, -sp.diags(1.0 / rho_vec)]], format="csc")
+    """ADMM step for a general A by the full sparse KKT system."""
+
+    def __init__(self, P2, A, rho_vec):
+        self._inv_rho = 1.0 / rho_vec
+        reg = P2 + _SIGMA * sp.eye(P2.shape[0])
+        K = sp.bmat([[reg, A.T], [A, -sp.diags(self._inv_rho)]], format="csc")
         self._lu = spla.splu(K)
 
-    def solve(self, rhs):
-        return self._lu.solve(rhs)
+    def step(self, x, z, y, q2):
+        d = x.size
+        sol = self._lu.solve(np.concatenate([_SIGMA * x - q2, z - self._inv_rho * y]))
+        return sol[:d], z + self._inv_rho * (sol[d:] - y)
 
 
 class AdmmSolver:
-    """Reusable solver; keeps the KKT factorization while matrices repeat."""
+    """Reusable solver.  While P, A and the penalties repeat it keeps their
+    equilibration and, once an ADMM iteration has needed it, their factor."""
 
     def __init__(self, settings: QpSettings | None = None):
         self.settings = settings or QpSettings()
-        self._cache = None  # (P2 repr, A repr, rho_vec, kkt)
+        self._cache = None  # (P2 repr, A repr, rho_vec, (D, E, P2s, As))
+        self._kkt = None  # factor of the cached scaled system, once built
 
     def solve(self, prob: QpProblem, warm: tuple[np.ndarray, np.ndarray] | None = None) -> QpSolution:
         t_start = time.perf_counter()
         s = self.settings
         d, r = prob.n_vars, prob.n_cons
         q2 = 2.0 * prob.q
-
-        if r == 0:
-            return self._solve_unconstrained(prob, q2, t_start)
 
         box = _is_box(prob.A)
         P2, A = _normalize(prob.P, prob.A, box)
@@ -192,7 +193,7 @@ class AdmmSolver:
         rho_vec[eq] *= _RHO_EQ_SCALE
         inv_rho = 1.0 / rho_vec
 
-        D, E, P2s, As, kkt = self._prepare(P2, A, rho_vec, box)
+        D, E, P2s, As = self._prepare(P2, A, rho_vec)
         q2s = D * q2
         lbs = E * prob.lb
         ubs = E * prob.ub
@@ -227,15 +228,13 @@ class AdmmSolver:
         iters = s.max_iters
         check_no = 0
         next_polish = 1
-        rhs = np.empty(d + r)
+        if self._kkt is None:
+            self._kkt = _BoxKkt(P2s, a, rho_vec) if box else _SparseKkt(P2s, As, rho_vec)
+        kkt = self._kkt
         for i in range(1, s.max_iters + 1):
-            rhs[:d] = s.sigma * x - q2s
-            rhs[d:] = z - inv_rho * y
-            sol = kkt.solve(rhs)
-            xt = sol[:d]
-            zt = z + inv_rho * (sol[d:] - y)
-            x = s.alpha * xt + (1.0 - s.alpha) * x
-            z_relax = s.alpha * zt + (1.0 - s.alpha) * z
+            xt, zt = kkt.step(x, z, y, q2s)
+            x = _ALPHA * xt + (1.0 - _ALPHA) * x
+            z_relax = _ALPHA * zt + (1.0 - _ALPHA) * z
             z_new = np.clip(z_relax + inv_rho * y, lbs, ubs)
             dy = rho_vec * (z_relax - z_new)
             y = y + dy
@@ -263,7 +262,7 @@ class AdmmSolver:
                         )
                     next_polish = check_no + 1 if box else check_no * 2
                 At_dy0 = (As.T @ dy) / D
-                if _infeasibility_certificate(At_dy0, E * dy, prob.lb, prob.ub, s.eps_infeas):
+                if _infeasibility_certificate(At_dy0, E * dy, prob.lb, prob.ub, _EPS_INFEAS):
                     status, iters = "primal_infeasible", i
                     break
 
@@ -271,17 +270,6 @@ class AdmmSolver:
         ys = E * y
         obj = float(xs @ (prob.P @ xs) + 2.0 * prob.q @ xs)
         return QpSolution(xs, status, iters, obj, time.perf_counter() - t_start, ys)
-
-    def _solve_unconstrained(self, prob, q2, t_start):
-        P2d = prob.P.toarray() * 2.0 if sp.issparse(prob.P) else 2.0 * np.asarray(prob.P, float)
-        try:
-            x = np.linalg.solve(P2d, -q2)
-        except np.linalg.LinAlgError:
-            x, *_ = np.linalg.lstsq(P2d, -q2, rcond=None)
-        r_dual = np.max(np.abs(P2d @ x + q2)) if x.size else 0.0
-        status = "solved" if r_dual <= self.settings.eps_dual else "max_iters"
-        obj = float(x @ (prob.P @ x) + 2.0 * prob.q @ x)
-        return QpSolution(x, status, 1, obj, time.perf_counter() - t_start, np.empty(0))
 
     @staticmethod
     def _cold_start(P2s, q2s):
@@ -292,16 +280,16 @@ class AdmmSolver:
         except (sla.LinAlgError, ValueError):
             return np.zeros(q2s.size)
 
-    def _prepare(self, P2, A, rho_vec, box):
-        """Equilibrate and factor, reusing both while the matrices repeat."""
+    def _prepare(self, P2, A, rho_vec):
+        """Equilibrate, reusing the result and its factor while the matrices
+        repeat; a new system drops the old factor."""
         if self._cache is not None:
             cP, cA, c_rho, payload = self._cache
             if _same_matrix(cP, P2) and _same_matrix(cA, A) and np.array_equal(c_rho, rho_vec):
                 return payload
-        D, E, P2s, As = _ruiz(P2, A, self.settings.scaling_iters)
-        kkt = (_DenseKkt if box else _SparseKkt)(P2s, As, self.settings.sigma, rho_vec)
-        payload = (D, E, P2s, As, kkt)
+        payload = _ruiz(P2, A, _SCALING_ITERS)
         self._cache = (P2, A, rho_vec.copy(), payload)
+        self._kkt = None
         return payload
 
     def _try_polish(self, prob, P2s, As, q2s, D, E, lbs, ubs, y, z):
@@ -388,14 +376,17 @@ class AdmmSolver:
         fixed = lx == ux
         fin_lo = np.isfinite(lx)
         fin_up = np.isfinite(ux)
-        tol_lo = 1e-12 * (1.0 + np.abs(lx))
-        tol_up = 1e-12 * (1.0 + np.abs(ux))
+        # a coordinate within 1e-12 relative of a finite bound sits on it
+        on_lo = np.full(lx.size, -np.inf)
+        on_up = np.full(ux.size, np.inf)
+        on_lo[fin_lo] = lx[fin_lo] + 1e-12 * (1.0 + np.abs(lx[fin_lo]))
+        on_up[fin_up] = ux[fin_up] - 1e-12 * (1.0 + np.abs(ux[fin_up]))
 
         x = np.clip(z / a, lx, ux)
         x[fixed] = lx[fixed]
         g = P2s @ x + q2s
-        low = fin_lo & (x <= lx + tol_lo) & (g > 0) & ~fixed
-        up = fin_up & (x >= ux - tol_up) & (g < 0) & ~fixed & ~low
+        low = fin_lo & (x <= on_lo) & (g > 0) & ~fixed
+        up = fin_up & (x >= on_up) & (g < 0) & ~fixed & ~low
         converged = False
         for _ in range(150):
             free = ~(fixed | low | up)
@@ -407,8 +398,8 @@ class AdmmSolver:
                 d_free = sla.cho_solve(cho, -g[free])
                 idx = np.flatnonzero(free)
                 # pin coordinates sitting on a bound the step would cross
-                out_lo = (x[idx] <= lx[idx] + tol_lo[idx]) & (d_free < 0) & fin_lo[idx]
-                out_up = (x[idx] >= ux[idx] - tol_up[idx]) & (d_free > 0) & fin_up[idx]
+                out_lo = (x[idx] <= on_lo[idx]) & (d_free < 0) & fin_lo[idx]
+                out_up = (x[idx] >= on_up[idx]) & (d_free > 0) & fin_up[idx]
                 if out_lo.any() or out_up.any():
                     x[idx[out_lo]] = lx[idx[out_lo]]
                     x[idx[out_up]] = ux[idx[out_up]]

@@ -257,6 +257,33 @@ def test_tiny_run_produces_rows(tmp_path, experiment):
     assert (tmp_path / cfg.out).exists()
 
 
+def test_horizon_sweep_simulates_each_horizon_once(tmp_path, monkeypatch):
+    import knotmpc.bench as bench
+
+    horizons = []
+    run = bench.run_closed_loop
+
+    def counting(plant, controller, template, *args, **kwargs):
+        horizons.append(template.T)
+        return run(plant, controller, template, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "run_closed_loop", counting)
+    # the baseline horizon T = 10 is also swept, and 5 is listed twice
+    rows = run_experiment(_tiny("horizon_sweep", horizons="5,10,5"), out_dir=str(tmp_path))
+    assert sorted(horizons) == [5, 10]
+    assert sorted(r["T"] for r in rows) == [5, 5, 10]
+    five = [r["actual_cost"] for r in rows if r["T"] == 5]
+    assert five[0] == five[1]
+    assert [r["cost_ratio"] for r in rows if r["T"] == 10] == [1.0]
+
+
+def test_sweeps_reject_a_controllers_key():
+    # the sweeps fix their controllers, so a controllers key would be ignored
+    for experiment in ("param_sweep", "horizon_sweep"):
+        with pytest.raises(ConfigError, match="controllers"):
+            config_from_mapping({"experiment": experiment, "controllers": "small"})
+
+
 def test_param_sweep_has_cost_ratio():
     cfg = _tiny("param_sweep")
     rows = run_experiment(cfg, out_dir="/tmp")

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotmpc import qp
 from knotmpc.qp import AdmmSolver, QpProblem, QpSettings, QpSolution, _is_box, solve_qp
 
 # equality-constrained QP assembled from default_rng(42):
@@ -37,16 +38,6 @@ def _random_equality_problem():
     A = rng.normal(size=(2, 6))
     b = rng.normal(size=2)
     return QpProblem(P, q, A, b, b)
-
-
-def test_unconstrained_matches_linear_solve():
-    rng = np.random.default_rng(1)
-    M = rng.normal(size=(4, 4))
-    P = M.T @ M + 0.5 * np.eye(4)
-    q = rng.normal(size=4)
-    sol = solve_qp(QpProblem(P, q))
-    assert sol.status == "solved"
-    np.testing.assert_allclose(sol.z, np.linalg.solve(P, -q), atol=1e-8)
 
 
 def test_diagonal_box_qp_analytic():
@@ -184,18 +175,60 @@ def test_repeated_solves_reuse_factorization():
 
 def test_sparse_and_dense_paths_agree():
     # the same box QP, once with a dense A (box path) and once with a
-    # scipy-sparse A (general sparse path)
+    # scipy-sparse A (general sparse path); without polish both iterate,
+    # the box path on its reduced d x d factor
     rng = np.random.default_rng(21)
     n = 40
     P = np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -0.5), 1) + np.diag(np.full(n - 1, -0.5), -1)
     q = rng.normal(size=n)
     lb, ub = -0.4 * np.ones(n), 0.4 * np.ones(n)
     assert _is_box(np.eye(n)) and not _is_box(sp.eye(n, format="csc"))
-    dense = solve_qp(QpProblem(P, q, np.eye(n), lb, ub))
-    sparse = solve_qp(QpProblem(P, q, sp.eye(n, format="csc"), lb, ub))
-    assert dense.status == sparse.status == "solved"
-    assert np.any(np.abs(dense.z) > 0.4 - 1e-9)  # some bounds are active
-    np.testing.assert_allclose(dense.z, sparse.z, atol=1e-6)
+    for polish in (True, False):
+        s = QpSettings(polish=polish)
+        dense = solve_qp(QpProblem(P, q, np.eye(n), lb, ub), settings=s)
+        sparse = solve_qp(QpProblem(P, q, sp.eye(n, format="csc"), lb, ub), settings=s)
+        assert dense.status == sparse.status == "solved"
+        assert polish or min(dense.iterations, sparse.iterations) > 0
+        assert np.any(np.abs(dense.z) > 0.4 - 1e-9)  # some bounds are active
+        np.testing.assert_allclose(dense.z, sparse.z, atol=1e-6)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_box_solve_finished_by_polish_factors_no_kkt(monkeypatch):
+    lu_calls = _counting(monkeypatch, qp.sla, "lu_factor")
+    sol = AdmmSolver().solve(_scaled_box_problem(1.0))
+    assert sol.status == "solved" and sol.iterations == 0
+    assert lu_calls == []
+
+
+@pytest.mark.parametrize("A", [np.eye(5), sp.eye(5, format="csc")], ids=["box", "sparse"])
+def test_admm_factor_is_built_once_per_system(monkeypatch, A):
+    calls = {"lu_factor": _counting(monkeypatch, qp.sla, "lu_factor"),
+             "splu": _counting(monkeypatch, qp.spla, "splu")}
+    rng = np.random.default_rng(8)
+    M = rng.normal(size=(5, 5))
+    prob = QpProblem(M.T @ M + np.eye(5), rng.normal(size=5), A, -0.1 * np.ones(5), 0.1 * np.ones(5))
+    solver = AdmmSolver(QpSettings(polish=False))
+    first, second = solver.solve(prob), solver.solve(prob)
+    assert first.status == second.status == "solved" and first.iterations > 0
+    np.testing.assert_array_equal(first.z, second.z)
+    factor = "splu" if sp.issparse(A) else "lu_factor"
+    assert len(calls[factor]) == 1
+    assert sum(len(c) for c in calls.values()) == 1
+    # a different P is a new system and gets its own factor
+    solver.solve(QpProblem(2.0 * prob.P, prob.q, A, prob.lb, prob.ub))
+    assert len(calls[factor]) == 2
 
 
 def test_box_detection():
@@ -264,13 +297,15 @@ def test_polish_accepts_badly_scaled_box_qp(c):
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        QpProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))  # not symmetric
+        QpProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2), np.eye(2))  # not symmetric
     with pytest.raises(ValueError):
-        QpProblem(np.eye(2), np.zeros(3))
+        QpProblem(np.eye(2), np.zeros(3), np.eye(3))
     with pytest.raises(ValueError):
         QpProblem(np.eye(1), np.zeros(1), np.eye(1), np.ones(1), -np.ones(1))
     with pytest.raises(ValueError):
         QpProblem(np.eye(2), np.zeros(2), np.ones((1, 3)), np.zeros(1), np.ones(1))
+    with pytest.raises(ValueError, match="row"):
+        QpProblem(np.eye(2), np.zeros(2), np.zeros((0, 2)))  # no constraints: use a free box
 
 
 def test_problem_rejects_non_finite_data():
@@ -286,7 +321,7 @@ def test_problem_rejects_non_finite_data():
         with pytest.raises(ValueError, match="finite"):
             QpProblem(P, q, np.array([[1.0, bad], [0.0, 1.0]]), lb, ub)
         with pytest.raises(ValueError, match="finite"):
-            QpProblem(P, np.array([bad, 0.0]))  # unconstrained too
+            QpProblem(P, np.array([bad, 0.0]), A)  # unbounded box too
     with pytest.raises(ValueError, match="NaN"):
         QpProblem(P, q, A, np.array([np.nan, -1.0]), ub)
     with pytest.raises(ValueError, match="NaN"):
@@ -302,7 +337,7 @@ def test_problem_rejects_non_finite_data():
 
 
 def test_solution_type():
-    sol = solve_qp(QpProblem(np.eye(2), np.ones(2)))
+    sol = solve_qp(QpProblem(np.eye(2), np.ones(2), np.eye(2), -np.ones(2), np.ones(2)))
     assert isinstance(sol, QpSolution)
     assert sol.solve_time >= 0.0
     assert sol.iterations >= 0
