@@ -18,7 +18,9 @@ An experiment is described by a small key=value config (see
 Each trial's rows depend only on the config and the trial index (never
 on scheduling), so results are reproducible for a fixed seed under any
 worker count.  Timing columns are the one exception: they measure this
-machine, not the math.
+machine, not the math.  Bit-for-bit equality of the other columns also
+needs the same BLAS build and BLAS thread count, because the blocking of
+the matrix products, and with it their rounding, depends on both.
 """
 
 from __future__ import annotations

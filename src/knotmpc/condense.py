@@ -1,24 +1,28 @@
 """Assembly of MPC problems into box-constrained QPs.
 
-Four interchangeable formulations of the same finite-horizon tracking
-problem are provided:
+The input trajectory over a T-step horizon is described by p knot points
+that are linearly interpolated, u = W U (``param.interpolation_matrix``).
+Traditional MPC, with one free input per step, is the case p = T, where
+W is the identity.  Each constraint structure has one builder:
 
-* ``build_large``   -- states and inputs are all decision variables and
-  the dynamics enter as equality constraints (big and sparse).
-* ``build_small``   -- states are condensed out through the prediction
-  matrices, leaving the inputs (small and dense).
-* ``build_large_param`` / ``build_small_param`` -- as above, but the
-  per-step inputs are replaced by interpolated knot points, shrinking
-  the decision vector further.
+* ``build_large_param`` -- states and knots are all decision variables
+  and the dynamics enter as equality constraints (big and sparse).
+* ``build_small_param`` -- the states are condensed out through the
+  prediction matrices, leaving the knots (small and dense).
 
-All four minimize the same tracking objective
+``build`` maps the four formulation names onto them: ``large_param`` and
+``small_param`` take a knot schedule, and the per-step kinds ``large`` and
+``small`` run the same builders with p = T.
+
+All of them minimize the same tracking objective
 
     sum_k (x_goal - x_k)' Q (x_goal - x_k) + (u_goal - u_k)' R (u_goal - u_k)
     + terminal state term at the end of the horizon,
 
 so their minimizers agree (the parameterized ones on the restricted
-input family), even though each drops a different additive constant from
-the quadratic form.  ``objective_constant`` recovers that constant.
+input family), even though the two structures drop different additive
+constants from the quadratic form.  ``objective_constant`` recovers that
+constant.
 """
 
 from __future__ import annotations
@@ -114,31 +118,6 @@ def _check_symmetric(M, name):
 # prediction matrices (state condensation)
 
 
-@dataclass(frozen=True)
-class PredictionMatrices:
-    """Affine map from stacked inputs to stacked states x_1..x_T = S u + v."""
-
-    S: np.ndarray
-    v: np.ndarray
-
-
-def prediction_matrices(model: DiscreteLinearModel, T: int, x0: np.ndarray) -> PredictionMatrices:
-    """Build S (nT x mT) and v (nT) row-block by row-block.
-
-    Each block row is the previous one propagated through Ad with a fresh
-    Bd on the diagonal, which avoids forming explicit powers of Ad.
-    """
-    n, m = model.n, model.m
-    S = np.zeros((n * T, m * T))
-    S[:n, :m] = model.Bd
-    for k in range(1, T):
-        rows = slice(k * n, (k + 1) * n)
-        prev = slice((k - 1) * n, k * n)
-        S[rows, : k * m] = model.Ad @ S[prev, : k * m]
-        S[rows, k * m : (k + 1) * m] = model.Bd
-    return PredictionMatrices(S, _free_response(model, T, x0))
-
-
 def _free_response(model: DiscreteLinearModel, T: int, x0) -> np.ndarray:
     """Stacked states x_1..x_T under zero input (the v of S u + v)."""
     v = np.empty((T, model.n))
@@ -152,13 +131,17 @@ def _free_response(model: DiscreteLinearModel, T: int, x0) -> np.ndarray:
 def _param_prediction(model: DiscreteLinearModel, W: np.ndarray, x0: np.ndarray):
     """S in knot coordinates (nT x mp) and v, for interpolation weights W (T, p).
 
-    Block row k is Ad times block row k-1 plus the forcing kron(W[k], Bd);
-    all T forcing blocks are formed in one broadcast and the recursion
-    accumulates into them in place.
+    Block row k is Ad times block row k-1 plus the forcing kron(W[k], Bd).
+    A row of W has at most two nonzeros, so the forcing blocks are written
+    only there, in one indexed assignment; the recursion then accumulates
+    into them in place.
     """
     n, m = model.n, model.m
     T, p = W.shape
-    S = (W[:, None, :, None] * model.Bd[None, :, None, :]).reshape(T, n, p * m)
+    ks, js = np.nonzero(W)
+    S = np.zeros((T, n, p, m))
+    S[ks, :, js, :] = W[ks, js, None, None] * model.Bd
+    S = S.reshape(T, n, p * m)
     prev = S[0]
     for blk in S[1:]:
         blk += model.Ad @ prev
@@ -167,37 +150,48 @@ def _param_prediction(model: DiscreteLinearModel, W: np.ndarray, x0: np.ndarray)
 
 
 # ---------------------------------------------------------------------------
-# large (sparse) formulations
+# builders, one per constraint structure
 
 
-def _large_problem(spec: MpcSpec, x0: np.ndarray, input_block, R_in, u_goal_stack):
-    """Shared assembly: decision vector [x_0 .. x_T, inputs, 1].
+def _param_input_cost(spec: MpcSpec, W: np.ndarray) -> np.ndarray:
+    """Knot-space quadratic equal to the per-step input cost under interpolation.
 
-    ``R_in`` is the input-cost quadratic over the stacked input variables.
+    With Wbig = kron(W, I_m) the summed cost is Wbig' kron(I_T, R) Wbig,
+    which by the mixed-product rule equals kron(W'W, R): a (p, p) product
+    instead of two (mT, mT) ones.
+    """
+    return np.kron(W.T @ W, spec.R)
+
+
+def build_large_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpProblem:
+    """Sparse formulation over [x_0..x_T, knots, 1].
+
+    The dynamics enter as equality constraints and the knots as a box.
     """
     model, T = spec.model, spec.T
+    if sched.T != T:
+        raise ValueError("knot schedule horizon does not match the spec")
     n = model.n
-    n_inputs = R_in.shape[0]
+    n_inputs = sched.p * model.m
     x0 = np.asarray(x0, float)
+    W = interpolation_matrix(sched)
 
     Qbig = sp.kron(sp.eye(T + 1), spec.Q)
-    Rblk = sp.csc_matrix(R_in)
+    Rblk = sp.csc_matrix(_param_input_cost(spec, W))
     P = sp.block_diag([Qbig, Rblk, sp.csc_matrix((1, 1))], format="csc")
-    z_goal = np.concatenate([np.tile(spec.x_goal, T + 1), u_goal_stack, [1.0]])
+    z_goal = np.concatenate([np.tile(spec.x_goal, T + 1), np.tile(spec.u_goal, sched.p), [1.0]])
     q = -(P @ z_goal)
 
     dyn_x = sp.kron(sp.eye(T, T + 1), model.Ad) - sp.kron(sp.eye(T, T + 1, k=1), sp.eye(n))
     w_col = sp.csc_matrix(np.tile(model.wd, T).reshape(-1, 1))
     pin_x0 = sp.hstack([-sp.eye(n), sp.csc_matrix((n, n * T + n_inputs + 1))])
-    dynamics = sp.hstack([dyn_x, input_block, w_col])
+    dynamics = sp.hstack([dyn_x, sp.kron(sp.csc_matrix(W), model.Bd), w_col])
     pin_one = sp.csc_matrix(([1.0], ([0], [n * (T + 1) + n_inputs])), shape=(1, n * (T + 1) + n_inputs + 1))
     bounds_u = sp.hstack([sp.csc_matrix((n_inputs, n * (T + 1))), sp.eye(n_inputs), sp.csc_matrix((n_inputs, 1))])
 
     blocks = [pin_x0, dynamics, pin_one, bounds_u]
-    lb = [-x0, np.zeros(n * T), [1.0]]
-    ub = [-x0, np.zeros(n * T), [1.0]]
-    lb.append(np.tile(_stack_or(spec.u_min, n_inputs), 1))
-    ub.append(np.tile(_stack_or(spec.u_max, n_inputs), 1))
+    lb = [-x0, np.zeros(n * T), [1.0], np.tile(spec.u_min, sched.p)]
+    ub = [-x0, np.zeros(n * T), [1.0], np.tile(spec.u_max, sched.p)]
 
     if spec.has_state_bounds:
         bounds_x = sp.hstack([sp.eye(n * (T + 1)), sp.csc_matrix((n * (T + 1), n_inputs + 1))])
@@ -211,90 +205,36 @@ def _large_problem(spec: MpcSpec, x0: np.ndarray, input_block, R_in, u_goal_stac
     return QpProblem(P, q, A, np.concatenate(lb), np.concatenate(ub))
 
 
-def _stack_or(bound_m, n_inputs):
-    m = bound_m.size
-    return np.tile(bound_m, n_inputs // m)
-
-
-def _input_cost_block(spec: MpcSpec, n_inputs: int):
-    """Input-cost quadratic over the stacked input variables."""
-    m = spec.model.m
-    reps = n_inputs // m
-    return np.kron(np.eye(reps), spec.R)
-
-
-def _param_input_cost(spec: MpcSpec, W: np.ndarray) -> np.ndarray:
-    """Knot-space quadratic equal to the per-step input cost under interpolation.
-
-    With Wbig = kron(W, I_m) the summed cost is Wbig' kron(I_T, R) Wbig,
-    which by the mixed-product rule equals kron(W'W, R): a (p, p) product
-    instead of two (mT, mT) ones.
-    """
-    return np.kron(W.T @ W, spec.R)
-
-
-def build_large(spec: MpcSpec, x0: np.ndarray) -> QpProblem:
-    """Sparse formulation over [x_0..x_T, u_0..u_{T-1}, 1]."""
-    model, T = spec.model, spec.T
-    input_block = sp.kron(sp.eye(T), model.Bd)
-    R_in = _input_cost_block(spec, model.m * T)
-    return _large_problem(spec, x0, input_block, R_in, np.tile(spec.u_goal, T))
-
-
-def build_large_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpProblem:
-    """Sparse formulation over [x_0..x_T, knots, 1]."""
-    model, T = spec.model, spec.T
-    if sched.T != T:
-        raise ValueError("knot schedule horizon does not match the spec")
-    W = interpolation_matrix(sched)
-    input_block = sp.kron(sp.csc_matrix(W), model.Bd)
-    R_knot = _param_input_cost(spec, W)
-    return _large_problem(spec, x0, input_block, R_knot, np.tile(spec.u_goal, sched.p))
-
-
-# ---------------------------------------------------------------------------
-# small (condensed, dense) formulations
-
-
-def _small_problem(spec: MpcSpec, S, v, R_in, u_goal_stack):
-    T, n = spec.T, spec.model.n
-    if spec.has_state_bounds:
-        raise ConfigurationError(
-            "state bounds require a large formulation; the condensed forms "
-            "eliminate the states from the decision vector"
-        )
-    xg_stack = np.tile(spec.x_goal, T)
-    QS = _blockdiag_apply(spec.Q, S, n)
-    P = S.T @ QS + R_in
-    P = 0.5 * (P + P.T)
-    q = S.T @ _blockdiag_apply(spec.Q, (v - xg_stack)[:, None], n).ravel() - R_in @ u_goal_stack
-    d = P.shape[0]
-    A = np.eye(d)
-    lb = _stack_or(spec.u_min, d)
-    ub = _stack_or(spec.u_max, d)
-    return QpProblem(P, q, A, lb, ub)
-
-
 def _blockdiag_apply(Q, M, n):
     """(I kron Q) @ M without materializing the block diagonal."""
     return (Q @ M.reshape(M.shape[0] // n, n, -1)).reshape(M.shape[0], -1)
 
 
-def build_small(spec: MpcSpec, x0: np.ndarray) -> QpProblem:
-    """Condensed formulation over the stacked inputs u_0..u_{T-1}."""
-    pred = prediction_matrices(spec.model, spec.T, x0)
-    R_in = _input_cost_block(spec, spec.model.m * spec.T)
-    return _small_problem(spec, pred.S, pred.v, R_in, np.tile(spec.u_goal, spec.T))
-
-
 def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpProblem:
-    """Condensed formulation over the stacked knot points."""
-    if sched.T != spec.T:
+    """Condensed formulation over the stacked knot points.
+
+    The states are eliminated through the prediction x = S z + v, leaving
+    a dense QP whose only constraint is the knot box.
+    """
+    T, n = spec.T, spec.model.n
+    if sched.T != T:
         raise ValueError("knot schedule horizon does not match the spec")
+    if spec.has_state_bounds:
+        raise ConfigurationError(
+            "state bounds require a large formulation; the condensed forms "
+            "eliminate the states from the decision vector"
+        )
     W = interpolation_matrix(sched)
     S, v = _param_prediction(spec.model, W, x0)
     R_knot = _param_input_cost(spec, W)
-    return _small_problem(spec, S, v, R_knot, np.tile(spec.u_goal, sched.p))
+    xg_stack = np.tile(spec.x_goal, T)
+    QS = _blockdiag_apply(spec.Q, S, n)
+    P = S.T @ QS + R_knot
+    P = 0.5 * (P + P.T)
+    ug_stack = np.tile(spec.u_goal, sched.p)
+    q = S.T @ _blockdiag_apply(spec.Q, (v - xg_stack)[:, None], n).ravel() - R_knot @ ug_stack
+    A = np.eye(P.shape[0])
+    return QpProblem(P, q, A, np.tile(spec.u_min, sched.p), np.tile(spec.u_max, sched.p))
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +242,19 @@ def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
 
 
 def build(kind: str, spec: MpcSpec, x0, sched: KnotSchedule | None = None) -> QpProblem:
-    """Dispatch to one of the four builders by formulation name."""
+    """Build the QP of a formulation; the per-step kinds use one knot per step."""
     x0 = np.asarray(x0, float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
-    if kind == "large":
-        return build_large(spec, x0)
-    if kind == "small":
-        return build_small(spec, x0)
-    if kind in ("large_param", "small_param"):
-        if sched is None:
-            raise ValueError(f"{kind} needs a knot schedule")
-        builder = build_large_param if kind == "large_param" else build_small_param
-        return builder(spec, sched, x0)
-    raise ValueError(f"unknown formulation {kind!r}")
+    if kind in ("large", "small"):
+        # traditional MPC: every step is a knot, so W is the identity
+        sched = KnotSchedule(spec.T, spec.T)
+    elif kind not in ("large_param", "small_param"):
+        raise ValueError(f"unknown formulation {kind!r}")
+    elif sched is None:
+        raise ValueError(f"{kind} needs a knot schedule")
+    builder = build_large_param if kind.startswith("large") else build_small_param
+    return builder(spec, sched, x0)
 
 
 def extract_first_input(sol, kind: str, spec: MpcSpec) -> np.ndarray:

@@ -23,6 +23,9 @@ import numpy as np
 from .condense import MpcSpec, build_small_param, objective_constant
 from .param import KnotSchedule, interpolation_matrix
 
+_SIGMA_SCALE = 0.2  # base mutation std as a fraction of the input range
+_DIST_REF = 1.0  # goal distance at which mutation noise reaches full scale
+
 
 @dataclass(frozen=True)
 class EmpcSettings:
@@ -33,9 +36,6 @@ class EmpcSettings:
     generations: int = 1
     mutation_prob: float = 0.5
     crossover_prob: float = 0.5
-    sigma_scale: float = 0.2  # base mutation std as a fraction of the input range
-    sigma_noise: np.ndarray | None = None  # explicit per-channel std, overrides sigma_scale
-    dist_ref: float = 1.0  # goal distance at which mutation noise reaches full scale
     seed: int = 0
 
     def __post_init__(self):
@@ -70,16 +70,13 @@ def _rng(seed: int, generation: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-def _mutation_sigma(spec: MpcSpec, settings: EmpcSettings, x0: np.ndarray) -> np.ndarray:
+def _mutation_sigma(spec: MpcSpec, x0: np.ndarray) -> np.ndarray:
     """Per-channel mutation std, shrinking as the state approaches the goal."""
-    if settings.sigma_noise is not None:
-        base = np.broadcast_to(np.asarray(settings.sigma_noise, float), (spec.model.m,))
-    else:
-        base = settings.sigma_scale * (spec.u_max - spec.u_min)
+    base = _SIGMA_SCALE * (spec.u_max - spec.u_min)
     # per-coordinate rms distance, so the schedule is state-dimension free
     err = spec.x_goal - np.asarray(x0, float)
     dist = float(np.linalg.norm(err)) / np.sqrt(err.size)
-    return base * min(1.0, dist / settings.dist_ref)
+    return base * min(1.0, dist / _DIST_REF)
 
 
 def _rollout_costs(cands: np.ndarray, spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> np.ndarray:
@@ -202,7 +199,7 @@ def evolve_generation(
     noise = rng.normal(size=(n_children, p, m))
 
     children = np.where(take_second, elites[parents[:, 1]], elites[parents[:, 0]])
-    sigma = _mutation_sigma(spec, settings, x0)
+    sigma = _mutation_sigma(spec, x0)
     children = children + mutate * noise * sigma
     np.clip(children, spec.u_min, spec.u_max, out=children)
 

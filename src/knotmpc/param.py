@@ -100,14 +100,24 @@ def interpolation_matrix(sched: KnotSchedule) -> np.ndarray:
     """Dense (T, p) weight matrix W with expand(U) == W @ U.
 
     Each row holds the convex weights of the knots for one step, so rows
-    sum to one and have at most two nonzeros.
+    sum to one and have at most two nonzeros.  Row k carries the same
+    weights as ``sched.coeffs(k)``, computed for all steps at once.
     """
-    W = np.zeros((sched.T, sched.p))
-    for k in range(sched.T):
-        idx1, idx2, c = sched.coeffs(k)
-        W[k, idx1] += 1.0 - c
-        if c > 0.0:
-            W[k, idx2] += c
+    T, p = sched.T, sched.p
+    W = np.zeros((T, p))
+    if p == 1:
+        W[:, 0] = 1.0
+        return W
+    steps = np.arange(T)
+    pos = steps / sched.spacing
+    idx1 = np.floor(pos).astype(int)
+    c = pos - idx1
+    on_next = c >= 1.0 - _SNAP
+    idx1[on_next] += 1
+    c[on_next | (c <= _SNAP)] = 0.0
+    W[steps, idx1] = 1.0 - c
+    mid = c > 0.0
+    W[steps[mid], idx1[mid] + 1] = c[mid]
     return W
 
 

@@ -284,9 +284,9 @@ def test_sweeps_reject_a_controllers_key():
             config_from_mapping({"experiment": experiment, "controllers": "small"})
 
 
-def test_param_sweep_has_cost_ratio():
+def test_param_sweep_has_cost_ratio(tmp_path):
     cfg = _tiny("param_sweep")
-    rows = run_experiment(cfg, out_dir="/tmp")
+    rows = run_experiment(cfg, out_dir=str(tmp_path))
     sweeps = [r for r in rows if r["controller"].startswith("small_param")]
     assert sweeps
     assert all(np.isfinite(float(r["cost_ratio"])) for r in sweeps)

@@ -1,4 +1,4 @@
-"""Tests for the four MPC problem builders and the prediction matrices."""
+"""Tests for the MPC problem builders and the prediction matrices."""
 
 from dataclasses import replace
 
@@ -9,14 +9,12 @@ from knotmpc.condense import (
     FORMULATIONS,
     ConfigurationError,
     MpcSpec,
+    _param_prediction,
     build,
-    build_large,
     build_large_param,
-    build_small,
     build_small_param,
     extract_first_input,
     objective_constant,
-    prediction_matrices,
 )
 from knotmpc.dynamics import DiscreteLinearModel, rollout
 from knotmpc.param import KnotSchedule, interpolation_matrix
@@ -55,11 +53,11 @@ def test_prediction_matrices_scalar_powers():
     # x_{k+1} = a x_k + b u_k + w unrolls to explicit powers of a
     a, b, w = 0.8, 0.3, 0.1
     model = DiscreteLinearModel(np.array([[a]]), np.array([[b]]), np.array([w]), 0.1)
-    pm = prediction_matrices(model, 3, np.array([2.0]))
+    S, v = _param_prediction(model, np.eye(3), np.array([2.0]))
     S_ref = np.array([[b, 0, 0], [a * b, b, 0], [a * a * b, a * b, b]])
     v_ref = np.array([a * 2 + w, a * (a * 2 + w) + w, a * (a * (a * 2 + w) + w) + w])
-    np.testing.assert_allclose(pm.S, S_ref, atol=1e-15)
-    np.testing.assert_allclose(pm.v, v_ref, atol=1e-15)
+    np.testing.assert_allclose(S, S_ref, atol=1e-15)
+    np.testing.assert_allclose(v, v_ref, atol=1e-15)
 
 
 def test_prediction_matches_rollout():
@@ -67,10 +65,24 @@ def test_prediction_matches_rollout():
     model = _model(3, 2, seed=4)
     U = rng.normal(size=(7, 2))
     x0 = rng.normal(size=3)
-    pm = prediction_matrices(model, 7, x0)
+    S, v = _param_prediction(model, np.eye(7), x0)
     X = rollout(model, x0, U)
-    pred = pm.S @ U.ravel() + pm.v
+    pred = S @ U.ravel() + v
     np.testing.assert_allclose(pred, X[1:].ravel(), atol=1e-12)
+
+
+def _unit_responses(model, x0, W):
+    """Prediction (S, v) over the knots of W, column by column from rollouts:
+    v is the zero-input trajectory and column j the response to knot
+    coordinate j set to one."""
+    p, m = W.shape[1], model.m
+    v = rollout(model, x0, np.zeros((W.shape[0], m)))[1:].ravel()
+    S = np.empty((v.size, p * m))
+    for j in range(p * m):
+        U = np.zeros(p * m)
+        U[j] = 1.0
+        S[:, j] = rollout(model, x0, W @ U.reshape(p, m))[1:].ravel() - v
+    return S, v
 
 
 def test_knot_prediction_is_condensed_full_prediction():
@@ -78,19 +90,16 @@ def test_knot_prediction_is_condensed_full_prediction():
     sched = KnotSchedule(T=11, p=4)
     x0 = np.array([0.4, -0.2])
     W = interpolation_matrix(sched)
-    Wbig = np.kron(W, np.eye(2))
-    pm = prediction_matrices(model, 11, x0)
-    from knotmpc.condense import _param_prediction
+    S_ref, v_ref = _unit_responses(model, x0, W)
     Sp, vp = _param_prediction(model, W, x0)
-    np.testing.assert_allclose(Sp, pm.S @ Wbig, atol=1e-10)
-    np.testing.assert_allclose(vp, pm.v, atol=1e-12)
+    np.testing.assert_allclose(Sp, S_ref, atol=1e-10)
+    np.testing.assert_allclose(vp, v_ref, atol=1e-12)
 
 
 def test_knot_prediction_second_block_row():
     # for T=5, p=3 the second predicted state mixes the first two knots:
     # x_2 = Ad Bd U_0 + Bd (U_0 + U_1)/2 + ...
     model = _model(2, 1, seed=2)
-    from knotmpc.condense import _param_prediction
     Sp, _ = _param_prediction(model, interpolation_matrix(KnotSchedule(T=5, p=3)), np.zeros(2))
     blk = Sp[2:4]
     want = np.hstack([
@@ -120,7 +129,6 @@ def test_knot_input_cost_matches_stacked_reference(p):
 @pytest.mark.parametrize("p", [1, 4, 11])
 def test_knot_prediction_matches_kron_loop(p):
     # same arithmetic as the per-step kron recursion, so bit-identical
-    from knotmpc.condense import _param_prediction
     model = _model(3, 2, seed=9)
     x0 = np.array([0.4, -0.2, 0.1])
     W = interpolation_matrix(KnotSchedule(T=11, p=p))
@@ -145,10 +153,10 @@ def test_problem_dimensions():
     model = _model(2, 1)
     spec = _spec(model, 5)
     x0 = np.zeros(2)
-    large = build_large(spec, x0)
+    large = build("large", spec, x0)
     assert large.P.shape[0] == 18  # n(T+1) + Tm + 1
     assert large.A.shape == (18, 18)
-    small = build_small(spec, x0)
+    small = build("small", spec, x0)
     assert small.P.shape[0] == 5  # Tm
     np.testing.assert_array_equal(small.A, np.eye(5))
     sched = KnotSchedule(T=5, p=3)
@@ -162,7 +170,7 @@ def test_problem_dimensions():
 def test_large_row_structure():
     model = _model(2, 1)
     spec = _spec(model, 5)
-    prob = build_large(spec, np.ones(2))
+    prob = build("large", spec, np.ones(2))
     assert prob.A.shape[0] == 2 + 10 + 1 + 5  # pin, dynamics, unit, input bounds
     # pin, dynamics, and offset rows are equalities; input rows are boxes
     lb, ub = np.asarray(prob.lb), np.asarray(prob.ub)
@@ -171,7 +179,7 @@ def test_large_row_structure():
     assert np.count_nonzero(A[12]) == 1 and A[12, 17] != 0  # offset var pinned to one
     np.testing.assert_array_equal(np.count_nonzero(A[13:], axis=1), np.ones(5, int))
     bounded = _spec(model, 5, state_bounds=True)
-    prob2 = build_large(bounded, np.ones(2))
+    prob2 = build("large", bounded, np.ones(2))
     assert prob2.A.shape[0] == 18 + 12  # state box rows on every stage
 
 
@@ -179,20 +187,26 @@ def test_small_builders_reject_state_bounds():
     model = _model(2, 1)
     spec = _spec(model, 5, state_bounds=True)
     with pytest.raises(ConfigurationError):
-        build_small(spec, np.zeros(2))
+        build("small", spec, np.zeros(2))
     with pytest.raises(ConfigurationError):
         build_small_param(spec, KnotSchedule(T=5, p=3), np.zeros(2))
 
 
 def test_dense_knots_reproduce_unparameterized():
+    # "small" is the knot builder at p = T; its QP must be the per-step
+    # condensed problem, assembled here from unit-input rollouts
     model = _model(3, 2, seed=9)
-    spec = _spec(model, 8, seed=9)
+    T = 8
+    spec = replace(_spec(model, T, seed=9), u_goal=np.array([0.3, -0.2]))
     x0 = np.random.default_rng(1).normal(size=3)
-    sched = KnotSchedule(T=8, p=8)
-    a = build_small(spec, x0)
-    b = build_small_param(spec, sched, x0)
-    np.testing.assert_allclose(b.P, a.P, atol=1e-10)
-    np.testing.assert_allclose(b.q, a.q, atol=1e-10)
+    S, v = _unit_responses(model, x0, np.eye(T))
+    Qbig = np.kron(np.eye(T), spec.Q)
+    Rbig = np.kron(np.eye(T), spec.R)
+    P_ref = S.T @ Qbig @ S + Rbig
+    q_ref = S.T @ Qbig @ (v - np.tile(spec.x_goal, T)) - Rbig @ np.tile(spec.u_goal, T)
+    prob = build("small", spec, x0)
+    np.testing.assert_allclose(prob.P, P_ref, atol=1e-10)
+    np.testing.assert_allclose(prob.q, q_ref, atol=1e-10)
 
 
 def test_build_dispatcher():

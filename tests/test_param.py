@@ -102,6 +102,22 @@ def test_interpolation_matrix_invariants(Tp):
         np.testing.assert_allclose(W[-1], np.eye(p)[p - 1], atol=1e-12)
 
 
+def test_interpolation_matrix_rows_match_coeffs():
+    # the vectorized W carries exactly the per-step weights of coeffs(k)
+    for T in range(1, 41):
+        for p in range(1, T + 1):
+            sched = KnotSchedule(T=T, p=p)
+            W = interpolation_matrix(sched)
+            assert W.shape == (T, p)
+            for k in range(T):
+                idx1, idx2, c = sched.coeffs(k)
+                row = np.zeros(p)
+                row[idx1] += 1.0 - c
+                if c > 0.0:
+                    row[idx2] += c
+                np.testing.assert_array_equal(W[k], row, err_msg=f"T={T} p={p} k={k}")
+
+
 def test_expand_matches_pointwise_interpolation():
     rng = np.random.default_rng(5)
     sched = KnotSchedule(T=23, p=6)
