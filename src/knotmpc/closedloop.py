@@ -83,6 +83,7 @@ def run_closed_loop(
     x_goal = np.asarray(x_goal, float)
     if not (np.all(np.isfinite(x0)) and np.all(np.isfinite(x_goal))):
         raise ValueError("x0 and x_goal must be finite")
+    template = replace(template, x_goal=x_goal)  # validated once; each step swaps in only the model
 
     n, m = plant.n, plant.m
     states = np.empty((H + 1, n))
@@ -103,7 +104,7 @@ def run_closed_loop(
     for i in range(H):
         clin = linearize(model_src.ode, x, u0_nominal)
         dmodel = discretize(clin, dt)
-        spec = replace(template, model=dmodel, x_goal=x_goal)
+        spec = template._with_model(dmodel)
 
         if controller.kind == "empc":
             t0 = time.perf_counter()

@@ -27,6 +27,7 @@ constant.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,6 +102,17 @@ class MpcSpec:
                 if np.any(np.isnan(arr)):
                     raise ValueError(f"{name} must not be NaN")
                 object.__setattr__(self, name, arr)
+
+    def _with_model(self, model: DiscreteLinearModel) -> MpcSpec:
+        """This spec with ``model`` swapped in, without re-validating the
+        other fields; the model must have the same (n, m)."""
+        if (model.n, model.m) != (self.model.n, self.model.m):
+            raise ValueError(
+                f"model has (n, m) = {(model.n, model.m)}, the spec needs {(self.model.n, self.model.m)}"
+            )
+        spec = copy.copy(self)
+        object.__setattr__(spec, "model", model)
+        return spec
 
     @property
     def has_state_bounds(self) -> bool:
@@ -177,7 +189,7 @@ def build_large_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
     W = interpolation_matrix(sched)
 
     Qbig = sp.kron(sp.eye(T + 1), spec.Q)
-    Rblk = sp.csc_matrix(_param_input_cost(spec, W))
+    Rblk = sp.kron(sp.csc_matrix(W.T @ W), spec.R, format="csc")  # kron(W'W, R), see _param_input_cost
     P = sp.block_diag([Qbig, Rblk, sp.csc_matrix((1, 1))], format="csc")
     z_goal = np.concatenate([np.tile(spec.x_goal, T + 1), np.tile(spec.u_goal, sched.p), [1.0]])
     q = -(P @ z_goal)

@@ -2,9 +2,11 @@
 
 Two plants are provided: a torque-driven pendulum and a planar chain of
 N revolute links with a point mass at the distal end of each link.  Both
-expose continuous dynamics ``xdot = f(x, u)`` on the state ``x = [q, qd]``.
-The rest of the module turns those nonlinear models into the discrete
-affine models consumed by the controllers:
+expose continuous dynamics ``xdot = f(x, u)`` on the state ``x = [q, qd]``;
+``f`` also takes row-stacked (k, n)/(k, m) inputs, which ``linearize``
+requires: it evaluates all of its points in one call.  The rest of the
+module turns those nonlinear models into the discrete affine models
+consumed by the controllers:
 
     xdot ~= A x + B u + w          (linearize)
     x[k+1] = Ad x[k] + Bd u[k] + wd  (discretize, then step/rollout)
@@ -66,8 +68,10 @@ class Pendulum:
         self.params = params
 
     def ode(self, x, u):
-        q, qd = x
-        return np.array([qd, pendulum_accel(self.params, q, qd, float(u[0]))])
+        """State derivative; leading axes of ``x`` (..., 2) and ``u`` (..., 1) batch."""
+        x, u = np.asarray(x, float), np.asarray(u, float)
+        q, qd = x[..., 0], x[..., 1]
+        return np.stack([qd, pendulum_accel(self.params, q, qd, u[..., 0])], axis=-1)
 
     def energy(self, x):
         return total_energy(self.params, x)
@@ -131,31 +135,27 @@ def nlink_mass_matrix(params: NLinkParams, q: np.ndarray) -> np.ndarray:
 
 
 def nlink_accel(params: NLinkParams, q: np.ndarray, qd: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Joint accelerations of the chain under joint torques tau."""
-    q = np.asarray(q, float)
-    qd = np.asarray(qd, float)
-    tau = np.asarray(tau, float)
-    th = np.cumsum(q)
-    thd = np.cumsum(qd)
+    """Joint accelerations under joint torques tau; leading axes of q, qd, tau (..., N) batch."""
+    q, qd, tau = (np.asarray(a, float) for a in (q, qd, tau))
+    th = np.add.accumulate(q, axis=-1)  # cumsum, without its dispatch cost
+    thd = np.add.accumulate(qd, axis=-1)
 
-    dth = np.subtract.outer(th, th)
+    dth = th[..., :, None] - th[..., None, :]
     M_th = params.inertia_weights * np.cos(dth)
-    c_th = (params.inertia_weights * np.sin(dth)) @ (thd**2)
+    c_th = ((params.inertia_weights * np.sin(dth)) @ (thd**2)[..., None])[..., 0]
     grav_th = params.gravity_weights * np.cos(th)
 
     f = tau - params.damping * qd
     # generalized force in absolute coordinates: y with sum_{k>=j} y_k = f_j
-    y = np.empty_like(f)
-    y[-1] = f[-1]
-    y[:-1] = f[:-1] - f[1:]
+    y = f.copy()
+    y[..., :-1] -= f[..., 1:]
 
     try:
-        thdd = np.linalg.solve(M_th, y - c_th - grav_th)
+        thdd = np.linalg.solve(M_th, (y - c_th - grav_th)[..., None])[..., 0]
     except np.linalg.LinAlgError as e:
         raise SingularInertiaError(f"inertia matrix is singular at q={q}") from e
-    qdd = np.empty_like(thdd)
-    qdd[0] = thdd[0]
-    qdd[1:] = np.diff(thdd)
+    qdd = thdd.copy()
+    qdd[..., 1:] -= thdd[..., :-1]
     return qdd
 
 
@@ -168,9 +168,10 @@ class NLinkArm:
         self.m = params.links
 
     def ode(self, x, u):
+        """State derivative; leading axes of ``x`` (..., 2N) and ``u`` (..., N) batch."""
         N = self.params.links
-        q, qd = x[:N], x[N:]
-        return np.concatenate([qd, nlink_accel(self.params, q, qd, np.asarray(u, float))])
+        q, qd = x[..., :N], x[..., N:]
+        return np.concatenate([qd, nlink_accel(self.params, q, qd, u)], axis=-1)
 
     def energy(self, x):
         return total_energy(self.params, x)
@@ -238,24 +239,23 @@ class DiscreteLinearModel:
 def linearize(f, x0, u0, eps: float = 1e-6) -> ContinuousLinearModel:
     """Linearize ``xdot = f(x, u)`` about (x0, u0) by central differences.
 
-    The affine residual ``w = f(x0, u0) - A x0 - B u0`` makes the returned
-    model exact at the linearization point, so a linear plant is recovered
-    to rounding error.
+    ``f`` must accept row-stacked inputs: given X (k, n) and U (k, m) it
+    returns the k derivatives as (k, n).  All 2(n+m)+1 points, each state
+    and input perturbed by +-eps and then the point itself, go to ``f`` in
+    one call.  The affine residual ``w = f(x0, u0) - A x0 - B u0`` makes
+    the returned model exact at the linearization point, so a linear plant
+    is recovered to rounding error.
     """
     x0 = np.asarray(x0, float)
     u0 = np.asarray(u0, float)
-    n, m = x0.size, u0.size
-    A = np.empty((n, n))
-    B = np.empty((n, m))
-    for i in range(n):
-        dx = np.zeros(n)
-        dx[i] = eps
-        A[:, i] = (f(x0 + dx, u0) - f(x0 - dx, u0)) / (2 * eps)
-    for j in range(m):
-        du = np.zeros(m)
-        du[j] = eps
-        B[:, j] = (f(x0, u0 + du) - f(x0, u0 - du)) / (2 * eps)
-    w = np.asarray(f(x0, u0), float) - A @ x0 - B @ u0
+    n = x0.size
+    z0 = np.concatenate([x0, u0])
+    E = eps * np.eye(z0.size)
+    Z = np.vstack([z0 + E, z0 - E, z0])
+    F = np.asarray(f(Z[:, :n], Z[:, n:]), float)
+    J = ((F[: z0.size] - F[z0.size : -1]) / (2 * eps)).T
+    A, B = J[:, :n].copy(), J[:, n:].copy()
+    w = F[-1] - A @ x0 - B @ u0
     return ContinuousLinearModel(A, B, w)
 
 

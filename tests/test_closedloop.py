@@ -23,6 +23,7 @@ from knotmpc.closedloop import (
 )
 from knotmpc.condense import MpcSpec
 from knotmpc.dynamics import (
+    NLinkArm,
     NLinkParams,
     Pendulum,
     PendulumParams,
@@ -281,6 +282,38 @@ def test_solver_failure_path():
     )
     assert res.failures == 20
     assert np.all(np.isfinite(res.inputs))
+
+
+def test_spec_validated_once_per_run(monkeypatch):
+    # each step swaps in its model without rerunning MpcSpec's checks, so
+    # the number of validations does not grow with the run length
+    plant = Pendulum(PendulumParams(gravity=0.0))
+    template = _template(plant)
+    validate = MpcSpec.__post_init__
+    calls = []
+
+    def counting(self):
+        calls.append(1)
+        validate(self)
+
+    monkeypatch.setattr(MpcSpec, "__post_init__", counting)
+    per_run = []
+    for duration in (0.03, 0.2):
+        calls.clear()
+        run_closed_loop(plant, Controller("small_param", p=4), template,
+                        x0=np.zeros(2), x_goal=np.array([0.3, 0.0]), duration=duration, rate=100.0)
+        per_run.append(len(calls))
+    assert per_run[0] == per_run[1] <= 1
+
+
+def test_step_model_must_match_the_spec_dimensions():
+    template = _template(Pendulum(PendulumParams(gravity=0.0)))
+    arm = NLinkArm(NLinkParams(links=2))
+    wrong = discretize(linearize(arm.ode, np.zeros(arm.n), np.zeros(arm.m)), 0.01)
+    with pytest.raises(ValueError, match=r"\(n, m\)"):
+        template._with_model(wrong)
+    swapped = template._with_model(template.model)
+    assert swapped.model is template.model and swapped.Q is template.Q
 
 
 def test_non_finite_endpoints_rejected_before_the_first_step(monkeypatch):

@@ -146,6 +146,26 @@ def test_knot_prediction_matches_kron_loop(p):
     np.testing.assert_array_equal(v, v_ref)
 
 
+@pytest.mark.parametrize("p", [1, 3, 11])
+def test_large_param_cost_matches_dense_kron(p):
+    # the sparse kron(W'W, R) gives the P of the dense kron converted to CSC,
+    # bit for bit and with the same sparsity structure
+    import scipy.sparse as sp
+    rng = np.random.default_rng(p)
+    m, T = 3, 11
+    L = rng.normal(size=(m, m))
+    spec = replace(_spec(_model(4, m, seed=p), T), R=L @ L.T + 0.1 * np.eye(m))
+    W = interpolation_matrix(KnotSchedule(T=T, p=p))
+    want = sp.block_diag(
+        [sp.kron(sp.eye(T + 1), spec.Q), sp.csc_matrix(np.kron(W.T @ W, spec.R)), sp.csc_matrix((1, 1))],
+        format="csc",
+    )
+    got = build_large_param(spec, KnotSchedule(T=T, p=p), np.zeros(4)).P
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
+
+
 # ---------------------------------------------------------------------------
 # problem sizes and structure
 

@@ -91,11 +91,60 @@ def test_linearize_recovers_linear_system_exactly():
     A = np.array([[0.0, 1.0], [-2.0, -0.3]])
     B = np.array([[0.0], [1.5]])
     w = np.array([0.2, -0.1])
-    f = lambda x, u: A @ x + B @ u + w
+    f = lambda x, u: x @ A.T + u @ B.T + w
     clin = linearize(f, np.array([0.3, -0.8]), np.array([0.4]))
     np.testing.assert_allclose(clin.A, A, atol=1e-8)
     np.testing.assert_allclose(clin.B, B, atol=1e-8)
     np.testing.assert_allclose(clin.w, w, atol=1e-8)
+
+
+def _linearize_by_columns(f, x0, u0, eps=1e-6):
+    """Central differences one column at a time, one call of ``f`` per point.
+
+    The oracle for ``linearize``, which evaluates the same points in one
+    row-stacked call with the same arithmetic, so the two agree exactly.
+    """
+    n, m = x0.size, u0.size
+    A = np.empty((n, n))
+    B = np.empty((n, m))
+    for i in range(n):
+        dx = np.zeros(n)
+        dx[i] = eps
+        A[:, i] = (f(x0 + dx, u0) - f(x0 - dx, u0)) / (2 * eps)
+    for j in range(m):
+        du = np.zeros(m)
+        du[j] = eps
+        B[:, j] = (f(x0, u0 + du) - f(x0, u0 - du)) / (2 * eps)
+    w = f(x0, u0) - A @ x0 - B @ u0
+    return ContinuousLinearModel(A, B, w)
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [NLinkArm(NLinkParams(links=6)), NLinkArm(NLinkParams(links=3, gravity=9.81)), Pendulum(PendulumParams())],
+    ids=["arm6", "arm3_gravity", "pendulum"],
+)
+def test_linearize_equals_column_oracle(plant):
+    rng = np.random.default_rng(plant.n)
+    for trial in range(40):
+        x0 = rng.uniform(-np.pi, np.pi, plant.n)
+        u0 = rng.normal(size=plant.m) if trial % 2 else np.zeros(plant.m)
+        got = linearize(plant.ode, x0, u0)
+        want = _linearize_by_columns(plant.ode, x0, u0)
+        for name in ("A", "B", "w"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_linearize_calls_f_once_with_row_stacked_points():
+    plant = NLinkArm(NLinkParams(links=4))
+    shapes = []
+
+    def f(x, u):
+        shapes.append((x.shape, u.shape))
+        return plant.ode(x, u)
+
+    linearize(f, np.full(8, 0.1), np.zeros(4))
+    assert shapes == [((25, 8), (25, 4))]
 
 
 def test_linearize_pendulum_matches_analytic_jacobian():
@@ -222,6 +271,33 @@ def test_single_link_equals_pendulum():
         assert a_chain == pytest.approx(a_pend, rel=1e-12, abs=1e-12)
 
 
+@pytest.mark.parametrize("links", [1, 2, 6, 13])
+def test_nlink_accel_batch_equals_single_calls(links):
+    rng = np.random.default_rng(links)
+    params = NLinkParams(links=links, mass=rng.uniform(0.5, 2.0, links), gravity=9.81)
+    q = rng.uniform(-np.pi, np.pi, (30, links))
+    qd = rng.normal(size=(30, links))
+    tau = rng.normal(size=(30, links))
+    want = np.array([nlink_accel(params, q[i], qd[i], tau[i]) for i in range(30)])
+    np.testing.assert_array_equal(nlink_accel(params, q, qd, tau), want)
+    # more than one leading axis batches the same way
+    np.testing.assert_array_equal(
+        nlink_accel(params, q.reshape(5, 6, links), qd.reshape(5, 6, links), tau.reshape(5, 6, links)),
+        want.reshape(5, 6, links),
+    )
+
+
+def test_ode_accepts_row_stacked_states():
+    rng = np.random.default_rng(5)
+    for plant in (NLinkArm(NLinkParams(links=3)), Pendulum(PendulumParams())):
+        X = rng.normal(size=(7, plant.n))
+        U = rng.normal(size=(7, plant.m))
+        want = np.array([plant.ode(X[i], U[i]) for i in range(7)])
+        got = plant.ode(X, U)
+        assert got.shape == (7, plant.n)
+        np.testing.assert_array_equal(got, want)
+
+
 def test_chain_energy_conserved_when_undamped():
     params = NLinkParams(links=3, damping=0.0, gravity=9.81)
     plant = NLinkArm(params)
@@ -293,3 +369,33 @@ def test_integrate_is_substep_composition():
     for _ in range(4):
         xx = rk4_step(plant.ode, xx, u, 0.005)
     np.testing.assert_allclose(via_integrate, xx, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# end to end
+
+
+def test_closed_loop_states_identical_under_column_oracle(monkeypatch):
+    # a 6-link knot controller run twice in one process, the second time
+    # linearizing through the per-column oracle: the trajectories must agree
+    # to the byte, whatever the BLAS build
+    from knotmpc import closedloop
+    from knotmpc.bench import _sample_endpoints, make_plant, make_template, preset_config, qp_settings
+
+    cfg = preset_config("closedloop_arms")
+    plant = make_plant(cfg.robot, 6)
+    template = make_template(plant, cfg, cfg.T)
+    x0, x_goal = _sample_endpoints(np.random.default_rng(0), plant.m)
+    controller = closedloop.Controller("small_param", p=3)
+
+    def run():
+        return closedloop.run_closed_loop(
+            plant, controller, template, x0, x_goal, 5 / cfg.rate, cfg.rate, qp_settings=qp_settings(cfg)
+        )
+
+    batched = run()
+    monkeypatch.setattr(closedloop, "linearize", _linearize_by_columns)
+    oracle = run()
+    assert batched.states.shape == (6, plant.n)
+    assert batched.states.tobytes() == oracle.states.tobytes()
+    assert batched.inputs.tobytes() == oracle.inputs.tobytes()
