@@ -738,7 +738,7 @@ def _preset_solve_times_t50() -> ExperimentConfig:
         robot="nlink",
         links=tuple(range(1, 14)),
         T=50,
-        controllers=("large", "small", "large_param:5", "small_param:5"),
+        controllers=("large", "small", "large_param:5", "small_param:5", "empc:5:1"),
         trials=20,
         rate=100.0,
         seed=1006,

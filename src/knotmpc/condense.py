@@ -21,8 +21,9 @@ All of them minimize the same tracking objective
 
 so their minimizers agree (the parameterized ones on the restricted
 input family), even though the two structures drop different additive
-constants from the quadratic form.  ``objective_constant`` recovers that
-constant.
+constants from the quadratic form.  Each builder records its constant as
+``QpProblem.offset``; ``objective_constant`` computes the same value from
+the spec alone.
 """
 
 from __future__ import annotations
@@ -214,7 +215,8 @@ def build_large_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
         ub.append(np.tile(x_hi, T + 1))
 
     A = sp.vstack(blocks, format="csc")
-    return QpProblem(P, q, A, np.concatenate(lb), np.concatenate(ub))
+    offset = objective_constant(spec, x0, "large_param")
+    return QpProblem(P, q, A, np.concatenate(lb), np.concatenate(ub), offset)
 
 
 def _blockdiag_apply(Q, M, n):
@@ -236,17 +238,27 @@ def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
             "state bounds require a large formulation; the condensed forms "
             "eliminate the states from the decision vector"
         )
+    x0 = np.asarray(x0, float)
     W = interpolation_matrix(sched)
     S, v = _param_prediction(spec.model, W, x0)
     R_knot = _param_input_cost(spec, W)
-    xg_stack = np.tile(spec.x_goal, T)
     QS = _blockdiag_apply(spec.Q, S, n)
     P = S.T @ QS + R_knot
     P = 0.5 * (P + P.T)
     ug_stack = np.tile(spec.u_goal, sched.p)
-    q = S.T @ _blockdiag_apply(spec.Q, (v - xg_stack)[:, None], n).ravel() - R_knot @ ug_stack
+    e = v - np.tile(spec.x_goal, T)
+    Qe = _blockdiag_apply(spec.Q, e[:, None], n).ravel()
+    q = S.T @ Qe - R_knot @ ug_stack
     A = np.eye(P.shape[0])
-    return QpProblem(P, q, A, np.tile(spec.u_min, sched.p), np.tile(spec.u_max, sched.p))
+    offset = _condensed_constant(spec, x0, e, Qe)
+    return QpProblem(P, q, A, np.tile(spec.u_min, sched.p), np.tile(spec.u_max, sched.p), offset)
+
+
+def _condensed_constant(spec: MpcSpec, x0, e, Qe) -> float:
+    """The condensed forms' objective constant from the free-response error
+    e = v - x_goal and its weighted copy Qe = (I kron Q) e."""
+    err0 = spec.x_goal - x0
+    return float(e @ Qe + spec.T * spec.u_goal @ spec.R @ spec.u_goal + err0 @ spec.Q @ err0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +304,10 @@ def extract_first_input(sol, kind: str, spec: MpcSpec) -> np.ndarray:
 
 def objective_constant(spec: MpcSpec, x0, kind: str) -> float:
     """Additive constant relating a formulation's QP objective to the full
-    tracking cost (k = 0 stage cost through the terminal state term)."""
+    tracking cost (k = 0 stage cost through the terminal state term).
+
+    Equal to the ``offset`` of the problem ``build`` returns, without
+    building it."""
     xg, ug = spec.x_goal, spec.u_goal
     T = spec.T
     if kind in ("large", "large_param"):
@@ -300,10 +315,5 @@ def objective_constant(spec: MpcSpec, x0, kind: str) -> float:
     if kind in ("small", "small_param"):
         x0 = np.asarray(x0, float)
         e = _free_response(spec.model, T, x0) - np.tile(xg, T)
-        err0 = xg - x0
-        return float(
-            e @ _blockdiag_apply(spec.Q, e[:, None], spec.model.n).ravel()
-            + T * ug @ spec.R @ ug
-            + err0 @ spec.Q @ err0
-        )
+        return _condensed_constant(spec, x0, e, _blockdiag_apply(spec.Q, e[:, None], spec.model.n).ravel())
     raise ValueError(f"unknown formulation {kind!r}")

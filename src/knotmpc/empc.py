@@ -7,11 +7,19 @@ rest of the population is refilled by parameter-wise crossover of two
 random parents plus Gaussian mutation, clamped to the input bounds.  The
 first knot of the best candidate is the input to apply.
 
-Randomness is drawn from counter-based streams (Philox) keyed by the
-seed and a monotonically increasing generation counter, with all draws
-made candidate-major at the generation barrier.  Candidate evaluation
-itself consumes no randomness, so results are identical no matter how
-the rollouts are scheduled or batched.
+Randomness comes from one SFC64 stream per (seed, generation), keyed by
+``SeedSequence(seed, spawn_key=(generation,))``.  Generation 0 draws the
+cold uniform population.  Every later generation draws, in this order and
+all at the generation barrier: the two parents of each child, one block
+of uniforms holding the crossover mask and the mutation mask of every
+child coordinate, and standard normals for the mutated coordinates only,
+in flat (child, knot, channel) order.  Candidate evaluation itself
+consumes no randomness, so the draws are the same no matter how the
+rollouts are scheduled or batched.  The costs are per candidate as well,
+but they come from batched BLAS products, which can round the last bit
+differently for another batch size; ``solve_empc`` scores each population
+in one call, so a seed's result is bit-identical across processes and
+worker counts.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condense import MpcSpec, build_small_param, objective_constant
+from .condense import MpcSpec, build_small_param
 from .param import KnotSchedule, interpolation_matrix
 
 _SIGMA_SCALE = 0.2  # base mutation std as a fraction of the input range
@@ -67,7 +75,7 @@ class EmpcResult:
 
 def _rng(seed: int, generation: int) -> np.random.Generator:
     key = np.random.SeedSequence(entropy=seed, spawn_key=(generation,))
-    return np.random.Generator(np.random.Philox(key))
+    return np.random.Generator(np.random.SFC64(key))
 
 
 def _mutation_sigma(spec: MpcSpec, x0: np.ndarray) -> np.ndarray:
@@ -123,9 +131,9 @@ class _CostModel:
     points, so after condensing once per solve every generation is scored
     with one small matrix product instead of a fresh rollout.  The additive
     constant between the condensed objective and the full tracking cost is
-    ``objective_constant``, which needs only the free response of the
-    model.  Specs with state bounds cannot be condensed and keep the
-    rollout path (the search never enforces state bounds anyway).
+    the problem's ``offset``.  Specs with state bounds cannot be condensed
+    and keep the rollout path (the search never enforces state bounds
+    anyway).
     """
 
     def __init__(self, spec: MpcSpec, sched: KnotSchedule, x0):
@@ -135,7 +143,7 @@ class _CostModel:
         self.quad = None
         if not spec.has_state_bounds:
             prob = build_small_param(spec, sched, self.x0)
-            self.quad = (prob.P, prob.q, objective_constant(spec, self.x0, "small_param"))
+            self.quad = (prob.P, prob.q, prob.offset)
 
     def __call__(self, cands: np.ndarray) -> np.ndarray:
         if self.quad is None:
@@ -192,16 +200,29 @@ def evolve_generation(
         return Population(elites.copy(), elite_costs.copy(), pop.generation + 1)
 
     p, m = sched.p, spec.model.m
+    d = p * m
+    # every draw of the generation, in the order the module docstring gives
     rng = _rng(settings.seed, pop.generation)
-    parents = rng.integers(0, settings.num_parents, size=(n_children, 2))
-    take_second = rng.random((n_children, p, m)) < settings.crossover_prob
-    mutate = rng.random((n_children, p, m)) < settings.mutation_prob
-    noise = rng.normal(size=(n_children, p, m))
+    first, second = rng.integers(0, settings.num_parents, size=(n_children, 2)).T
+    masks = rng.random((2, n_children * d)) < [[settings.crossover_prob], [settings.mutation_prob]]
+    mutated = np.flatnonzero(masks[1])
+    noise = np.zeros((n_children, d))
+    noise.reshape(-1)[mutated] = rng.standard_normal(mutated.size)
 
-    children = np.where(take_second, elites[parents[:, 1]], elites[parents[:, 0]])
-    sigma = _mutation_sigma(spec, x0)
-    children = children + mutate * noise * sigma
-    np.clip(children, spec.u_min, spec.u_max, out=children)
+    # crossover: each child coordinate is read from its chosen parent by
+    # one gather on the flat elites, pick = first + take_second (second - first)
+    pick = masks[0].reshape(n_children, d).astype(np.intp)
+    pick *= (second - first)[:, None]
+    pick += first[:, None]
+    pick *= d
+    pick += np.arange(d)
+    children = elites.reshape(-1)[pick]
+    # mutation: the noise is exactly zero off the mutated coordinates
+    noise *= np.tile(_mutation_sigma(spec, x0), p)
+    children += noise
+    np.minimum(children, np.tile(spec.u_max, p), out=children)
+    np.maximum(children, np.tile(spec.u_min, p), out=children)
+    children = children.reshape(n_children, p, m)
 
     cands = np.concatenate([elites, children])
     costs = np.concatenate([elite_costs, cost(children)])

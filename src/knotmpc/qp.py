@@ -67,15 +67,21 @@ class QpSettings:
 class QpProblem:
     """One box-constrained QP; ``A`` (at least one row) and ``P`` may be
     dense or scipy-sparse.  Only the bounds may be infinite (a free side),
-    and nothing may be NaN."""
+    and nothing may be NaN.  ``offset`` is the constant the quadratic form
+    drops: ``objective + offset`` is the cost the problem was built from
+    (the MPC tracking cost for the condense builders)."""
 
     P: object
     q: np.ndarray
     A: object
     lb: np.ndarray | None = None
     ub: np.ndarray | None = None
+    offset: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "offset", float(self.offset))
+        if not np.isfinite(self.offset):
+            raise ValueError("offset must be finite")
         q = np.asarray(self.q, float).ravel()
         object.__setattr__(self, "q", q)
         d = q.size

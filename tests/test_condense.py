@@ -313,8 +313,28 @@ def test_objective_constant_recovers_tracking_cost():
             U = sol.z.reshape(6, 1)
         else:
             U = (W @ sol.z).reshape(6, 1)
-        total = sol.objective + objective_constant(spec, x0, kind)
+        assert prob.offset == objective_constant(spec, x0, kind)
+        total = sol.objective + prob.offset
         assert total == pytest.approx(tracking_cost(U), rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_condensed_offset_is_objective_constant(seed):
+    # the builder takes the constant from its own free response; it must be
+    # exactly the standalone one, with a non-diagonal Q and a nonzero u_goal
+    rng = np.random.default_rng(seed)
+    n, m, T = 4, 2, 12
+    model = _model(n, m, seed=seed)
+    G = rng.normal(size=(n, n))
+    spec = MpcSpec(
+        model, T, Q=G @ G.T, R=np.diag(rng.uniform(0.1, 1.0, m)),
+        x_goal=rng.normal(size=n), u_goal=rng.normal(size=m),
+        u_min=-3.0 * np.ones(m), u_max=3.0 * np.ones(m),
+    )
+    x0 = rng.normal(size=n)
+    for p in (1, 4, T):
+        prob = build_small_param(spec, KnotSchedule(T, p), x0)
+        assert prob.offset == objective_constant(spec, x0, "small_param")
 
 
 # ---------------------------------------------------------------------------

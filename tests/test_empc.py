@@ -1,13 +1,22 @@
 """Tests for the evolutionary knot-point search."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import knotmpc
 
 from knotmpc.condense import MpcSpec, build_small_param, objective_constant
 from knotmpc.dynamics import DiscreteLinearModel, rollout
 from knotmpc.empc import (
     EmpcSettings,
     Population,
+    _CostModel,
+    _rng,
     evaluate_cost,
     evolve_generation,
     init_population,
@@ -104,8 +113,7 @@ def test_population_costs_match_evaluate_cost():
 
 def test_condensed_scoring_matches_rollout_with_offsets():
     # non-diagonal Q, full R and a nonzero u_goal exercise every term of the
-    # condensed quadratic and of objective_constant
-    from knotmpc.empc import _CostModel
+    # condensed quadratic and of the problem's offset
     base = _spec()
     spec = MpcSpec(
         base.model, 20, Q=np.array([[10.0, 1.5], [1.5, 0.4]]), R=0.01 * np.eye(1),
@@ -197,3 +205,131 @@ def test_infinite_input_bounds_rejected():
         ):
             with pytest.raises(ValueError, match="finite input bounds"):
                 call()
+
+
+# ---------------------------------------------------------------------------
+# one generation: draws, crossover, mutation, clamping
+
+
+def _elites_and_parents(pop, settings, p, m):
+    """The elites a generation mates and, per child, its two drawn parents
+    (the first draws of the generation's stream)."""
+    order = np.argsort(pop.costs, kind="stable")
+    elites = pop.candidates[order[: settings.num_parents]]
+    n_children = settings.num_sims - settings.num_parents
+    parents = _rng(settings.seed, pop.generation).integers(0, settings.num_parents, size=(n_children, 2))
+    return elites.reshape(settings.num_parents, p * m), parents
+
+
+@pytest.mark.parametrize("crossover_prob", [0.0, 0.5, 1.0])
+def test_unmutated_children_come_from_their_drawn_parents(crossover_prob):
+    s = _small_settings(num_sims=512, num_parents=16, mutation_prob=0.0, crossover_prob=crossover_prob)
+    pop = init_population(SPEC, SCHED, s, X0)
+    elites, parents = _elites_and_parents(pop, s, 3, 1)
+    children = evolve_generation(pop, SPEC, SCHED, s, X0).candidates[16:].reshape(496, 3)
+    first, second = elites[parents[:, 0]], elites[parents[:, 1]]
+    assert np.all((children == first) | (children == second))
+    if crossover_prob == 0.0:
+        np.testing.assert_array_equal(children, first)
+    elif crossover_prob == 1.0:
+        np.testing.assert_array_equal(children, second)
+    else:
+        assert np.any(children != first) and np.any(children != second)
+
+
+@pytest.mark.parametrize("mutation_prob", [0.1, 0.5, 0.9])
+def test_mutated_fraction_matches_mutation_prob(mutation_prob):
+    # with crossover off every child starts as its first parent, so the
+    # changed coordinates are exactly the mutated ones (a parent drawn
+    # uniformly inside the box is never exactly at a bound)
+    s = EmpcSettings(num_sims=4096, num_parents=64, mutation_prob=mutation_prob, crossover_prob=0.0, seed=3)
+    pop = init_population(SPEC, SCHED, s, X0)
+    elites, parents = _elites_and_parents(pop, s, 3, 1)
+    children = evolve_generation(pop, SPEC, SCHED, s, X0).candidates[64:].reshape(-1, 3)
+    changed = children != elites[parents[:, 0]]
+    n = changed.size
+    sd = np.sqrt(n * mutation_prob * (1.0 - mutation_prob))
+    assert abs(np.count_nonzero(changed) - n * mutation_prob) < 5.0 * sd
+
+
+def test_full_scale_mutation_stays_in_per_channel_bounds():
+    # far from the goal the mutation std is its full 0.2 of each channel's
+    # range, so many children leave the box and must be clamped back; the
+    # two channels have different bounds, so a mixed-up channel shows
+    Ad = np.array([[1.0, 0.02], [-0.4, 0.97]])
+    Bd = np.array([[0.01, 0.0], [0.05, -0.03]])
+    model = DiscreteLinearModel(Ad, Bd, np.zeros(2), 0.02)
+    u_min, u_max = np.array([-300.0, 10.0]), np.array([500.0, 12.0])
+    spec = MpcSpec(
+        model, 20, Q=np.eye(2), R=0.01 * np.eye(2), x_goal=np.array([50.0, 0.0]),
+        u_goal=np.zeros(2), u_min=u_min, u_max=u_max,
+    )
+    s = _small_settings(num_sims=512, num_parents=16)
+    pop = init_population(spec, SCHED, s, X0)
+    for _ in range(3):
+        pop = evolve_generation(pop, spec, SCHED, s, X0)
+        assert np.all(pop.candidates >= u_min) and np.all(pop.candidates <= u_max)
+    children = pop.candidates[16:]
+    for bound in (u_min, u_max):
+        assert np.all(np.any(children == bound, axis=(0, 1)))
+
+
+class _ChunkedCost:
+    """Scores candidates in fixed-size chunks, as a parallel evaluator would."""
+
+    def __init__(self, cost, size):
+        self.cost, self.size = cost, size
+
+    def __call__(self, cands):
+        return np.concatenate([self.cost(cands[i : i + self.size]) for i in range(0, len(cands), self.size)])
+
+
+@pytest.mark.parametrize("state_bounds", [False, True])
+def test_chunked_scoring_changes_no_draw(state_bounds):
+    # scoring consumes no randomness, so a generation scored in chunks makes
+    # byte-identical candidates; the costs come from batched BLAS products,
+    # which may round differently for another batch size, so they agree to
+    # a few ulps
+    spec = SPEC
+    if state_bounds:
+        spec = MpcSpec(
+            SPEC.model, 20, SPEC.Q, SPEC.R, SPEC.x_goal, SPEC.u_goal,
+            SPEC.u_min, SPEC.u_max, x_min=-10.0 * np.ones(2), x_max=10.0 * np.ones(2),
+        )
+    s = _small_settings(num_sims=300, num_parents=20)
+    cost = _CostModel(spec, SCHED, X0)
+    pop = init_population(spec, SCHED, s, X0, cost)
+    whole = evolve_generation(pop, spec, SCHED, s, X0, cost)
+    for size in (1, 7, 64, 257):
+        chunked = evolve_generation(pop, spec, SCHED, s, X0, _ChunkedCost(cost, size))
+        np.testing.assert_array_equal(chunked.candidates, whole.candidates)
+        np.testing.assert_allclose(chunked.costs, whole.costs, rtol=1e-13, atol=0)
+
+
+_SOLVE_IN_FRESH_PROCESS = """
+import hashlib, sys
+import numpy as np
+from knotmpc.condense import MpcSpec
+from knotmpc.dynamics import DiscreteLinearModel
+from knotmpc.empc import EmpcSettings, solve_empc
+from knotmpc.param import KnotSchedule
+model = DiscreteLinearModel(np.array([[1.0, 0.02], [-0.4, 0.97]]), np.array([[0.0], [0.05]]), np.zeros(2), 0.02)
+spec = MpcSpec(model, 20, np.diag([10.0, 0.1]), 0.01 * np.eye(1), np.array([0.5, 0.0]), np.zeros(1), -4.0, 4.0)
+settings = EmpcSettings(num_sims=256, num_parents=16, generations=3, seed=int(sys.argv[1]))
+res = solve_empc(spec, KnotSchedule(20, 3), settings, np.array([-0.3, 0.1]))
+res = solve_empc(spec, KnotSchedule(20, 3), settings, np.array([-0.2, 0.1]), prev=res.population)
+print(hashlib.sha256(res.population.candidates.tobytes()).hexdigest(), res.best_cost.hex())
+"""
+
+
+def test_fresh_processes_reproduce_bytes():
+    src = str(Path(knotmpc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _SOLVE_IN_FRESH_PROCESS, seed], capture_output=True, text=True, env=env, check=True
+        ).stdout
+        for seed in ("5", "5", "6")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0] != outs[2]

@@ -322,6 +322,8 @@ def test_problem_rejects_non_finite_data():
             QpProblem(P, q, np.array([[1.0, bad], [0.0, 1.0]]), lb, ub)
         with pytest.raises(ValueError, match="finite"):
             QpProblem(P, np.array([bad, 0.0]), A)  # unbounded box too
+        with pytest.raises(ValueError, match="offset must be finite"):
+            QpProblem(P, q, A, lb, ub, offset=bad)
     with pytest.raises(ValueError, match="NaN"):
         QpProblem(P, q, A, np.array([np.nan, -1.0]), ub)
     with pytest.raises(ValueError, match="NaN"):
