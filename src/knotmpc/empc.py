@@ -179,6 +179,37 @@ def init_population(
     return Population(cands, cost(cands), generation=1)
 
 
+def _children(
+    rng: np.random.Generator, elites: np.ndarray, n_children: int, spec: MpcSpec, settings: EmpcSettings, x0
+) -> np.ndarray:
+    """Crossover and mutation of the elites (num_parents, p, m), clamped to
+    the input bounds.  Its (n_children, p m) temporaries are freed on
+    return, before the children are scored."""
+    _, p, m = elites.shape
+    d = p * m
+    # every draw of the generation, in the order the module docstring gives
+    first, second = rng.integers(0, settings.num_parents, size=(n_children, 2)).T
+    masks = rng.random((2, n_children * d)) < [[settings.crossover_prob], [settings.mutation_prob]]
+    mutated = np.flatnonzero(masks[1])
+    noise = np.zeros((n_children, d))
+    noise.reshape(-1)[mutated] = rng.standard_normal(mutated.size)
+
+    # crossover: each child coordinate is read from its chosen parent by
+    # one gather on the flat elites, pick = first + take_second (second - first)
+    pick = masks[0].reshape(n_children, d).astype(np.intp)
+    pick *= (second - first)[:, None]
+    pick += first[:, None]
+    pick *= d
+    pick += np.arange(d)
+    children = elites.reshape(-1)[pick]
+    # mutation: the noise is exactly zero off the mutated coordinates
+    noise *= np.tile(_mutation_sigma(spec, x0), p)
+    children += noise
+    np.minimum(children, np.tile(spec.u_max, p), out=children)
+    np.maximum(children, np.tile(spec.u_min, p), out=children)
+    return children.reshape(n_children, p, m)
+
+
 def evolve_generation(
     pop: Population,
     spec: MpcSpec,
@@ -199,31 +230,7 @@ def evolve_generation(
     if n_children == 0:
         return Population(elites.copy(), elite_costs.copy(), pop.generation + 1)
 
-    p, m = sched.p, spec.model.m
-    d = p * m
-    # every draw of the generation, in the order the module docstring gives
-    rng = _rng(settings.seed, pop.generation)
-    first, second = rng.integers(0, settings.num_parents, size=(n_children, 2)).T
-    masks = rng.random((2, n_children * d)) < [[settings.crossover_prob], [settings.mutation_prob]]
-    mutated = np.flatnonzero(masks[1])
-    noise = np.zeros((n_children, d))
-    noise.reshape(-1)[mutated] = rng.standard_normal(mutated.size)
-
-    # crossover: each child coordinate is read from its chosen parent by
-    # one gather on the flat elites, pick = first + take_second (second - first)
-    pick = masks[0].reshape(n_children, d).astype(np.intp)
-    pick *= (second - first)[:, None]
-    pick += first[:, None]
-    pick *= d
-    pick += np.arange(d)
-    children = elites.reshape(-1)[pick]
-    # mutation: the noise is exactly zero off the mutated coordinates
-    noise *= np.tile(_mutation_sigma(spec, x0), p)
-    children += noise
-    np.minimum(children, np.tile(spec.u_max, p), out=children)
-    np.maximum(children, np.tile(spec.u_min, p), out=children)
-    children = children.reshape(n_children, p, m)
-
+    children = _children(_rng(settings.seed, pop.generation), elites, n_children, spec, settings, x0)
     cands = np.concatenate([elites, children])
     costs = np.concatenate([elite_costs, cost(children)])
     return Population(cands, costs, pop.generation + 1)
