@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import knotmpc
-
 from knotmpc.condense import MpcSpec, build_small_param, objective_constant
 from knotmpc.dynamics import DiscreteLinearModel, rollout
 from knotmpc.empc import (
@@ -211,21 +210,21 @@ def test_infinite_input_bounds_rejected():
 # one generation: draws, crossover, mutation, clamping
 
 
-def _elites_and_parents(pop, settings, p, m):
+def _elites_and_parents(pop, settings):
     """The elites a generation mates and, per child, its two drawn parents
     (the first draws of the generation's stream)."""
     order = np.argsort(pop.costs, kind="stable")
     elites = pop.candidates[order[: settings.num_parents]]
     n_children = settings.num_sims - settings.num_parents
     parents = _rng(settings.seed, pop.generation).integers(0, settings.num_parents, size=(n_children, 2))
-    return elites.reshape(settings.num_parents, p * m), parents
+    return elites.reshape(settings.num_parents, -1), parents
 
 
 @pytest.mark.parametrize("crossover_prob", [0.0, 0.5, 1.0])
 def test_unmutated_children_come_from_their_drawn_parents(crossover_prob):
     s = _small_settings(num_sims=512, num_parents=16, mutation_prob=0.0, crossover_prob=crossover_prob)
     pop = init_population(SPEC, SCHED, s, X0)
-    elites, parents = _elites_and_parents(pop, s, 3, 1)
+    elites, parents = _elites_and_parents(pop, s)
     children = evolve_generation(pop, SPEC, SCHED, s, X0).candidates[16:].reshape(496, 3)
     first, second = elites[parents[:, 0]], elites[parents[:, 1]]
     assert np.all((children == first) | (children == second))
@@ -244,7 +243,7 @@ def test_mutated_fraction_matches_mutation_prob(mutation_prob):
     # uniformly inside the box is never exactly at a bound)
     s = EmpcSettings(num_sims=4096, num_parents=64, mutation_prob=mutation_prob, crossover_prob=0.0, seed=3)
     pop = init_population(SPEC, SCHED, s, X0)
-    elites, parents = _elites_and_parents(pop, s, 3, 1)
+    elites, parents = _elites_and_parents(pop, s)
     children = evolve_generation(pop, SPEC, SCHED, s, X0).candidates[64:].reshape(-1, 3)
     changed = children != elites[parents[:, 0]]
     n = changed.size
