@@ -607,15 +607,14 @@ def _run_task(task: _Task) -> list[dict]:
 # harness entry points
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str = ".", workers: int | None = None) -> list[dict]:
+def run_experiment(cfg: ExperimentConfig, out_dir: str = ".") -> list[dict]:
     """Run every trial of an experiment and write its CSV; returns the rows."""
     cfg.validate()
     links_axis = cfg.links if cfg.robot == "nlink" else (1,)
     tasks = [_Task(cfg, links, trial) for links in links_axis for trial in range(cfg.trials)]
 
-    n_workers = workers if workers is not None else cfg.workers
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    if cfg.workers > 1:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_run_task, tasks))
     else:
         results = [_run_task(t) for t in tasks]
@@ -643,10 +642,7 @@ def _row_key(row: dict):
 def write_csv(path: str, rows: list[dict]) -> None:
     """RFC-4180 CSV, UTF-8, fixed column order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt_cell(row[c]) for c in COLUMNS])
+        fh.write(rows_to_csv_text(rows))
 
 
 def _fmt_cell(val) -> str:

@@ -26,11 +26,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=".", metavar="DIR", help="directory for the output CSV")
     run.add_argument("--workers", type=int, default=None, help="trial-level process count")
     run.add_argument("--trials", type=int, default=None, help="override the trial count")
-    run.add_argument(
-        "--timing-strict",
-        action="store_true",
-        help="force single-process execution so timing columns are not polluted by contention",
-    )
 
     pre = sub.add_parser("presets", help="list bundled presets")
     pre.add_argument("--write", metavar="DIR", default=None, help="also write each preset as a config file")
@@ -52,8 +47,6 @@ def _cmd_run(args) -> int:
         overrides["trials"] = args.trials
     if args.workers is not None:
         overrides["workers"] = args.workers
-    if args.timing_strict:
-        overrides["workers"] = 1
     if overrides:
         cfg = replace(cfg, **overrides)
         cfg.validate()

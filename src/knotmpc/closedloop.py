@@ -26,6 +26,8 @@ from .empc import EmpcSettings, solve_empc
 from .param import KnotSchedule
 from .qp import AdmmSolver, QpSettings
 
+PLANT_SUBSTEPS = 10  # RK4 substeps of the true plant per control period
+
 
 @dataclass(frozen=True)
 class Controller:
@@ -68,7 +70,6 @@ def run_closed_loop(
     *,
     controller_plant=None,
     qp_settings: QpSettings | None = None,
-    plant_substeps: int = 10,
 ) -> SimResult:
     """Simulate ``duration`` seconds of MPC at ``rate`` Hz.
 
@@ -131,7 +132,7 @@ def run_closed_loop(
 
         inputs[i] = u
         last_u = u
-        x = integrate(plant.ode, x, u, dt, substeps=plant_substeps)
+        x = integrate(plant.ode, x, u, dt, substeps=PLANT_SUBSTEPS)
         states[i + 1] = x
 
     return SimResult(states, inputs, opt_time, mpc_time, failures)
@@ -162,16 +163,14 @@ def apply_error_multiplier(params, multiplier: float):
 # metrics
 
 
-def actual_cost(states, inputs, Q, R, x_goal, u_goal=None) -> float:
-    """Realized tracking cost over the run, final stage padded with u = 0."""
+def actual_cost(states, inputs, Q, R, x_goal) -> float:
+    """Realized tracking cost over the run against a zero input goal, final
+    stage padded with u = 0."""
     states = np.asarray(states, float)
     inputs = np.asarray(inputs, float)
-    if u_goal is None:
-        u_goal = np.zeros(inputs.shape[1])
     U = np.vstack([inputs, np.zeros((1, inputs.shape[1]))])
     ex = x_goal - states
-    eu = u_goal - U
-    return float(np.einsum("ti,ij,tj->", ex, Q, ex) + np.einsum("ti,ij,tj->", eu, R, eu))
+    return float(np.einsum("ti,ij,tj->", ex, Q, ex) + np.einsum("ti,ij,tj->", U, R, U))
 
 
 def cost_ratio(cost: float, baseline: float) -> float:

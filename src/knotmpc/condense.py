@@ -22,8 +22,9 @@ All of them minimize the same tracking objective
 so their minimizers agree (the parameterized ones on the restricted
 input family), even though the two structures drop different additive
 constants from the quadratic form.  Each builder records its constant as
-``QpProblem.offset``; ``objective_constant`` computes the same value from
-the spec alone.
+``QpProblem.offset``, so ``objective + offset`` is the tracking cost: the
+large form's is the goal terms (T+1) x_goal'Q x_goal + T u_goal'R u_goal,
+the condensed form's comes from the free-response error.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ FORMULATIONS = tuple(kind for kind in CONTROLLER_KINDS if kind != "empc")
 
 
 class ConfigurationError(ValueError):
-    """A problem spec routed to a builder that cannot express it."""
+    """A problem spec routed to a builder or solver that cannot express it."""
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ def build_large_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
         ub.append(np.tile(x_hi, T + 1))
 
     A = sp.vstack(blocks, format="csc")
-    offset = objective_constant(spec, x0, "large_param")
+    offset = float((T + 1) * spec.x_goal @ spec.Q @ spec.x_goal + T * spec.u_goal @ spec.R @ spec.u_goal)
     return QpProblem(P, q, A, np.concatenate(lb), np.concatenate(ub), offset)
 
 
@@ -250,15 +251,11 @@ def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
     Qe = _blockdiag_apply(spec.Q, e[:, None], n).ravel()
     q = S.T @ Qe - R_knot @ ug_stack
     A = np.eye(P.shape[0])
-    offset = _condensed_constant(spec, x0, e, Qe)
-    return QpProblem(P, q, A, np.tile(spec.u_min, sched.p), np.tile(spec.u_max, sched.p), offset)
-
-
-def _condensed_constant(spec: MpcSpec, x0, e, Qe) -> float:
-    """The condensed forms' objective constant from the free-response error
-    e = v - x_goal and its weighted copy Qe = (I kron Q) e."""
+    # the constant: the free-response error terms plus the k = 0 stage and
+    # the input goal terms, none of which depend on the knots
     err0 = spec.x_goal - x0
-    return float(e @ Qe + spec.T * spec.u_goal @ spec.R @ spec.u_goal + err0 @ spec.Q @ err0)
+    offset = float(e @ Qe + T * spec.u_goal @ spec.R @ spec.u_goal + err0 @ spec.Q @ err0)
+    return QpProblem(P, q, A, np.tile(spec.u_min, sched.p), np.tile(spec.u_max, sched.p), offset)
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +296,4 @@ def extract_first_input(sol, kind: str, spec: MpcSpec) -> np.ndarray:
         return z[off : off + m].copy()
     if kind in ("small", "small_param"):
         return z[:m].copy()
-    raise ValueError(f"unknown formulation {kind!r}")
-
-
-def objective_constant(spec: MpcSpec, x0, kind: str) -> float:
-    """Additive constant relating a formulation's QP objective to the full
-    tracking cost (k = 0 stage cost through the terminal state term).
-
-    Equal to the ``offset`` of the problem ``build`` returns, without
-    building it."""
-    xg, ug = spec.x_goal, spec.u_goal
-    T = spec.T
-    if kind in ("large", "large_param"):
-        return float((T + 1) * xg @ spec.Q @ xg + T * ug @ spec.R @ ug)
-    if kind in ("small", "small_param"):
-        x0 = np.asarray(x0, float)
-        e = _free_response(spec.model, T, x0) - np.tile(xg, T)
-        return _condensed_constant(spec, x0, e, _blockdiag_apply(spec.Q, e[:, None], spec.model.n).ravel())
     raise ValueError(f"unknown formulation {kind!r}")

@@ -1,11 +1,15 @@
 """Evolutionary MPC over knot-point trajectories.
 
-Each candidate is a full set of knot points (p, m).  One solver call runs
-a fixed number of generations: candidates are rolled out through the
-discrete model, the cheapest ``num_parents`` survive unchanged, and the
-rest of the population is refilled by parameter-wise crossover of two
-random parents plus Gaussian mutation, clamped to the input bounds.  The
-first knot of the best candidate is the input to apply.
+Each candidate is a full set of knot points (p, m).  One solver call
+condenses the problem once (``build_small_param``) and runs a fixed number
+of generations.  A generation scores candidates by the condensed quadratic
+plus its offset, which equals their tracking cost under the discrete
+model; the cheapest ``num_parents`` survive unchanged, and the rest of the
+population is refilled by parameter-wise crossover of two random parents
+plus Gaussian mutation, clamped to the input bounds.  The first knot of
+the best candidate is the input to apply.  The search covers the input
+box only, so a spec with state bounds is rejected.  ``evaluate_cost``
+rolls one candidate out; it is the reference for the condensed scores.
 
 Randomness comes from one SFC64 stream per (seed, generation), keyed by
 ``SeedSequence(seed, spawn_key=(generation,))``.  Generation 0 draws the
@@ -15,7 +19,7 @@ of uniforms holding the crossover mask and the mutation mask of every
 child coordinate, and standard normals for the mutated coordinates only,
 in flat (child, knot, channel) order.  Candidate evaluation itself
 consumes no randomness, so the draws are the same no matter how the
-rollouts are scheduled or batched.  The costs are per candidate as well,
+candidates are scored or batched.  The costs are per candidate as well,
 but they come from batched BLAS products, which can round the last bit
 differently for another batch size; ``solve_empc`` scores each population
 in one call, so a seed's result is bit-identical across processes and
@@ -28,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condense import MpcSpec, build_small_param
+from .condense import ConfigurationError, MpcSpec, build_small_param
+from .dynamics import rollout
 from .param import KnotSchedule, interpolation_matrix
 
 _SIGMA_SCALE = 0.2  # base mutation std as a fraction of the input range
@@ -87,90 +92,47 @@ def _mutation_sigma(spec: MpcSpec, x0: np.ndarray) -> np.ndarray:
     return base * min(1.0, dist / _DIST_REF)
 
 
-def _rollout_costs(cands: np.ndarray, spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> np.ndarray:
-    """Tracking cost of every candidate by rolling out the discrete model.
-
-    Only the state recursion stays in the horizon loop; interpolation, the
-    input forcing, and both quadratic forms are batched across all steps.
-    """
-    model = spec.model
-    T = spec.T
-    W = interpolation_matrix(sched)
-    N = cands.shape[0]
-    p, m = sched.p, model.m
-
-    # The summed per-step input cost is a quadratic in the knots with weight
-    # (W'W) kron R, and interpolation commutes with the affine u_goal shift
-    # because every weight row sums to one.
-    Zc = (cands - spec.u_goal).reshape(N, p * m)
-    cost = np.einsum("ni,ni->n", Zc @ np.kron(W.T @ W, spec.R), Zc)
-
-    # Forcing terms: map the knots through Bd once, interpolate after.
-    drive = np.tensordot(W, cands @ model.Bd.T, axes=(1, 1))  # (T, N, n)
-    drive += model.wd
-
-    X = np.empty((T + 1, N, model.n))
-    X[0] = x0
-    AdT = model.Ad.T
-    for k in range(T):
-        np.matmul(X[k], AdT, out=X[k + 1])
-        X[k + 1] += drive[k]
-    ex = X - spec.x_goal
-    qd = np.diagonal(spec.Q)
-    if np.count_nonzero(spec.Q) == np.count_nonzero(qd):
-        cost += ((ex * ex) @ qd).sum(axis=0)
-    else:
-        cost += np.einsum("tni,tni->n", ex @ spec.Q, ex)
-    return cost
-
-
 class _CostModel:
     """Batch candidate scoring for one (spec, schedule, state) triple.
 
     With a linear model the tracking cost is a fixed quadratic in the knot
-    points, so after condensing once per solve every generation is scored
-    with one small matrix product instead of a fresh rollout.  The additive
-    constant between the condensed objective and the full tracking cost is
-    the problem's ``offset``.  Specs with state bounds cannot be condensed
-    and keep the rollout path (the search never enforces state bounds
-    anyway).
+    points, so the problem is condensed once per solve and every generation
+    is scored with one small matrix product instead of a rollout.  The
+    additive constant between the condensed objective and the full tracking
+    cost is the problem's ``offset``.
     """
 
     def __init__(self, spec: MpcSpec, sched: KnotSchedule, x0):
-        self.spec = spec
-        self.sched = sched
-        self.x0 = np.asarray(x0, float)
-        self.quad = None
-        if not spec.has_state_bounds:
-            prob = build_small_param(spec, sched, self.x0)
-            self.quad = (prob.P, prob.q, prob.offset)
+        prob = build_small_param(spec, sched, np.asarray(x0, float))
+        self.P, self.q, self.offset = prob.P, prob.q, prob.offset
 
     def __call__(self, cands: np.ndarray) -> np.ndarray:
-        if self.quad is None:
-            return _rollout_costs(cands, self.spec, self.sched, self.x0)
-        P, q, c0 = self.quad
         Z = cands.reshape(cands.shape[0], -1)
-        return np.einsum("ni,ni->n", Z @ P, Z) + 2.0 * (Z @ q) + c0
+        return np.einsum("ni,ni->n", Z @ self.P, Z) + 2.0 * (Z @ self.q) + self.offset
 
 
 def evaluate_cost(candidate, spec: MpcSpec, sched: KnotSchedule, x0) -> float:
-    """Full tracking cost of one knot candidate, terminal state included."""
-    U = np.asarray(getattr(candidate, "U", candidate), float)
-    U = U.reshape(sched.p, spec.model.m)
-    return float(_rollout_costs(U[None], spec, sched, np.asarray(x0, float))[0])
+    """Full tracking cost of one knot candidate, terminal state included,
+    from a rollout of the discrete model: the reference for ``_CostModel``."""
+    U = interpolation_matrix(sched) @ np.asarray(candidate, float).reshape(sched.p, spec.model.m)
+    ex = rollout(spec.model, np.asarray(x0, float), U) - spec.x_goal
+    eu = U - spec.u_goal
+    return float(np.einsum("ti,ij,tj->", ex, spec.Q, ex) + np.einsum("ti,ij,tj->", eu, spec.R, eu))
 
 
-def _require_finite_bounds(spec: MpcSpec) -> None:
+def _check_searchable(spec: MpcSpec) -> None:
     # candidates are sampled, mutated and clamped within [u_min, u_max]
     if not (np.all(np.isfinite(spec.u_min)) and np.all(np.isfinite(spec.u_max))):
         raise ValueError(f"EMPC needs finite input bounds, got u_min={spec.u_min}, u_max={spec.u_max}")
+    if spec.has_state_bounds:
+        raise ConfigurationError("EMPC searches the input box only and cannot enforce state bounds")
 
 
 def init_population(
     spec: MpcSpec, sched: KnotSchedule, settings: EmpcSettings, x0, cost: _CostModel | None = None
 ) -> Population:
     """Cold start: candidates drawn uniformly within the input bounds."""
-    _require_finite_bounds(spec)
+    _check_searchable(spec)
     if cost is None:
         cost = _CostModel(spec, sched, x0)
     rng = _rng(settings.seed, 0)
@@ -249,7 +211,7 @@ def solve_empc(
     ``prev`` the previous population is re-evaluated at the new state
     before mating, so stale costs never drive selection.
     """
-    _require_finite_bounds(spec)
+    _check_searchable(spec)
     x0 = np.asarray(x0, float)
     cost = _CostModel(spec, sched, x0)
     if prev is None:

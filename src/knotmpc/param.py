@@ -74,30 +74,8 @@ class KnotSchedule:
         return interp_coeffs(k, self.spacing)
 
 
-@dataclass(frozen=True)
-class KnotTrajectory:
-    """Knot values U with shape (p, m): p knots of an m-channel input."""
-
-    U: np.ndarray
-    schedule: KnotSchedule
-
-    def __post_init__(self):
-        U = np.atleast_2d(np.asarray(self.U, float))
-        object.__setattr__(self, "U", U)
-        if U.shape[0] != self.schedule.p:
-            raise ValueError(f"expected {self.schedule.p} knots, got {U.shape[0]}")
-
-
-def input_at(traj: KnotTrajectory, k: int) -> np.ndarray:
-    """Interpolated input applied at step k, 0 <= k <= T-1."""
-    idx1, idx2, c = traj.schedule.coeffs(k)
-    if c == 0.0:
-        return traj.U[idx1].copy()
-    return (1.0 - c) * traj.U[idx1] + c * traj.U[idx2]
-
-
 def interpolation_matrix(sched: KnotSchedule) -> np.ndarray:
-    """Dense (T, p) weight matrix W with expand(U) == W @ U.
+    """Dense (T, p) weight matrix W: knots U (p, m) expand to the inputs W @ U.
 
     Each row holds the convex weights of the knots for one step, so rows
     sum to one and have at most two nonzeros.  Row k carries the same
@@ -119,8 +97,3 @@ def interpolation_matrix(sched: KnotSchedule) -> np.ndarray:
     mid = c > 0.0
     W[steps[mid], idx1[mid] + 1] = c[mid]
     return W
-
-
-def expand(traj: KnotTrajectory) -> np.ndarray:
-    """Full (T, m) per-step input sequence encoded by the knots."""
-    return interpolation_matrix(traj.schedule) @ traj.U

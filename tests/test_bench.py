@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -297,7 +298,7 @@ def test_worker_count_does_not_change_results(tmp_path):
                 trials="2")
     texts = []
     for workers in (1, 1, 2):
-        rows = run_experiment(cfg, out_dir=str(tmp_path), workers=workers)
+        rows = run_experiment(replace(cfg, workers=workers), out_dir=str(tmp_path))
         texts.append(rows_to_csv_text(rows, include_timing=False))
     assert texts[0] == texts[1] == texts[2]
 

@@ -101,10 +101,16 @@ def test_presets_write(tmp_path, capsys):
     assert len(files) == 8
 
 
-def test_timing_strict_forces_single_worker(tiny_config, tmp_path):
-    code = main(["run", str(tiny_config), "--out", str(tmp_path),
-                 "--workers", "4", "--timing-strict"])
-    assert code == 0
+def test_run_workers_override(tiny_config, tmp_path, monkeypatch):
+    # --workers replaces the config file's worker count, and is validated
+    tiny_config.write_text(TINY + "workers = 4\n")
+    seen = []
+    monkeypatch.setattr("knotmpc.cli.run_experiment", lambda cfg, out_dir: seen.append(cfg.workers) or [])
+    assert main(["run", str(tiny_config), "--out", str(tmp_path), "--workers", "1"]) == 0
+    assert main(["run", str(tiny_config), "--out", str(tmp_path)]) == 0
+    assert seen == [1, 4]
+    assert main(["run", str(tiny_config), "--out", str(tmp_path), "--workers", "0"]) == 1
+    assert seen == [1, 4]
 
 
 def test_installed_entry_point():

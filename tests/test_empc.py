@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import knotmpc
-from knotmpc.condense import MpcSpec, build_small_param, objective_constant
+from knotmpc.condense import ConfigurationError, MpcSpec, build_small_param
 from knotmpc.dynamics import DiscreteLinearModel, rollout
 from knotmpc.empc import (
     EmpcSettings,
@@ -21,7 +21,7 @@ from knotmpc.empc import (
     init_population,
     solve_empc,
 )
-from knotmpc.param import KnotSchedule, KnotTrajectory, expand
+from knotmpc.param import KnotSchedule, interpolation_matrix
 from knotmpc.qp import AdmmSolver
 
 
@@ -89,7 +89,7 @@ def test_evaluate_cost_matches_manual_rollout():
     rng = np.random.default_rng(3)
     cand = rng.uniform(-4.0, 4.0, size=(3, 1))
     got = evaluate_cost(cand, SPEC, SCHED, X0)
-    U = expand(KnotTrajectory(cand, SCHED))
+    U = interpolation_matrix(SCHED) @ cand
     X = rollout(SPEC.model, X0, U)
     want = 0.0
     for k in range(21):
@@ -138,7 +138,7 @@ def test_long_search_approaches_qp_optimum():
     prob = build_small_param(SPEC, SCHED, X0)
     sol = AdmmSolver().solve(prob)
     assert sol.status == "solved"
-    opt = sol.objective + objective_constant(SPEC, X0, "small_param")
+    opt = sol.objective + prob.offset
     s = EmpcSettings(num_sims=256, num_parents=32, generations=120, seed=11)
     res = solve_empc(SPEC, SCHED, s, X0)
     assert res.best_cost <= 1.05 * opt
@@ -178,17 +178,21 @@ def test_settings_validation():
         EmpcSettings(crossover_prob=-0.1)
 
 
-def test_state_bounded_spec_uses_rollout_scoring():
-    # state bounds force the per-candidate rollout path; costs stay exact
+def test_empc_rejects_state_bounded_spec():
+    # the search covers the input box only, so state bounds it cannot
+    # enforce are refused instead of ignored
     spec = MpcSpec(
         SPEC.model, 20, SPEC.Q, SPEC.R, SPEC.x_goal, SPEC.u_goal,
         SPEC.u_min, SPEC.u_max, x_min=-10.0 * np.ones(2), x_max=10.0 * np.ones(2),
     )
-    pop = init_population(spec, SCHED, _small_settings(), X0)
-    for i in (0, 31):
-        assert pop.costs[i] == pytest.approx(
-            evaluate_cost(pop.candidates[i], spec, SCHED, X0), rel=1e-10
-        )
+    warm = solve_empc(SPEC, SCHED, _small_settings(), X0).population
+    for call in (
+        lambda: init_population(spec, SCHED, _small_settings(), X0),
+        lambda: solve_empc(spec, SCHED, _small_settings(), X0),
+        lambda: solve_empc(spec, SCHED, _small_settings(), X0, prev=warm),
+    ):
+        with pytest.raises(ConfigurationError, match="EMPC"):
+            call()
 
 
 def test_infinite_input_bounds_rejected():
@@ -283,24 +287,17 @@ class _ChunkedCost:
         return np.concatenate([self.cost(cands[i : i + self.size]) for i in range(0, len(cands), self.size)])
 
 
-@pytest.mark.parametrize("state_bounds", [False, True])
-def test_chunked_scoring_changes_no_draw(state_bounds):
+def test_chunked_scoring_changes_no_draw():
     # scoring consumes no randomness, so a generation scored in chunks makes
     # byte-identical candidates; the costs come from batched BLAS products,
     # which may round differently for another batch size, so they agree to
     # a few ulps
-    spec = SPEC
-    if state_bounds:
-        spec = MpcSpec(
-            SPEC.model, 20, SPEC.Q, SPEC.R, SPEC.x_goal, SPEC.u_goal,
-            SPEC.u_min, SPEC.u_max, x_min=-10.0 * np.ones(2), x_max=10.0 * np.ones(2),
-        )
     s = _small_settings(num_sims=300, num_parents=20)
-    cost = _CostModel(spec, SCHED, X0)
-    pop = init_population(spec, SCHED, s, X0, cost)
-    whole = evolve_generation(pop, spec, SCHED, s, X0, cost)
+    cost = _CostModel(SPEC, SCHED, X0)
+    pop = init_population(SPEC, SCHED, s, X0, cost)
+    whole = evolve_generation(pop, SPEC, SCHED, s, X0, cost)
     for size in (1, 7, 64, 257):
-        chunked = evolve_generation(pop, spec, SCHED, s, X0, _ChunkedCost(cost, size))
+        chunked = evolve_generation(pop, SPEC, SCHED, s, X0, _ChunkedCost(cost, size))
         np.testing.assert_array_equal(chunked.candidates, whole.candidates)
         np.testing.assert_allclose(chunked.costs, whole.costs, rtol=1e-13, atol=0)
 

@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 
 from knotmpc.param import (
     KnotSchedule,
-    KnotTrajectory,
-    expand,
-    input_at,
     interp_coeffs,
     interpolation_matrix,
     knot_spacing,
@@ -116,34 +113,3 @@ def test_interpolation_matrix_rows_match_coeffs():
                 if c > 0.0:
                     row[idx2] += c
                 np.testing.assert_array_equal(W[k], row, err_msg=f"T={T} p={p} k={k}")
-
-
-def test_expand_matches_pointwise_interpolation():
-    rng = np.random.default_rng(5)
-    sched = KnotSchedule(T=23, p=6)
-    U = rng.normal(size=(6, 2))
-    traj = KnotTrajectory(U, sched)
-    full = expand(traj)
-    assert full.shape == (23, 2)
-    for k in range(23):
-        np.testing.assert_allclose(full[k], input_at(traj, k), atol=1e-14)
-    # matrix form agrees too
-    np.testing.assert_allclose(full, interpolation_matrix(sched) @ U, atol=1e-13)
-
-
-def test_expand_commutes_with_affine_shift():
-    rng = np.random.default_rng(9)
-    sched = KnotSchedule(T=15, p=4)
-    U = rng.normal(size=(4, 3))
-    shift = rng.normal(size=3)
-    a = expand(KnotTrajectory(U + shift, sched))
-    b = expand(KnotTrajectory(U, sched)) + shift
-    np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-def test_trajectory_shape_validation():
-    sched = KnotSchedule(T=10, p=3)
-    with pytest.raises(ValueError):
-        KnotTrajectory(np.zeros((4, 1)), sched)
-    with pytest.raises(ValueError):
-        KnotTrajectory(np.zeros(3), sched)
