@@ -279,6 +279,74 @@ def test_extract_first_input_rejects_failed_solve():
         extract_first_input(bad, "small", spec)
 
 
+def test_objective_constant_recovers_tracking_cost():
+    # for every formulation: qp objective + constant == the tracking cost of
+    # the rolled-out trajectory, computed here from scratch; the constant
+    # alone is the cost of the all-zero decision vector
+    solver = AdmmSolver()
+    model = _model(2, 1, seed=3)
+    spec = _spec(model, 6, seed=3)
+    x0 = np.array([0.8, -0.5])
+    sched = KnotSchedule(T=6, p=3)
+    W = interpolation_matrix(sched)
+
+    def tracking_cost(U):
+        X = rollout(spec.model, x0, U)
+        c = 0.0
+        for k in range(7):
+            e = X[k] - spec.x_goal
+            c += e @ spec.Q @ e
+        for k in range(6):
+            d = U[k] - spec.u_goal
+            c += d @ spec.R @ d
+        return c
+
+    for kind in FORMULATIONS:
+        prob = build(kind, spec, x0, sched if "param" in kind else None)
+        sol = solver.solve(prob)
+        assert sol.status == "solved"
+        if kind == "large":
+            U = sol.z[14:20].reshape(6, 1)
+        elif kind == "large_param":
+            U = (W @ sol.z[14:17]).reshape(6, 1)
+        elif kind == "small":
+            U = sol.z.reshape(6, 1)
+        else:
+            U = (W @ sol.z).reshape(6, 1)
+        if kind.startswith("large"):
+            # zero states and zero inputs
+            zero_cost = 7 * spec.x_goal @ spec.Q @ spec.x_goal + 6 * spec.u_goal @ spec.R @ spec.u_goal
+        else:
+            # zero inputs, states from the free response
+            zero_cost = tracking_cost(np.zeros((6, 1)))
+        assert prob.offset == pytest.approx(zero_cost, rel=1e-12, abs=1e-12), kind
+        total = sol.objective + prob.offset
+        assert total == pytest.approx(tracking_cost(U), rel=1e-8, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_condensed_offset_is_objective_constant(seed):
+    # the builder takes the constant from its own free response; it must be
+    # the tracking cost of zero knots rolled out here from scratch, with a
+    # non-diagonal Q and a nonzero u_goal
+    rng = np.random.default_rng(seed)
+    n, m, T = 4, 2, 12
+    model = _model(n, m, seed=seed)
+    G = rng.normal(size=(n, n))
+    spec = MpcSpec(
+        model, T, Q=G @ G.T, R=np.diag(rng.uniform(0.1, 1.0, m)),
+        x_goal=rng.normal(size=n), u_goal=rng.normal(size=m),
+        u_min=-3.0 * np.ones(m), u_max=3.0 * np.ones(m),
+    )
+    x0 = rng.normal(size=n)
+    X = rollout(spec.model, x0, np.zeros((T, m)))
+    zero_cost = sum((x - spec.x_goal) @ spec.Q @ (x - spec.x_goal) for x in X)
+    zero_cost += T * spec.u_goal @ spec.R @ spec.u_goal
+    for p in (1, 4, T):
+        prob = build_small_param(spec, KnotSchedule(T, p), x0)
+        assert prob.offset == pytest.approx(zero_cost, rel=1e-12, abs=1e-12), p
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_offset_recovers_tracking_cost(seed):
     # for every formulation and knot count: qp objective + offset == the
