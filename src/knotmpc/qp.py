@@ -24,13 +24,16 @@ polish finishes at iteration 0) and reused while the matrices repeat.
 
 Condensed MPC problems can be badly scaled (prediction matrices stack
 powers of A_d), so the iteration runs on a Ruiz-equilibrated copy of the
-problem.  Termination always tests the residuals of the original,
+problem; on a box only the diagonal of A is scaled, with the dense
+arithmetic.  Termination always tests the residuals of the original,
 unscaled problem, so reported accuracy is unaffected by scaling.  Once
 the iterates are roughly converged the solver attempts to polish: it
 reads the active set off the dual signs, solves that equality-constrained
 subproblem exactly, and accepts the result only if it passes the full
 KKT conditions at the configured tolerances (stationarity allowing for the
-rounding floor of its own computation, see ``_dual_tol``).
+rounding floor of its own computation, see ``_dual_tol``).  The box walk
+checks its scaled data for finiteness once per attempt, not at every
+pivot, and then factors and solves each free block unchecked.
 """
 
 from __future__ import annotations
@@ -199,7 +202,7 @@ class AdmmSolver:
         rho_vec[eq] *= _RHO_EQ_SCALE
         inv_rho = 1.0 / rho_vec
 
-        D, E, P2s, As = self._prepare(P2, A, rho_vec)
+        D, E, P2s, As = self._prepare(P2, A, rho_vec, box)
         q2s = D * q2
         lbs = E * prob.lb
         ubs = E * prob.ub
@@ -214,6 +217,8 @@ class AdmmSolver:
             yw = np.array(warm[1], float).ravel()
             if xw.size != d or yw.size != r:
                 raise ValueError("warm start has wrong dimensions")
+            if not (np.isfinite(xw).all() and np.isfinite(yw).all()):
+                raise ValueError("warm start must be finite")
             x = xw / D
             y = yw / E
         else:
@@ -286,14 +291,14 @@ class AdmmSolver:
         except (sla.LinAlgError, ValueError):
             return np.zeros(q2s.size)
 
-    def _prepare(self, P2, A, rho_vec):
+    def _prepare(self, P2, A, rho_vec, box):
         """Equilibrate, reusing the result and its factor while the matrices
         repeat; a new system drops the old factor."""
         if self._cache is not None:
             cP, cA, c_rho, payload = self._cache
             if _same_matrix(cP, P2) and _same_matrix(cA, A) and np.array_equal(c_rho, rho_vec):
                 return payload
-        payload = _ruiz(P2, A, _SCALING_ITERS)
+        payload = _ruiz_box(P2, A, _SCALING_ITERS) if box else _ruiz(P2, A, _SCALING_ITERS)
         self._cache = (P2, A, rho_vec.copy(), payload)
         self._kkt = None
         return payload
@@ -375,7 +380,12 @@ class AdmmSolver:
         coordinate, and at each subspace optimum release the single worst
         wrong-sign multiplier.  Strict decrease over finitely many sets
         terminates; the result is only returned after the full KKT gates.
+        Every free block is a submatrix of P2s, so P2s and q2s are checked
+        for finiteness once here and each pivot factors and solves without
+        checks.
         """
+        if not (np.isfinite(P2s).all() and np.isfinite(q2s).all()):
+            return None
         s = self.settings
         lx = lbs / a
         ux = ubs / a
@@ -398,38 +408,41 @@ class AdmmSolver:
             free = ~(fixed | low | up)
             if free.any():
                 try:
-                    cho = sla.cho_factor(P2s[np.ix_(free, free)])
-                except (sla.LinAlgError, ValueError):
+                    c, lower = sla.cho_factor(P2s[free][:, free], check_finite=False)
+                except sla.LinAlgError:
                     return None
-                d_free = sla.cho_solve(cho, -g[free])
+                d_free, info = sla.lapack.dpotrs(c, -g[free], lower=lower)
+                if info:
+                    return None
                 idx = np.flatnonzero(free)
+                xi = x[idx]
+                dec = d_free < 0
+                inc = d_free > 0
                 # pin coordinates sitting on a bound the step would cross
-                out_lo = (x[idx] <= on_lo[idx]) & (d_free < 0) & fin_lo[idx]
-                out_up = (x[idx] >= on_up[idx]) & (d_free > 0) & fin_up[idx]
-                if out_lo.any() or out_up.any():
-                    x[idx[out_lo]] = lx[idx[out_lo]]
-                    x[idx[out_up]] = ux[idx[out_up]]
-                    low[idx[out_lo]] = True
-                    up[idx[out_up]] = True
+                out_lo = idx[(xi <= on_lo[idx]) & dec & fin_lo[idx]]
+                out_up = idx[(xi >= on_up[idx]) & inc & fin_up[idx]]
+                if out_lo.size or out_up.size:
+                    x[out_lo] = lx[out_lo]
+                    x[out_up] = ux[out_up]
+                    low[out_lo] = True
+                    up[out_up] = True
                     continue
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    dist = np.where(
-                        d_free < 0, (lx[idx] - x[idx]) / d_free,
-                        np.where(d_free > 0, (ux[idx] - x[idx]) / d_free, np.inf),
-                    )
-                stepmax = float(np.min(dist))
+                dist = np.full(idx.size, np.inf)
+                np.divide(lx[idx] - xi, d_free, out=dist, where=dec)
+                np.divide(ux[idx] - xi, d_free, out=dist, where=inc)
+                stepmax = float(dist.min())
                 if stepmax < 1.0:
-                    x[idx] += stepmax * d_free
+                    x[idx] = xi + stepmax * d_free
                     hit = dist <= stepmax
-                    hit_lo = hit & (d_free < 0)
-                    hit_up = hit & (d_free > 0)
-                    x[idx[hit_lo]] = lx[idx[hit_lo]]
-                    x[idx[hit_up]] = ux[idx[hit_up]]
-                    low[idx[hit_lo]] = True
-                    up[idx[hit_up]] = True
+                    hit_lo = idx[hit & dec]
+                    hit_up = idx[hit & inc]
+                    x[hit_lo] = lx[hit_lo]
+                    x[hit_up] = ux[hit_up]
+                    low[hit_lo] = True
+                    up[hit_up] = True
                     g = P2s @ x + q2s
                     continue
-                x[idx] += d_free
+                x[idx] = xi + d_free
                 g = P2s @ x + q2s
             # subspace optimum: release the worst wrong-sign multiplier, if any
             score = np.where(low, -g, 0.0) + np.where(up, g, 0.0)
@@ -502,33 +515,8 @@ def _dual_tol(eps_dual: float, Pz2: np.ndarray, q: np.ndarray) -> float:
     return eps_dual + 1e-13 * scale
 
 
-def _col_inf_norm(M) -> np.ndarray:
-    if sp.issparse(M):
-        return np.asarray(abs(M.tocsc()).max(axis=0).todense()).ravel()
-    return np.max(np.abs(M), axis=0) if M.shape[0] else np.zeros(M.shape[1])
-
-
-def _row_inf_norm(M) -> np.ndarray:
-    if sp.issparse(M):
-        return np.asarray(abs(M.tocsr()).max(axis=1).todense()).ravel()
-    return np.max(np.abs(M), axis=1) if M.shape[1] else np.zeros(M.shape[0])
-
-
-def _scale_sym(M, dvec):
-    if sp.issparse(M):
-        Dm = sp.diags(dvec)
-        return (Dm @ M @ Dm).tocsc()
-    return dvec[:, None] * M * dvec[None, :]
-
-
-def _scale_rows_cols(M, rvec, cvec):
-    if sp.issparse(M):
-        return (sp.diags(rvec) @ M @ sp.diags(cvec)).tocsc()
-    return rvec[:, None] * M * cvec[None, :]
-
-
 def _ruiz(P2, A, iters):
-    """Ruiz equilibration of the KKT blocks.
+    """Ruiz equilibration of the sparse KKT blocks.
 
     Returns positive diagonal vectors D (variables) and E (constraints)
     and the scaled matrices D@P2@D and E@A@D.  No cost scalar: with a
@@ -536,27 +524,47 @@ def _ruiz(P2, A, iters):
     Scaling changes the iteration geometry, not the problem; callers
     undo it on the iterates and test convergence on unscaled residuals.
     """
-    d = P2.shape[0]
-    D = np.ones(d)
+    D = np.ones(P2.shape[0])
     E = np.ones(A.shape[0])
     P2s, As = P2, A
     for _ in range(iters):
-        col = np.maximum(_col_inf_norm(P2s), _col_inf_norm(As))
+        col = np.maximum(abs(P2s).max(axis=0).toarray(), abs(As).max(axis=0).toarray()).ravel()
         dd = np.where(col > 1e-12, 1.0 / np.sqrt(col), 1.0)
-        row = _row_inf_norm(As)
+        row = abs(As).max(axis=1).toarray().ravel()
         de = np.where(row > 1e-12, 1.0 / np.sqrt(row), 1.0)
-        P2s = _scale_sym(P2s, dd)
-        As = _scale_rows_cols(As, de, dd)
+        P2s = (sp.diags(dd) @ P2s @ sp.diags(dd)).tocsc()
+        As = (sp.diags(de) @ As @ sp.diags(dd)).tocsc()
         D *= dd
         E *= de
     return D, E, P2s, As
 
 
+def _ruiz_box(P2, a, iters):
+    """``_ruiz`` for a dense P2 and A = diag(a), a > 0, scaling the diagonal
+    alone: a column or row of diag(a) has the norm a, and E@A@D stays
+    diag(E*a*D).  The arithmetic and its order are those of Ruiz on the
+    dense matrix, so D, E and P2s match it bit for bit; As is returned
+    dense."""
+    D = np.ones(a.size)
+    E = np.ones(a.size)
+    P2s = P2
+    for _ in range(iters):
+        col = np.maximum(np.abs(P2s).max(axis=0), a)
+        dd = np.where(col > 1e-12, 1.0 / np.sqrt(col), 1.0)
+        de = np.where(a > 1e-12, 1.0 / np.sqrt(a), 1.0)
+        P2s = dd[:, None] * P2s * dd[None, :]
+        a = de * a * dd
+        D *= dd
+        E *= de
+    return D, E, P2s, np.diag(a)
+
+
 def _normalize(P, A, box):
-    """Bring P and A into the representation of the chosen path."""
+    """Bring P and A into the representation of the chosen path: a dense P
+    and the diagonal of A for a box, CSC matrices for any other A."""
     if box:
         Pn = P.toarray() if sp.issparse(P) else np.asarray(P, float)
-        An = np.asarray(A, float)
+        An = np.diagonal(np.asarray(A, float))
     else:
         Pn = sp.csc_matrix(P)
         An = sp.csc_matrix(A)

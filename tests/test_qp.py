@@ -343,3 +343,90 @@ def test_solution_type():
     assert isinstance(sol, QpSolution)
     assert sol.solve_time >= 0.0
     assert sol.iterations >= 0
+
+
+def _dense_ruiz_reference(P2, A, iters):
+    """Ruiz equilibration on dense P2 and A, pass by pass: column norms of
+    [P2; A], row norms of A, then D@P2@D and E@A@D."""
+    D = np.ones(P2.shape[0])
+    E = np.ones(A.shape[0])
+    for _ in range(iters):
+        col = np.maximum(np.max(np.abs(P2), axis=0), np.max(np.abs(A), axis=0))
+        dd = np.where(col > 1e-12, 1.0 / np.sqrt(col), 1.0)
+        row = np.max(np.abs(A), axis=1)
+        de = np.where(row > 1e-12, 1.0 / np.sqrt(row), 1.0)
+        P2 = dd[:, None] * P2 * dd[None, :]
+        A = de[:, None] * A * dd[None, :]
+        D = D * dd
+        E = E * de
+    return D, E, P2, A
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_box_equilibration_matches_dense_ruiz(data):
+    # the box path scales only the diagonal of A; it must reproduce the
+    # dense arithmetic bit for bit, including diagonals below the 1e-12 floor
+    d = data.draw(st.integers(1, 18))
+    c = data.draw(st.sampled_from([1.0, 1e6, 1e11]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    M = rng.normal(size=(d, d))
+    P2 = 2.0 * (c * (M.T @ M + np.eye(d)))
+    a = 10.0 ** rng.uniform(-14.0, 3.0, d)
+    got = qp._ruiz_box(P2, a, qp._SCALING_ITERS)
+    ref = _dense_ruiz_reference(P2, np.diag(a), qp._SCALING_ITERS)
+    for g, r in zip(got, ref):
+        np.testing.assert_array_equal(g, r)
+
+
+def test_indefinite_box_qp_reports_failure():
+    # a condensed P can come out numerically indefinite (one eigenvalue
+    # -0.5 among large positive ones): the walk's Cholesky fails, ADMM runs
+    # to its cap, and the solver reports that instead of raising
+    rng = np.random.default_rng(209)
+    Q, _ = np.linalg.qr(rng.normal(size=(18, 18)))
+    P = Q @ np.diag(np.concatenate([[-0.5], np.logspace(0, 8, 17)])) @ Q.T
+    P = 0.5 * (P + P.T)
+    prob = QpProblem(P, rng.normal(size=18), np.eye(18), -np.ones(18), np.ones(18))
+    sol = AdmmSolver(QpSettings(max_iters=50)).solve(prob)
+    assert sol.status != "solved"
+    assert sol.iterations == 50  # the ADMM fallback ran
+
+
+@pytest.mark.parametrize("where", ["P", "q"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_polish_box_rejects_non_finite_scaled_data(where, bad):
+    # the walk factors and solves unchecked, so _polish_box itself must
+    # turn non-finite scaled data away before the first pivot
+    prob = _scaled_box_problem(1.0)
+    P2s, q2s = 2.0 * prob.P, 2.0 * prob.q
+    if where == "P":
+        P2s[3, 5] = P2s[5, 3] = bad
+    else:
+        q2s[4] = bad
+    ones = np.ones(18)
+    assert AdmmSolver()._polish_box(prob, P2s, q2s, ones, ones, prob.lb, prob.ub, ones, np.zeros(18)) is None
+
+
+def test_warm_start_must_be_finite():
+    prob = _scaled_box_problem(1.0)
+    solver = AdmmSolver()
+    with pytest.raises(ValueError, match="finite"):
+        solver.solve(prob, warm=(np.full(18, np.nan), np.zeros(18)))
+    with pytest.raises(ValueError, match="finite"):
+        solver.solve(prob, warm=(np.zeros(18), np.full(18, np.inf)))
+
+
+def test_walk_factors_once_per_pivot(monkeypatch):
+    # separable P, warm start at the origin: the unconstrained optimum
+    # (0.5, 2, 3, 5) leaves the box [-1, 1] in three coordinates, at step
+    # ratios 1/2, 1/3 and 1/5, so the walk pins them one pivot at a time
+    # and then takes a full step: four free-block Cholesky factorizations
+    cho_calls = _counting(monkeypatch, qp.sla, "cho_factor")
+    P = np.diag([1.0, 2.0, 3.0, 4.0])
+    target = np.array([0.5, 2.0, 3.0, 5.0])
+    prob = QpProblem(P, -P @ target, np.eye(4), -np.ones(4), np.ones(4))
+    sol = AdmmSolver().solve(prob, warm=(np.zeros(4), np.zeros(4)))
+    assert sol.status == "solved" and sol.iterations == 0
+    np.testing.assert_allclose(sol.z, np.clip(target, -1.0, 1.0), atol=1e-12)
+    assert len(cho_calls) == 4
