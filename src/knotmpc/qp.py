@@ -19,21 +19,26 @@ a > 0 (the condensed builders' ``A = I``) is a box, whose KKT system
 reduces to (P~ + sigma I + diag(rho a^2)) x = sigma x - q~ + a (rho z - y)
 as in OSQP, factored by a d x d LAPACK LU and polished by a box active-set
 walk; any other ``A`` goes through a sparse LU of the full KKT matrix.
-The factor is built when the first ADMM iteration needs it (never, if the
-polish finishes at iteration 0) and reused while the matrices repeat.
+A solve builds that factor once, and only if it iterates.
 
 Condensed MPC problems can be badly scaled (prediction matrices stack
 powers of A_d), so the iteration runs on a Ruiz-equilibrated copy of the
-problem; on a box only the diagonal of A is scaled, with the dense
-arithmetic.  Termination always tests the residuals of the original,
-unscaled problem, so reported accuracy is unaffected by scaling.  Once
-the iterates are roughly converged the solver attempts to polish: it
-reads the active set off the dual signs, solves that equality-constrained
-subproblem exactly, and accepts the result only if it passes the full
-KKT conditions at the configured tolerances (stationarity allowing for the
-rounding floor of its own computation, see ``_dual_tol``).  The box walk
-checks its scaled data for finiteness once per attempt, not at every
-pivot, and then factors and solves each free block unchecked.
+problem, kept while the matrices repeat; on a box only the diagonal of A
+is scaled, with the dense arithmetic.  Termination always tests the
+residuals of the original, unscaled problem, so reported accuracy is
+unaffected by scaling.
+
+Both paths share one start rule.  A warm start goes first to the exact
+finish (polish): it reads the active set off the iterate, solves that
+equality-constrained subproblem exactly, and accepts the result only if it
+passes the full KKT conditions at the configured tolerances (stationarity
+allowing for the rounding floor of its own computation, see
+``_dual_tol``).  A cold start runs ADMM from x = 0, y = 0.  At a residual
+check the finish is tried when one is due and whenever the residuals have
+converged, so the bare ADMM iterate is returned only if the finish fails.
+The box walk checks its scaled data for finiteness once per attempt and
+factors each free block unchecked, shifting a block that is indefinite at
+its rounding floor by that floor once before it gives up.
 """
 
 from __future__ import annotations
@@ -52,18 +57,19 @@ _SIGMA = 1e-6  # proximal regularization of the x-update
 _ALPHA = 1.6  # over-relaxation
 _EPS_INFEAS = 1e-5  # tolerance of the primal infeasibility certificate
 _SCALING_ITERS = 10  # Ruiz equilibration passes
+_CHECK_INTERVAL = 25  # ADMM iterations between residual checks
 
 
 @dataclass
 class QpSettings:
-    """Solver knobs; the defaults suit the control problems in this package."""
+    """Solver knobs; the defaults suit the control problems in this package.
+    Residuals are checked, and the exact finish tried, every
+    ``_CHECK_INTERVAL`` ADMM iterations up to ``max_iters``."""
 
     rho: float = 0.1
     eps_prim: float = 1e-6
     eps_dual: float = 1e-6
     max_iters: int = 20000
-    check_interval: int = 25
-    polish: bool = True
 
 
 @dataclass(frozen=True)
@@ -180,12 +186,11 @@ class _SparseKkt:
 
 class AdmmSolver:
     """Reusable solver.  While P, A and the penalties repeat it keeps their
-    equilibration and, once an ADMM iteration has needed it, their factor."""
+    equilibration."""
 
     def __init__(self, settings: QpSettings | None = None):
         self.settings = settings or QpSettings()
         self._cache = None  # (P2 repr, A repr, rho_vec, (D, E, P2s, As))
-        self._kkt = None  # factor of the cached scaled system, once built
 
     def solve(self, prob: QpProblem, warm: tuple[np.ndarray, np.ndarray] | None = None) -> QpSolution:
         t_start = time.perf_counter()
@@ -212,6 +217,7 @@ class AdmmSolver:
         else:
             polish = lambda y, z: self._try_polish(prob, P2s, As, q2s, D, E, lbs, ubs, y, z)
 
+        x, y = np.zeros(d), np.zeros(r)
         if warm is not None:
             xw = np.array(warm[0], float).ravel()
             yw = np.array(warm[1], float).ravel()
@@ -219,29 +225,19 @@ class AdmmSolver:
                 raise ValueError("warm start has wrong dimensions")
             if not (np.isfinite(xw).all() and np.isfinite(yw).all()):
                 raise ValueError("warm start must be finite")
-            x = xw / D
-            y = yw / E
-        else:
-            x = self._cold_start(P2s, q2s) if box else np.zeros(d)
-            y = np.zeros(r)
+            x, y = xw / D, yw / E
         z = np.clip(As @ x, lbs, ubs)
-
-        if s.polish:
-            # a warm dual or a clipped PD minimizer often nails the active
-            # set outright, making the iteration below a fallback
-            polished = polish(y, z)
-            if polished is not None:
-                xs, ys = polished
-                obj = float(xs @ (prob.P @ xs) + 2.0 * prob.q @ xs)
-                return QpSolution(xs, "solved", 0, obj, time.perf_counter() - t_start, ys)
+        # a warm dual often nails the active set outright, making the
+        # iteration below a fallback; a cold start runs ADMM first
+        polished = polish(y, z) if warm is not None else None
+        if polished is not None:
+            return _solution(prob, polished, "solved", 0, t_start)
 
         status = "max_iters"
         iters = s.max_iters
         check_no = 0
         next_polish = 1
-        if self._kkt is None:
-            self._kkt = _BoxKkt(P2s, a, rho_vec) if box else _SparseKkt(P2s, As, rho_vec)
-        kkt = self._kkt
+        kkt = _BoxKkt(P2s, a, rho_vec) if box else _SparseKkt(P2s, As, rho_vec)
         for i in range(1, s.max_iters + 1):
             xt, zt = kkt.step(x, z, y, q2s)
             x = _ALPHA * xt + (1.0 - _ALPHA) * x
@@ -251,56 +247,40 @@ class AdmmSolver:
             y = y + dy
             z = z_new
 
-            if i % s.check_interval == 0 or i == s.max_iters:
+            if i % _CHECK_INTERVAL == 0 or i == s.max_iters:
                 # residuals of the original problem, not the scaled one
                 r_prim = np.max(np.abs((As @ x - z) / E))
                 r_dual = np.max(np.abs((P2s @ x + q2s + As.T @ y) / D))
-                if r_prim <= s.eps_prim and r_dual <= s.eps_dual:
-                    status, iters = "solved", i
-                    break
+                converged = r_prim <= s.eps_prim and r_dual <= s.eps_dual
                 # Exact finish from the current active-set guess.  A failed
                 # attempt is discarded (acceptance is gated on the full KKT
                 # check inside), so box problems retry every check while
                 # general ones back off because each attempt refactors.
                 check_no += 1
-                if s.polish and check_no >= next_polish:
+                if converged or check_no >= next_polish:
                     polished = polish(y, z)
                     if polished is not None:
-                        xs, ys = polished
-                        obj = float(xs @ (prob.P @ xs) + 2.0 * prob.q @ xs)
-                        return QpSolution(
-                            xs, "solved", i, obj, time.perf_counter() - t_start, ys
-                        )
+                        return _solution(prob, polished, "solved", i, t_start)
                     next_polish = check_no + 1 if box else check_no * 2
+                if converged:
+                    status, iters = "solved", i
+                    break
                 At_dy0 = (As.T @ dy) / D
                 if _infeasibility_certificate(At_dy0, E * dy, prob.lb, prob.ub, _EPS_INFEAS):
                     status, iters = "primal_infeasible", i
                     break
 
-        xs = D * x
-        ys = E * y
-        obj = float(xs @ (prob.P @ xs) + 2.0 * prob.q @ xs)
-        return QpSolution(xs, status, iters, obj, time.perf_counter() - t_start, ys)
-
-    @staticmethod
-    def _cold_start(P2s, q2s):
-        """Clip-friendly initial point: the unconstrained minimizer when the
-        cost is positive definite, else the origin."""
-        try:
-            return sla.cho_solve(sla.cho_factor(P2s), -q2s)
-        except (sla.LinAlgError, ValueError):
-            return np.zeros(q2s.size)
+        return _solution(prob, (D * x, E * y), status, iters, t_start)
 
     def _prepare(self, P2, A, rho_vec, box):
-        """Equilibrate, reusing the result and its factor while the matrices
-        repeat; a new system drops the old factor."""
+        """Equilibrate, reusing the result while the matrices and penalties
+        repeat; the ADMM factor is not kept across solves."""
         if self._cache is not None:
             cP, cA, c_rho, payload = self._cache
             if _same_matrix(cP, P2) and _same_matrix(cA, A) and np.array_equal(c_rho, rho_vec):
                 return payload
         payload = _ruiz_box(P2, A, _SCALING_ITERS) if box else _ruiz(P2, A, _SCALING_ITERS)
         self._cache = (P2, A, rho_vec.copy(), payload)
-        self._kkt = None
         return payload
 
     def _try_polish(self, prob, P2s, As, q2s, D, E, lbs, ubs, y, z):
@@ -370,7 +350,8 @@ class AdmmSolver:
         return None
 
     def _polish_box(self, prob, P2s, q2s, D, E, lbs, ubs, a, z):
-        """Active-set finish when the constraints are a pure box.
+        """Active-set finish when the constraints are a pure box, from a warm
+        start at iteration 0 or from the ADMM iterate at a residual check.
 
         The condensed builders emit A = I, which survives equilibration as a
         positive diagonal, so bounds act componentwise on the variables and
@@ -382,7 +363,10 @@ class AdmmSolver:
         terminates; the result is only returned after the full KKT gates.
         Every free block is a submatrix of P2s, so P2s and q2s are checked
         for finiteness once here and each pivot factors and solves without
-        checks.
+        checks.  A condensed P can be indefinite at its rounding floor, so a
+        block of size k whose Cholesky fails is retried once shifted by
+        k eps max|diag| and the gates judge the outcome; a second failure
+        ends the attempt.
         """
         if not (np.isfinite(P2s).all() and np.isfinite(q2s).all()):
             return None
@@ -407,10 +391,17 @@ class AdmmSolver:
         for _ in range(150):
             free = ~(fixed | low | up)
             if free.any():
+                Pf = P2s[free][:, free]
                 try:
-                    c, lower = sla.cho_factor(P2s[free][:, free], check_finite=False)
+                    c, lower = sla.cho_factor(Pf, check_finite=False)
                 except sla.LinAlgError:
-                    return None
+                    # indefinite at the rounding floor of its size: shift by it once
+                    floor = Pf.shape[0] * np.finfo(float).eps * np.abs(np.diagonal(Pf)).max()
+                    Pf[np.diag_indices_from(Pf)] += floor
+                    try:
+                        c, lower = sla.cho_factor(Pf, check_finite=False)
+                    except sla.LinAlgError:
+                        return None
                 d_free, info = sla.lapack.dpotrs(c, -g[free], lower=lower)
                 if info:
                     return None
@@ -500,6 +491,13 @@ class AdmmSolver:
         y_hat = np.zeros(lbs.size)
         y_hat[act] = sol[d:]
         return x_hat, y_hat
+
+
+def _solution(prob, xy, status, iters, t_start) -> QpSolution:
+    """Package unscaled (z, dual) with its objective and the elapsed time."""
+    xs, ys = xy
+    obj = float(xs @ (prob.P @ xs) + 2.0 * prob.q @ xs)
+    return QpSolution(xs, status, iters, obj, time.perf_counter() - t_start, ys)
 
 
 def _dual_tol(eps_dual: float, Pz2: np.ndarray, q: np.ndarray) -> float:

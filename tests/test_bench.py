@@ -16,6 +16,9 @@ from knotmpc.bench import (
     PRESETS,
     ConfigError,
     ExperimentConfig,
+    _controller_from_token,
+    _sample_endpoints,
+    _trial_rng,
     config_from_mapping,
     default_torque_bound,
     dump_config,
@@ -24,11 +27,12 @@ from knotmpc.bench import (
     make_template,
     parse_controller_token,
     preset_config,
+    qp_settings,
     rows_to_csv_text,
     run_experiment,
     write_csv,
 )
-from knotmpc.closedloop import Controller
+from knotmpc.closedloop import Controller, run_closed_loop
 from knotmpc.condense import CONTROLLER_KINDS
 from knotmpc.dynamics import NLinkArm, Pendulum
 
@@ -341,3 +345,19 @@ def test_seed_changes_rows(tmp_path):
     ra = run_experiment(cfg_a, out_dir=str(tmp_path))
     rb = run_experiment(cfg_b, out_dir=str(tmp_path))
     assert rows_to_csv_text(ra, include_timing=False) != rows_to_csv_text(rb, include_timing=False)
+
+
+def test_swing_with_condensed_p_indefinite_at_rounding_floor_solves():
+    # closedloop_arms at seed 209, 6 links, trial 12: around steps 29-30 the
+    # knot QP's condensed P has a largest eigenvalue of 2e16-4e16 and a
+    # smallest near zero or below (down to -1.1), so the Cholesky of a
+    # scaled free block fails.  The box walk shifts such a block by its
+    # rounding floor once, so these steps solve instead of running ADMM to
+    # its iteration cap and holding the previous input.
+    cfg = replace(preset_config("closedloop_arms"), seed=209)
+    plant = make_plant(cfg.robot, 6)
+    x0, xg = _sample_endpoints(_trial_rng(cfg, 6, 12), 6)
+    controller = _controller_from_token(parse_controller_token("small_param:3"), cfg, 0)
+    res = run_closed_loop(plant, controller, make_template(plant, cfg, cfg.T), x0, xg, 0.31, cfg.rate,
+                          qp_settings=qp_settings(cfg))
+    assert res.failures == 0

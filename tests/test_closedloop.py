@@ -270,18 +270,31 @@ def test_mismatched_controller_plant():
     assert abs(res.states[-1, 0] - 0.5) < 0.1
 
 
-def test_solver_failure_path():
+def test_solver_failure_path(monkeypatch):
+    # every step's QP gets an indefinite P (smallest eigenvalue -0.5), which
+    # no solve can finish: each step counts a failure and holds the input
+    from dataclasses import replace
+
+    from knotmpc import closedloop
     from knotmpc.closedloop import QpSettings
+
+    build = closedloop.build
+
+    def indefinite(*args):
+        prob = build(*args)
+        shift = np.linalg.eigvalsh(prob.P)[0] + 0.5
+        return replace(prob, P=prob.P - shift * np.eye(prob.n_vars))
+
+    monkeypatch.setattr(closedloop, "build", indefinite)
     plant = Pendulum(PendulumParams(gravity=0.0))
     template = _template(plant)
     res = run_closed_loop(
         plant, Controller("small"), template,
         x0=np.zeros(2), x_goal=np.array([0.5, 0.0]), duration=0.2, rate=100.0,
-        qp_settings=QpSettings(max_iters=1, check_interval=1, polish=False,
-                               eps_prim=1e-30, eps_dual=1e-30),
+        qp_settings=QpSettings(max_iters=50),
     )
     assert res.failures == 20
-    assert np.all(np.isfinite(res.inputs))
+    assert np.all(res.inputs == 0.0)
 
 
 def test_spec_validated_once_per_run(monkeypatch):

@@ -146,14 +146,9 @@ def test_detects_primal_infeasibility():
 
 
 def test_iteration_cap_reported():
-    # unreachable tolerance, so the cap is what stops the loop
-    rng = np.random.default_rng(8)
-    M = rng.normal(size=(5, 5))
-    P = M.T @ M + np.eye(5)
-    q = rng.normal(size=5)
-    prob = QpProblem(P, q, np.eye(5), -0.1 * np.ones(5), 0.1 * np.ones(5))
-    s = QpSettings(max_iters=40, check_interval=1, polish=False, eps_prim=1e-30, eps_dual=1e-30)
-    sol = AdmmSolver(s).solve(prob)
+    # an indefinite P: neither ADMM nor the exact finish can solve it, so
+    # the cap is what stops the loop, also between residual checks
+    sol = AdmmSolver(QpSettings(max_iters=40)).solve(_indefinite_box_problem())
     assert sol.status == "max_iters"
     assert sol.iterations == 40
 
@@ -165,6 +160,7 @@ def test_objective_field_is_consistent():
 
 
 def test_repeated_solves_reuse_factorization():
+    # the second solve reuses the equilibration and builds its own ADMM factor
     prob = _random_equality_problem()
     solver = AdmmSolver()
     a = solver.solve(prob)
@@ -175,22 +171,26 @@ def test_repeated_solves_reuse_factorization():
 
 def test_sparse_and_dense_paths_agree():
     # the same box QP, once with a dense A (box path) and once with a
-    # scipy-sparse A (general sparse path); without polish both iterate,
-    # the box path on its reduced d x d factor
+    # scipy-sparse A (general sparse path); cold, both run ADMM before the
+    # exact finish, the box path on its reduced d x d factor, and each
+    # finishes at iteration 0 when warm-started from the other's solution
     rng = np.random.default_rng(21)
     n = 40
     P = np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -0.5), 1) + np.diag(np.full(n - 1, -0.5), -1)
     q = rng.normal(size=n)
     lb, ub = -0.4 * np.ones(n), 0.4 * np.ones(n)
     assert _is_box(np.eye(n)) and not _is_box(sp.eye(n, format="csc"))
-    for polish in (True, False):
-        s = QpSettings(polish=polish)
-        dense = solve_qp(QpProblem(P, q, np.eye(n), lb, ub), settings=s)
-        sparse = solve_qp(QpProblem(P, q, sp.eye(n, format="csc"), lb, ub), settings=s)
-        assert dense.status == sparse.status == "solved"
-        assert polish or min(dense.iterations, sparse.iterations) > 0
-        assert np.any(np.abs(dense.z) > 0.4 - 1e-9)  # some bounds are active
-        np.testing.assert_allclose(dense.z, sparse.z, atol=1e-6)
+    box = QpProblem(P, q, np.eye(n), lb, ub)
+    general = QpProblem(P, q, sp.eye(n, format="csc"), lb, ub)
+    dense, sparse = solve_qp(box), solve_qp(general)
+    assert dense.status == sparse.status == "solved"
+    assert min(dense.iterations, sparse.iterations) > 0
+    assert np.any(np.abs(dense.z) > 0.4 - 1e-9)  # some bounds are active
+    np.testing.assert_allclose(dense.z, sparse.z, atol=1e-9)
+    for prob, other in ((box, sparse), (general, dense)):
+        warm = solve_qp(prob, warm=(other.z, other.dual))
+        assert warm.status == "solved" and warm.iterations == 0
+        np.testing.assert_allclose(warm.z, other.z, atol=1e-9)
 
 
 def _counting(monkeypatch, module, name):
@@ -205,30 +205,98 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_box_solve_finished_by_polish_factors_no_kkt(monkeypatch):
+def _small_box_problem(seed=1, A=np.eye(6)):
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(6, 6))
+    P = M.T @ M + np.eye(6)
+    q = 3.0 * rng.normal(size=6)
+    return QpProblem(P, q, A, -np.ones(6), np.ones(6))
+
+
+def test_cold_box_solve_runs_admm_to_the_first_check(monkeypatch):
+    # no warm start: ADMM from the origin on one LU, then the walk from
+    # the iterate at the first residual check finishes the solve exactly
     lu_calls = _counting(monkeypatch, qp.sla, "lu_factor")
-    sol = AdmmSolver().solve(_scaled_box_problem(1.0))
+    prob = _small_box_problem()
+    sol = AdmmSolver().solve(prob)
+    assert sol.status == "solved" and sol.iterations == qp._CHECK_INTERVAL
+    assert len(lu_calls) == 1
+    z_ref, _ = _enumerate_box_optimum(prob.P, prob.q, prob.lb, prob.ub)
+    assert np.any(np.abs(z_ref) > 1.0 - 1e-9)  # some bounds are active
+    np.testing.assert_allclose(sol.z, z_ref, atol=1e-9)
+
+
+def test_warm_box_resolve_finishes_without_admm(monkeypatch):
+    prob = _small_box_problem()
+    cold = AdmmSolver().solve(prob)
+    lu_calls = _counting(monkeypatch, qp.sla, "lu_factor")
+    sol = AdmmSolver().solve(prob, warm=(cold.z, cold.dual))
     assert sol.status == "solved" and sol.iterations == 0
     assert lu_calls == []
+    np.testing.assert_allclose(sol.z, cold.z, atol=1e-12)
+
+
+def test_converged_admm_iterate_is_polished(monkeypatch):
+    # at eps = 1e-3 ADMM meets its tolerance at the first check about 4e-4
+    # from the optimum; the exact finish is still tried and its point returned
+    prob = _small_box_problem()
+    s = QpSettings(eps_prim=1e-3, eps_dual=1e-3)
+    z_ref, _ = _enumerate_box_optimum(prob.P, prob.q, prob.lb, prob.ub)
+    sol = AdmmSolver(s).solve(prob)
+    assert sol.status == "solved" and sol.iterations == qp._CHECK_INTERVAL
+    np.testing.assert_allclose(sol.z, z_ref, atol=1e-12)
+    # only a failed finish leaves the bare ADMM iterate
+    monkeypatch.setattr(AdmmSolver, "_polish_box", lambda self, *args: None)
+    raw = AdmmSolver(s).solve(prob)
+    assert raw.status == "solved" and raw.iterations == qp._CHECK_INTERVAL
+    assert np.max(np.abs(raw.z - z_ref)) > 1e-6
+
+
+def test_finish_is_tried_on_convergence_between_due_checks(monkeypatch):
+    # the sparse path tries its finish at checks 1, 2, 4, ...; here the
+    # first two attempts are made to fail and ADMM converges at check 3,
+    # where no attempt is due, about 1e-5 from the optimum
+    prob = _small_box_problem(seed=0, A=sp.eye(6, format="csc"))
+    z_ref, _ = _enumerate_box_optimum(prob.P, prob.q, prob.lb, prob.ub)
+    finish = AdmmSolver._try_polish
+    calls = []
+
+    def failing_twice(self, *args):
+        calls.append(1)
+        return None if len(calls) <= 2 else finish(self, *args)
+
+    monkeypatch.setattr(AdmmSolver, "_try_polish", failing_twice)
+    sol = AdmmSolver(QpSettings(eps_prim=1e-4, eps_dual=1e-4)).solve(prob)
+    assert sol.status == "solved" and sol.iterations == 3 * qp._CHECK_INTERVAL
+    assert len(calls) == 3
+    np.testing.assert_allclose(sol.z, z_ref, atol=1e-12)
 
 
 @pytest.mark.parametrize("A", [np.eye(5), sp.eye(5, format="csc")], ids=["box", "sparse"])
 def test_admm_factor_is_built_once_per_system(monkeypatch, A):
+    # with the exact finish patched out ADMM iterates to its tolerance: each
+    # solve builds its factor once, however many iterations it runs, while
+    # the equilibration is kept as long as the system repeats
+    for name in ("_polish_box", "_try_polish"):
+        monkeypatch.setattr(AdmmSolver, name, lambda self, *args: None)
     calls = {"lu_factor": _counting(monkeypatch, qp.sla, "lu_factor"),
              "splu": _counting(monkeypatch, qp.spla, "splu")}
+    ruiz = _counting(monkeypatch, qp, "_ruiz" if sp.issparse(A) else "_ruiz_box")
     rng = np.random.default_rng(8)
     M = rng.normal(size=(5, 5))
     prob = QpProblem(M.T @ M + np.eye(5), rng.normal(size=5), A, -0.1 * np.ones(5), 0.1 * np.ones(5))
-    solver = AdmmSolver(QpSettings(polish=False))
+    solver = AdmmSolver()
     first, second = solver.solve(prob), solver.solve(prob)
-    assert first.status == second.status == "solved" and first.iterations > 0
+    assert first.status == second.status == "solved" and first.iterations > qp._CHECK_INTERVAL
     np.testing.assert_array_equal(first.z, second.z)
     factor = "splu" if sp.issparse(A) else "lu_factor"
-    assert len(calls[factor]) == 1
-    assert sum(len(c) for c in calls.values()) == 1
-    # a different P is a new system and gets its own factor
-    solver.solve(QpProblem(2.0 * prob.P, prob.q, A, prob.lb, prob.ub))
     assert len(calls[factor]) == 2
+    assert sum(len(c) for c in calls.values()) == 2
+    assert len(ruiz) == 1
+    # a different P is a new system and gets its own equilibration
+    solver.solve(QpProblem(2.0 * prob.P, prob.q, A, prob.lb, prob.ub))
+    assert len(calls[factor]) == 3
+    assert len(ruiz) == 2
 
 
 def test_box_detection():
@@ -237,41 +305,6 @@ def test_box_detection():
     assert not _is_box(np.diag([1.0, -2.0, 3.0]))
     assert not _is_box(np.eye(3) + np.eye(3, k=1))
     assert not _is_box(np.eye(3)[:2])
-
-
-def test_polish_disabled_still_converges():
-    prob = _random_equality_problem()
-    sol = AdmmSolver(QpSettings(polish=False)).solve(prob)
-    assert sol.status == "solved"
-    np.testing.assert_allclose(sol.z, KKT_Z, atol=1e-4)
-
-
-def test_polish_disabled_never_polishes(monkeypatch):
-    calls = []
-
-    def counting(name):
-        polish = getattr(AdmmSolver, name)
-
-        def wrapper(self, *args):
-            calls.append(name)
-            return polish(self, *args)
-
-        return wrapper
-
-    for name in ("_try_polish", "_polish_box"):
-        monkeypatch.setattr(AdmmSolver, name, counting(name))
-    rng = np.random.default_rng(8)
-    M = rng.normal(size=(5, 5))
-    P, q = M.T @ M + np.eye(5), rng.normal(size=5)
-    # a dense A takes the box polish, a sparse one the general polish
-    for A, name in ((np.eye(5), "_polish_box"), (sp.eye(5, format="csc"), "_try_polish")):
-        prob = QpProblem(P, q, A, -0.1 * np.ones(5), 0.1 * np.ones(5))
-        calls.clear()
-        s = QpSettings(max_iters=40, check_interval=1, polish=False, eps_prim=1e-30, eps_dual=1e-30)
-        assert AdmmSolver(s).solve(prob).status == "max_iters"
-        assert calls == []
-        AdmmSolver(QpSettings(max_iters=40, check_interval=1, eps_prim=1e-30, eps_dual=1e-30)).solve(prob)
-        assert calls and set(calls) == {name}  # the counter does see polish attempts when they are on
 
 
 def _scaled_box_problem(c):
@@ -285,10 +318,11 @@ def _scaled_box_problem(c):
 @pytest.mark.parametrize("c", [1.0, 1e6, 1e9, 1e11])
 def test_polish_accepts_badly_scaled_box_qp(c):
     # with |q| ~ c the stationarity residual of the exact optimum rounds at
-    # about 1e-16 c, above an absolute 1e-6 once c >= 1e9; the polish must
-    # still accept it at iteration 0 and return the unscaled optimum
+    # about 1e-16 c, above an absolute 1e-6 once c >= 1e9; the walk from a
+    # warm start at the origin must still be accepted at iteration 0 and
+    # return the unscaled optimum
     ref = AdmmSolver().solve(_scaled_box_problem(1.0))
-    sol = AdmmSolver().solve(_scaled_box_problem(c))
+    sol = AdmmSolver().solve(_scaled_box_problem(c), warm=(np.zeros(18), np.zeros(18)))
     assert sol.status == "solved"
     assert sol.iterations == 0
     assert np.any(np.abs(ref.z) > 1.0 - 1e-9)  # some bounds are active
@@ -379,16 +413,20 @@ def test_box_equilibration_matches_dense_ruiz(data):
         np.testing.assert_array_equal(g, r)
 
 
-def test_indefinite_box_qp_reports_failure():
-    # a condensed P can come out numerically indefinite (one eigenvalue
-    # -0.5 among large positive ones): the walk's Cholesky fails, ADMM runs
-    # to its cap, and the solver reports that instead of raising
+def _indefinite_box_problem():
+    # one eigenvalue -0.5 among large positive ones: far more indefinite
+    # than the rounding floor the walk shifts by
     rng = np.random.default_rng(209)
     Q, _ = np.linalg.qr(rng.normal(size=(18, 18)))
     P = Q @ np.diag(np.concatenate([[-0.5], np.logspace(0, 8, 17)])) @ Q.T
     P = 0.5 * (P + P.T)
-    prob = QpProblem(P, rng.normal(size=18), np.eye(18), -np.ones(18), np.ones(18))
-    sol = AdmmSolver(QpSettings(max_iters=50)).solve(prob)
+    return QpProblem(P, rng.normal(size=18), np.eye(18), -np.ones(18), np.ones(18))
+
+
+def test_indefinite_box_qp_reports_failure():
+    # the walk's Cholesky fails, ADMM runs to its cap, and the solver
+    # reports that instead of raising
+    sol = AdmmSolver(QpSettings(max_iters=50)).solve(_indefinite_box_problem())
     assert sol.status != "solved"
     assert sol.iterations == 50  # the ADMM fallback ran
 
