@@ -8,11 +8,13 @@ W is the identity.  Each constraint structure has one builder:
 * ``build_large_param`` -- states and knots are all decision variables
   and the dynamics enter as equality constraints (big and sparse).
 * ``build_small_param`` -- the states are condensed out through the
-  prediction matrices, leaving the knots (small and dense).
+  prediction matrices, leaving the knots (small and dense): one
+  recursion for [S | v], one Gram product for P, q and the offset.
 
 ``build`` maps the four formulation names onto them: ``large_param`` and
 ``small_param`` take a knot schedule, and the per-step kinds ``large`` and
-``small`` run the same builders with p = T.
+``small`` run the same builders with p = T.  W, its nonzero pattern and
+W'W are computed once per schedule.
 
 All of them minimize the same tracking objective
 
@@ -30,6 +32,7 @@ the condensed form's comes from the free-response error.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,49 +135,51 @@ def _check_symmetric(M, name):
 # prediction matrices (state condensation)
 
 
-def _free_response(model: DiscreteLinearModel, T: int, x0) -> np.ndarray:
-    """Stacked states x_1..x_T under zero input (the v of S u + v)."""
-    v = np.empty((T, model.n))
-    x = np.asarray(x0, float)
-    for k in range(T):
-        x = model.Ad @ x + model.wd
-        v[k] = x
-    return v.ravel()
+@functools.lru_cache(maxsize=32)
+def _schedule_weights(sched: KnotSchedule) -> tuple[np.ndarray, ...]:
+    """W (T, p), the row and column indices of its nonzeros, and W'W: the
+    per-schedule constants of the builders, shared and read-only."""
+    W = interpolation_matrix(sched)
+    arrays = (W, *np.nonzero(W), W.T @ W)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
-def _param_prediction(model: DiscreteLinearModel, W: np.ndarray, x0: np.ndarray):
-    """S in knot coordinates (nT x mp) and v, for interpolation weights W (T, p).
+def _param_prediction(model: DiscreteLinearModel, sched: KnotSchedule, x0: np.ndarray) -> np.ndarray:
+    """[S | v] (T, n, pm + 1): the states x_1..x_T are S U + v for knots U.
 
-    Block row k is Ad times block row k-1 plus the forcing kron(W[k], Bd).
-    A row of W has at most two nonzeros, so the forcing blocks are written
-    only there, in one indexed assignment; the recursion then accumulates
-    into them in place.
+    One recursion builds both: block row k is Ad times block row k-1 plus
+    a forcing, kron(W[k], Bd) in the S columns and wd in the v column (row
+    0 of v also gets Ad x0).  A row of W has at most two nonzeros, so the
+    forcing blocks are written only there, in one indexed assignment, and
+    the recursion accumulates into them in place.
     """
-    n, m = model.n, model.m
-    T, p = W.shape
-    ks, js = np.nonzero(W)
-    S = np.zeros((T, n, p, m))
-    S[ks, :, js, :] = W[ks, js, None, None] * model.Bd
-    S = S.reshape(T, n, p * m)
-    prev = S[0]
-    for blk in S[1:]:
-        blk += model.Ad @ prev
-        prev = blk
-    return S.reshape(T * n, p * m), _free_response(model, T, x0)
+    W, ks, js, _ = _schedule_weights(sched)
+    (T, p), (n, m) = W.shape, model.Bd.shape
+    Sv = np.zeros((T, n, p * m + 1))
+    Sv[:, :, :-1].reshape(T, n, p, m)[ks, :, js, :] = W[ks, js, None, None] * model.Bd
+    Sv[0, :, -1] = model.Ad @ x0
+    Sv[:, :, -1] += model.wd
+    for prev, blk in zip(Sv, Sv[1:]):
+        blk += model.Ad @ prev  # prev is the row the last pass finished
+    return Sv
 
 
 # ---------------------------------------------------------------------------
 # builders, one per constraint structure
 
 
-def _param_input_cost(spec: MpcSpec, W: np.ndarray) -> np.ndarray:
+def _param_input_cost(spec: MpcSpec, sched: KnotSchedule) -> np.ndarray:
     """Knot-space quadratic equal to the per-step input cost under interpolation.
 
     With Wbig = kron(W, I_m) the summed cost is Wbig' kron(I_T, R) Wbig,
     which by the mixed-product rule equals kron(W'W, R): a (p, p) product
-    instead of two (mT, mT) ones.
+    instead of two (mT, mT) ones, formed here by broadcasting.
     """
-    return np.kron(W.T @ W, spec.R)
+    WtW = _schedule_weights(sched)[-1]
+    d = WtW.shape[0] * spec.model.m
+    return (WtW[:, None, :, None] * spec.R[None, :, None, :]).reshape(d, d)
 
 
 def build_large_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpProblem:
@@ -188,10 +193,10 @@ def build_large_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
     n = model.n
     n_inputs = sched.p * model.m
     x0 = np.asarray(x0, float)
-    W = interpolation_matrix(sched)
+    W, _, _, WtW = _schedule_weights(sched)
 
     Qbig = sp.kron(sp.eye(T + 1), spec.Q)
-    Rblk = sp.kron(sp.csc_matrix(W.T @ W), spec.R, format="csc")  # kron(W'W, R), see _param_input_cost
+    Rblk = sp.kron(sp.csc_matrix(WtW), spec.R, format="csc")  # kron(W'W, R), see _param_input_cost
     P = sp.block_diag([Qbig, Rblk, sp.csc_matrix((1, 1))], format="csc")
     z_goal = np.concatenate([np.tile(spec.x_goal, T + 1), np.tile(spec.u_goal, sched.p), [1.0]])
     q = -(P @ z_goal)
@@ -220,16 +225,14 @@ def build_large_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
     return QpProblem(P, q, A, np.concatenate(lb), np.concatenate(ub), offset)
 
 
-def _blockdiag_apply(Q, M, n):
-    """(I kron Q) @ M without materializing the block diagonal."""
-    return (Q @ M.reshape(M.shape[0] // n, n, -1)).reshape(M.shape[0], -1)
-
-
 def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpProblem:
     """Condensed formulation over the stacked knot points.
 
-    The states are eliminated through the prediction x = S z + v, leaving
-    a dense QP whose only constraint is the knot box.
+    The states are eliminated through the prediction x = S U + v, leaving
+    a dense QP whose only constraint is the knot box.  With e = v - x_goal
+    the state cost is (U; 1)' G (U; 1) for the Gram matrix
+    G = [S | e]' (I kron Q) [S | e], so one product gives the state terms
+    of P (G[:d, :d]), of q (G[:d, d]) and of the offset (G[d, d]).
     """
     T, n = spec.T, spec.model.n
     if sched.T != T:
@@ -240,22 +243,19 @@ def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
             "eliminate the states from the decision vector"
         )
     x0 = np.asarray(x0, float)
-    W = interpolation_matrix(sched)
-    S, v = _param_prediction(spec.model, W, x0)
-    R_knot = _param_input_cost(spec, W)
-    QS = _blockdiag_apply(spec.Q, S, n)
-    P = S.T @ QS + R_knot
+    Se = _param_prediction(spec.model, sched, x0)
+    Se[:, :, -1] -= spec.x_goal
+    G = Se.reshape(T * n, -1).T @ (spec.Q @ Se).reshape(T * n, -1)
+    d = G.shape[0] - 1
+    R_knot = _param_input_cost(spec, sched)
+    P = G[:d, :d] + R_knot
     P = 0.5 * (P + P.T)
-    ug_stack = np.tile(spec.u_goal, sched.p)
-    e = v - np.tile(spec.x_goal, T)
-    Qe = _blockdiag_apply(spec.Q, e[:, None], n).ravel()
-    q = S.T @ Qe - R_knot @ ug_stack
-    A = np.eye(P.shape[0])
+    q = G[:d, d] - R_knot @ np.tile(spec.u_goal, sched.p)
     # the constant: the free-response error terms plus the k = 0 stage and
     # the input goal terms, none of which depend on the knots
     err0 = spec.x_goal - x0
-    offset = float(e @ Qe + T * spec.u_goal @ spec.R @ spec.u_goal + err0 @ spec.Q @ err0)
-    return QpProblem(P, q, A, np.tile(spec.u_min, sched.p), np.tile(spec.u_max, sched.p), offset)
+    offset = float(G[d, d] + T * spec.u_goal @ spec.R @ spec.u_goal + err0 @ spec.Q @ err0)
+    return QpProblem(P, q, np.eye(d), np.tile(spec.u_min, sched.p), np.tile(spec.u_max, sched.p), offset)
 
 
 # ---------------------------------------------------------------------------

@@ -98,8 +98,9 @@ class _CostModel:
     With a linear model the tracking cost is a fixed quadratic in the knot
     points, so the problem is condensed once per solve and every generation
     is scored with one small matrix product instead of a rollout.  The
-    additive constant between the condensed objective and the full tracking
-    cost is the problem's ``offset``.
+    condensing is the QP controller's: one prediction recursion and one
+    Gram product give P, q and the ``offset``, the additive constant
+    between the condensed objective and the full tracking cost.
     """
 
     def __init__(self, spec: MpcSpec, sched: KnotSchedule, x0):

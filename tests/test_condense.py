@@ -4,12 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotmpc.condense import (
     FORMULATIONS,
     ConfigurationError,
     MpcSpec,
+    _param_input_cost,
     _param_prediction,
+    _schedule_weights,
     build,
     build_large_param,
     build_small_param,
@@ -17,7 +22,7 @@ from knotmpc.condense import (
 )
 from knotmpc.dynamics import DiscreteLinearModel, rollout
 from knotmpc.param import KnotSchedule, interpolation_matrix
-from knotmpc.qp import AdmmSolver, QpSolution
+from knotmpc.qp import AdmmSolver, QpProblem, QpSolution, solve_qp
 
 
 def _model(n=2, m=1, seed=0, spectral=0.9):
@@ -48,11 +53,18 @@ def _spec(model, T, seed=0, state_bounds=False):
 # ---------------------------------------------------------------------------
 # prediction matrices
 
+def _prediction(model, sched, x0):
+    """S (nT, pm) and v (nT,), split from the one-recursion [S | v]."""
+    Sv = _param_prediction(model, sched, x0)
+    Sv = Sv.reshape(-1, Sv.shape[-1])
+    return Sv[:, :-1], Sv[:, -1]
+
+
 def test_prediction_matrices_scalar_powers():
     # x_{k+1} = a x_k + b u_k + w unrolls to explicit powers of a
     a, b, w = 0.8, 0.3, 0.1
     model = DiscreteLinearModel(np.array([[a]]), np.array([[b]]), np.array([w]), 0.1)
-    S, v = _param_prediction(model, np.eye(3), np.array([2.0]))
+    S, v = _prediction(model, KnotSchedule(3, 3), np.array([2.0]))
     S_ref = np.array([[b, 0, 0], [a * b, b, 0], [a * a * b, a * b, b]])
     v_ref = np.array([a * 2 + w, a * (a * 2 + w) + w, a * (a * (a * 2 + w) + w) + w])
     np.testing.assert_allclose(S, S_ref, atol=1e-15)
@@ -64,7 +76,7 @@ def test_prediction_matches_rollout():
     model = _model(3, 2, seed=4)
     U = rng.normal(size=(7, 2))
     x0 = rng.normal(size=3)
-    S, v = _param_prediction(model, np.eye(7), x0)
+    S, v = _prediction(model, KnotSchedule(7, 7), x0)
     X = rollout(model, x0, U)
     pred = S @ U.ravel() + v
     np.testing.assert_allclose(pred, X[1:].ravel(), atol=1e-12)
@@ -90,7 +102,7 @@ def test_knot_prediction_is_condensed_full_prediction():
     x0 = np.array([0.4, -0.2])
     W = interpolation_matrix(sched)
     S_ref, v_ref = _unit_responses(model, x0, W)
-    Sp, vp = _param_prediction(model, W, x0)
+    Sp, vp = _prediction(model, sched, x0)
     np.testing.assert_allclose(Sp, S_ref, atol=1e-10)
     np.testing.assert_allclose(vp, v_ref, atol=1e-12)
 
@@ -99,7 +111,7 @@ def test_knot_prediction_second_block_row():
     # for T=5, p=3 the second predicted state mixes the first two knots:
     # x_2 = Ad Bd U_0 + Bd (U_0 + U_1)/2 + ...
     model = _model(2, 1, seed=2)
-    Sp, _ = _param_prediction(model, interpolation_matrix(KnotSchedule(T=5, p=3)), np.zeros(2))
+    Sp, _ = _prediction(model, KnotSchedule(T=5, p=3), np.zeros(2))
     blk = Sp[2:4]
     want = np.hstack([
         (model.Ad + 0.5 * np.eye(2)) @ model.Bd,
@@ -112,44 +124,115 @@ def test_knot_prediction_second_block_row():
 @pytest.mark.parametrize("p", [1, 4, 11])
 def test_knot_input_cost_matches_stacked_reference(p):
     # kron(W'W, R) must equal the stacked form Wbig' kron(I_T, R) Wbig, here
-    # with a full (non-diagonal) R
-    from knotmpc.condense import _param_input_cost
+    # with a full (non-diagonal) R, and np.kron bit for bit
     rng = np.random.default_rng(p)
     m, T = 3, 11
     L = rng.normal(size=(m, m))
     spec = replace(_spec(_model(2, m, seed=p), T), R=L @ L.T + 0.1 * np.eye(m))
     assert np.count_nonzero(spec.R - np.diag(np.diagonal(spec.R)))
-    W = interpolation_matrix(KnotSchedule(T=T, p=p))
+    sched = KnotSchedule(T=T, p=p)
+    W = interpolation_matrix(sched)
     Wbig = np.kron(W, np.eye(m))
     want = Wbig.T @ np.kron(np.eye(T), spec.R) @ Wbig
-    np.testing.assert_allclose(_param_input_cost(spec, W), want, rtol=1e-13, atol=1e-13)
+    got = _param_input_cost(spec, sched)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+    np.testing.assert_array_equal(got, np.kron(W.T @ W, spec.R))
 
 
-@pytest.mark.parametrize("p", [1, 4, 11])
-def test_knot_prediction_matches_kron_loop(p):
-    # same arithmetic as the per-step kron recursion, so bit-identical
-    model = _model(3, 2, seed=9)
-    x0 = np.array([0.4, -0.2, 0.1])
-    W = interpolation_matrix(KnotSchedule(T=11, p=p))
-    n, T = 3, 11
-    S_ref = np.zeros((n * T, 2 * p))
+def _kron_loop_prediction(model, W, x0):
+    """S and v from the per-step kron recursion, S and v in separate loops."""
+    n, m = model.Bd.shape
+    T, p = W.shape
+    S_ref = np.zeros((n * T, m * p))
     v_ref = np.empty(n * T)
     S_ref[:n] = np.kron(W[0], model.Bd)
     v_ref[:n] = model.Ad @ x0 + model.wd
     for k in range(1, T):
         rows, prev = slice(k * n, (k + 1) * n), slice((k - 1) * n, k * n)
         S_ref[rows] = model.Ad @ S_ref[prev] + np.kron(W[k], model.Bd)
+    for k in range(1, T):
+        rows, prev = slice(k * n, (k + 1) * n), slice((k - 1) * n, k * n)
         v_ref[rows] = model.Ad @ v_ref[prev] + model.wd
-    S, v = _param_prediction(model, W, x0)
+    return S_ref, v_ref
+
+
+@pytest.mark.parametrize("p", [1, 4, 11])
+def test_knot_prediction_matches_kron_loop(p):
+    # S takes the same arithmetic as the per-step kron recursion, so it is
+    # bit-identical; v rides along as one more column of the same matrix
+    # products, where the loop takes matrix-vector ones, so it matches to
+    # rounding
+    model = _model(3, 2, seed=9)
+    x0 = np.array([0.4, -0.2, 0.1])
+    sched = KnotSchedule(T=11, p=p)
+    S_ref, v_ref = _kron_loop_prediction(model, interpolation_matrix(sched), x0)
+    S, v = _prediction(model, sched, x0)
     np.testing.assert_array_equal(S, S_ref)
-    np.testing.assert_array_equal(v, v_ref)
+    np.testing.assert_allclose(v, v_ref, rtol=1e-13, atol=0)
+
+
+def _arm_spec(links, T, seed):
+    """A closed-loop arm spec: the preset's template, linearized and
+    discretized at a random state, with nonzero goals."""
+    from knotmpc.bench import make_plant, make_template, preset_config
+    from knotmpc.dynamics import discretize, linearize
+
+    rng = np.random.default_rng(seed)
+    cfg = preset_config("closedloop_arms")
+    plant = make_plant(cfg.robot, links)
+    x = np.concatenate([rng.uniform(-np.pi, np.pi, links), rng.normal(size=links)])
+    model = discretize(linearize(plant.ode, x, np.zeros(links)), 1.0 / cfg.rate)
+    spec = make_template(plant, cfg, T)._with_model(model)
+    return replace(spec, x_goal=rng.normal(size=2 * links), u_goal=rng.normal(size=links)), x
+
+
+@pytest.mark.parametrize("links", [1, 2, 3])
+def test_condensed_hessian_matches_two_pass_reference(links):
+    # P from the one Gram product of [S | e] is bit-identical to the two-pass
+    # form S' blockdiag(Q) S + kron(W'W, R) on the kron-loop S; q and the
+    # offset take their terms from the extra column, so they match to
+    # rounding
+    T = 30
+    spec, x0 = _arm_spec(links, T, seed=links)
+    n, Q = 2 * links, spec.Q
+    for p in (1, 3, T):
+        sched = KnotSchedule(T, p)
+        W = interpolation_matrix(sched)
+        S, v = _kron_loop_prediction(spec.model, W, x0)
+        blockdiag_Q = lambda M: np.vstack([Q @ M[k * n : (k + 1) * n] for k in range(T)])  # noqa: E731
+        R_knot = np.kron(W.T @ W, spec.R)
+        P_ref = S.T @ blockdiag_Q(S) + R_knot
+        P_ref = 0.5 * (P_ref + P_ref.T)
+        e = v - np.tile(spec.x_goal, T)
+        Qe = blockdiag_Q(e[:, None]).ravel()
+        q_ref = S.T @ Qe - R_knot @ np.tile(spec.u_goal, p)
+        err0 = spec.x_goal - x0
+        offset_ref = e @ Qe + T * spec.u_goal @ spec.R @ spec.u_goal + err0 @ Q @ err0
+        prob = build_small_param(spec, sched, x0)
+        np.testing.assert_array_equal(prob.P, P_ref)
+        np.testing.assert_allclose(prob.q, q_ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(q_ref)))
+        assert prob.offset == pytest.approx(offset_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("Tp", [(1, 1), (11, 4), (30, 3), (30, 30)])
+def test_schedule_weights_are_shared_read_only_constants(Tp):
+    sched = KnotSchedule(*Tp)
+    W, ks, js, WtW = _schedule_weights(sched)
+    want = interpolation_matrix(sched)
+    np.testing.assert_array_equal(W, want)
+    np.testing.assert_array_equal(np.stack([ks, js]), np.nonzero(want))
+    np.testing.assert_array_equal(WtW, want.T @ want)
+    # an equal schedule gets the same arrays, and none of them can be written
+    assert all(a is b for a, b in zip(_schedule_weights(KnotSchedule(*Tp)), (W, ks, js, WtW)))
+    for a in (W, ks, js, WtW):
+        with pytest.raises(ValueError):
+            a[0] = 1
 
 
 @pytest.mark.parametrize("p", [1, 3, 11])
 def test_large_param_cost_matches_dense_kron(p):
     # the sparse kron(W'W, R) gives the P of the dense kron converted to CSC,
     # bit for bit and with the same sparsity structure
-    import scipy.sparse as sp
     rng = np.random.default_rng(p)
     m, T = 3, 11
     L = rng.normal(size=(m, m))
@@ -259,6 +342,33 @@ def test_first_input_agrees_across_formulations():
             u[kind] = extract_first_input(sol, kind, spec)
         for kind in FORMULATIONS[1:]:
             np.testing.assert_allclose(u[kind], u["large"], atol=1e-6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_condensed_qp_paths_and_warm_starts_agree(data):
+    # random condensed forms: the box path (dense identity A) and the
+    # sparse path (scipy identity A) find the same knots, and a warm
+    # re-solve from a perturbed cold solution returns to it
+    n, m, T = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 2)), data.draw(st.integers(1, 12))
+    p = data.draw(st.integers(1, T))
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    u_min = rng.uniform(-2.0, 0.5, m)
+    spec = replace(
+        _spec(_model(n, m, seed=seed, spectral=rng.uniform(0.5, 1.1)), T, seed=seed),
+        u_goal=rng.normal(size=m), u_min=u_min, u_max=u_min + rng.uniform(0.1, 2.0, m),
+    )
+    box = build_small_param(spec, KnotSchedule(T, p), rng.normal(size=n))
+    sparse = QpProblem(box.P, box.q, sp.eye(p * m, format="csc"), box.lb, box.ub, box.offset)
+    cold, cold_sparse = solve_qp(box), solve_qp(sparse)
+    assert cold.status == cold_sparse.status == "solved"
+    np.testing.assert_allclose(cold_sparse.z, cold.z, rtol=0, atol=1e-8)
+    warm = (cold.z + 0.1 * rng.normal(size=p * m), cold.dual + 0.1 * rng.normal(size=p * m))
+    for prob in (box, sparse):
+        again = solve_qp(prob, warm=warm)
+        assert again.status == "solved"
+        np.testing.assert_allclose(again.z, cold.z, rtol=0, atol=1e-8)
 
 
 def test_extract_first_input_layout():
