@@ -20,7 +20,8 @@ from knotmpc.condense import (
     build_small_param,
     extract_first_input,
 )
-from knotmpc.dynamics import DiscreteLinearModel, rollout
+from knotmpc.bench import make_plant, make_template, preset_config
+from knotmpc.dynamics import DiscreteLinearModel, discretize, linearize, rollout
 from knotmpc.param import KnotSchedule, interpolation_matrix
 from knotmpc.qp import AdmmSolver, QpProblem, QpSolution, solve_qp
 
@@ -140,7 +141,7 @@ def test_knot_input_cost_matches_stacked_reference(p):
 
 
 def _kron_loop_prediction(model, W, x0):
-    """S and v from the per-step kron recursion, S and v in separate loops."""
+    """S and v from the per-step kron recursion, one block row at a time."""
     n, m = model.Bd.shape
     T, p = W.shape
     S_ref = np.zeros((n * T, m * p))
@@ -150,8 +151,6 @@ def _kron_loop_prediction(model, W, x0):
     for k in range(1, T):
         rows, prev = slice(k * n, (k + 1) * n), slice((k - 1) * n, k * n)
         S_ref[rows] = model.Ad @ S_ref[prev] + np.kron(W[k], model.Bd)
-    for k in range(1, T):
-        rows, prev = slice(k * n, (k + 1) * n), slice((k - 1) * n, k * n)
         v_ref[rows] = model.Ad @ v_ref[prev] + model.wd
     return S_ref, v_ref
 
@@ -174,9 +173,6 @@ def test_knot_prediction_matches_kron_loop(p):
 def _arm_spec(links, T, seed):
     """A closed-loop arm spec: the preset's template, linearized and
     discretized at a random state, with nonzero goals."""
-    from knotmpc.bench import make_plant, make_template, preset_config
-    from knotmpc.dynamics import discretize, linearize
-
     rng = np.random.default_rng(seed)
     cfg = preset_config("closedloop_arms")
     plant = make_plant(cfg.robot, links)
