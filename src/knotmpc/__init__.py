@@ -36,7 +36,7 @@ from .dynamics import (
 )
 from .empc import EmpcResult, EmpcSettings, Population, solve_empc
 from .param import KnotSchedule
-from .qp import AdmmSolver, QpProblem, QpSettings, QpSolution, solve_qp
+from .qp import AdmmSolver, QpProblem, QpSettings, QpSolution
 
 __version__ = "0.1.0"
 
@@ -76,5 +76,4 @@ __all__ = [
     "run_closed_loop",
     "run_experiment",
     "solve_empc",
-    "solve_qp",
 ]

@@ -1,7 +1,7 @@
 """Experiment harness: configs, presets, trial execution, CSV output.
 
-An experiment is described by a small key=value config (see
-``load_config``) naming one of five experiment kinds:
+An experiment is described by a small config naming one of five
+experiment kinds:
 
 * ``param_sweep``           closed-loop cost of knot-parameterized MPC
                             against a full-horizon traditional baseline,
@@ -14,6 +14,17 @@ An experiment is described by a small key=value config (see
                             as the robot grows
 * ``closedloop_comparison`` full closed-loop runs comparing convex and
                             evolutionary solvers
+
+Config format.  One ``key = value`` per line; the keys are the fields of
+``ExperimentConfig``, each at most once, and only ``experiment`` is
+required.  ``#`` starts a comment, blank lines are skipped.  A field typed
+as a tuple of numbers takes a comma list whose items are numbers or
+ranges ``a:b`` and ``a:b:step`` (step 1 by default): a range runs up from
+``a`` and includes ``b`` when a whole number of steps lands on it, so
+``p = 1,2,4:6`` gives (1, 2, 4, 5, 6) and ``multipliers = 0.5:1.5:0.5``
+gives (0.5, 1.0, 1.5).  On an integer field the endpoints and the step
+must be integers.  ``controllers`` is a plain comma list of controller
+tokens (see ``parse_controller_token``), which contain ``:`` themselves.
 
 Each trial's rows depend only on the config and the trial index (never
 on scheduling), so results are reproducible for a fixed seed under any
@@ -29,6 +40,7 @@ import csv
 import io
 import os
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -120,7 +132,6 @@ class ExperimentConfig:
     q_pos: float = 10.0
     q_vel: float = 0.1
     r_input: float = 0.01
-    qp_rho: float = 0.1
     qp_eps_prim: float = 1e-6
     qp_eps_dual: float = 1e-6
     qp_max_iters: int = 20000
@@ -156,15 +167,13 @@ class ExperimentConfig:
             raise ConfigError(f"u_max: must be positive, got {self.u_max}")
         if self.controllers and self.experiment in ("param_sweep", "horizon_sweep"):
             raise ConfigError(f"controllers: {self.experiment} runs fixed controllers; remove this key")
-        for tok in self.controllers:
-            parse_controller_token(tok)
         horizon = self.horizon()
         for text in self.resolved_controllers():
             p = parse_controller_token(text).p
             if p is not None and p > horizon:
                 where = "round(duration * rate)" if self.experiment == "param_sweep" else "T"
                 raise ConfigError(f"{text!r}: {p} knots do not fit the {horizon}-step horizon ({where})")
-        for name in ("q_pos", "q_vel", "r_input", "qp_rho", "qp_eps_prim", "qp_eps_dual"):
+        for name in ("q_pos", "q_vel", "r_input", "qp_eps_prim", "qp_eps_dual"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be positive")
         if self.qp_max_iters < 1:
@@ -196,18 +205,11 @@ _DEFAULT_CONTROLLERS = {
 }
 
 
-@dataclass(frozen=True)
-class ControllerToken:
-    kind: str
-    p: int | None = None
-    generations: int = 1
-    text: str = ""
-
-
-def parse_controller_token(token: str) -> ControllerToken:
-    """Parse a controller token: a kind of ``condense.CONTROLLER_KINDS``
-    followed by its positive integer arguments, ``large`` | ``small`` |
-    ``large_param:p`` | ``small_param:p`` | ``empc:p:generations``.
+def parse_controller_token(token: str) -> Controller:
+    """Parse a controller token into a ``Controller``: a kind of
+    ``condense.CONTROLLER_KINDS`` followed by its positive integer
+    arguments, ``large`` | ``small`` | ``large_param:p`` |
+    ``small_param:p`` | ``empc:p:generations``.
     """
     kind, *args = token.split(":")
     if kind not in CONTROLLER_KINDS:
@@ -218,35 +220,13 @@ def parse_controller_token(token: str) -> ControllerToken:
     values = {name: _parse_int(arg, "controllers") for name, arg in zip(names, args)}
     if any(v < 1 for v in values.values()):
         raise ConfigError(f"controllers: {' and '.join(names)} must be positive in {token!r}")
-    return ControllerToken(kind, text=token, **values)
+    if kind == "empc":
+        return Controller(kind, p=values["p"], empc=EmpcSettings(generations=values["generations"]))
+    return Controller(kind, **values)
 
 
 # ---------------------------------------------------------------------------
-# config file format
-
-
-_LIST_FIELDS = {"links": int, "p": int, "horizons": int, "multipliers": float}
-_SCALAR_FIELDS = {
-    "experiment": str,
-    "robot": str,
-    "T": int,
-    "trials": int,
-    "seed": int,
-    "duration": float,
-    "rate": float,
-    "workers": int,
-    "out": str,
-    "u_max": float,
-    "q_pos": float,
-    "q_vel": float,
-    "r_input": float,
-    "qp_rho": float,
-    "qp_eps_prim": float,
-    "qp_eps_dual": float,
-    "qp_max_iters": int,
-    "empc_sims": int,
-    "empc_parents": int,
-}
+# config file format (described in the module docstring)
 
 
 def _parse_int(text: str, field_name: str) -> int:
@@ -257,7 +237,8 @@ def _parse_int(text: str, field_name: str) -> int:
 
 
 def _parse_list(text: str, cast, field_name: str):
-    """Comma list with a:b and a:b:step range shorthand."""
+    """Comma list of ``cast`` values and inclusive ranges, as the module
+    docstring describes."""
     items = []
     for chunk in text.split(","):
         chunk = chunk.strip()
@@ -268,17 +249,16 @@ def _parse_list(text: str, cast, field_name: str):
             if len(parts) not in (2, 3):
                 raise ConfigError(f"{field_name}: bad range {chunk!r}, expected a:b or a:b:step")
             try:
-                if cast is int and len(parts) == 2:
-                    a, b = int(parts[0]), int(parts[1])
-                    items.extend(range(a, b + 1))
-                    continue
-                a, b = float(parts[0]), float(parts[1])
-                step = float(parts[2]) if len(parts) == 3 else 1.0
+                a, b = cast(parts[0]), cast(parts[1])
+                step = cast(parts[2]) if len(parts) == 3 else cast(1)
             except ValueError as e:
-                raise ConfigError(f"{field_name}: bad range {chunk!r}") from e
-            if step <= 0:
+                raise ConfigError(f"{field_name}: bad range {chunk!r}, expected {cast.__name__} bounds and step") from e
+            if not step > 0:
                 raise ConfigError(f"{field_name}: range step must be positive in {chunk!r}")
-            count = int(round((b - a) / step)) + 1
+            if not b >= a:
+                raise ConfigError(f"{field_name}: range {chunk!r} ends below its start")
+            # a slack of 1e-9 steps keeps an end that float steps reach only up to rounding
+            count = int((b - a) / step + 1e-9) + 1
             items.extend(cast(round(a + i * step, 12)) for i in range(count))
         else:
             try:
@@ -290,36 +270,41 @@ def _parse_list(text: str, cast, field_name: str):
     return tuple(items)
 
 
+def _parse_value(text: str, hint, key: str):
+    """Parse one value by its ``ExperimentConfig`` annotation."""
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        if item is str:  # controller tokens contain ':', so no ranges
+            return tuple(t.strip() for t in text.split(",") if t.strip())
+        return _parse_list(text, item, key)
+    cast = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    if cast is str:
+        return text.strip()
+    if cast is int:
+        return _parse_int(text, key)
+    try:
+        return float(text)
+    except ValueError as e:
+        raise ConfigError(f"{key}: expected a number, got {text!r}") from e
+
+
 def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     if "experiment" not in raw:
         raise ConfigError("experiment: missing (this key is required)")
+    schema = typing.get_type_hints(ExperimentConfig)
     kwargs = {}
     for key, text in raw.items():
-        if key == "controllers":
-            kwargs[key] = tuple(t.strip() for t in text.split(",") if t.strip())
-        elif key in _LIST_FIELDS:
-            kwargs[key] = _parse_list(text, _LIST_FIELDS[key], key)
-        elif key in _SCALAR_FIELDS:
-            cast = _SCALAR_FIELDS[key]
-            if cast is str:
-                kwargs[key] = text.strip()
-            elif cast is int:
-                kwargs[key] = _parse_int(text, key)
-            else:
-                try:
-                    kwargs[key] = float(text)
-                except ValueError as e:
-                    raise ConfigError(f"{key}: expected a number, got {text!r}") from e
-        else:
+        if key not in schema:
             raise ConfigError(f"{key}: unknown config key")
+        kwargs[key] = _parse_value(text, schema[key], key)
     cfg = ExperimentConfig(**kwargs)
     cfg.validate()
     return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read a ``key = value`` config file; '#' starts a comment."""
-    raw = {}
+    """Read a config file in the format of the module docstring."""
+    raw, line_of = {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -328,7 +313,11 @@ def load_config(path: str) -> ExperimentConfig:
             if "=" not in line:
                 raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
             key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
+            key = key.strip()
+            if key in line_of:
+                raise ConfigError(f"{key}: set twice, on lines {line_of[key]} and {lineno}")
+            line_of[key] = lineno
+            raw[key] = value.strip()
     return config_from_mapping(raw)
 
 
@@ -386,7 +375,6 @@ def make_template(plant, cfg: ExperimentConfig, T: int) -> MpcSpec:
 
 def qp_settings(cfg: ExperimentConfig) -> QpSettings:
     return QpSettings(
-        rho=cfg.qp_rho,
         eps_prim=cfg.qp_eps_prim,
         eps_dual=cfg.qp_eps_dual,
         max_iters=cfg.qp_max_iters,
@@ -420,16 +408,12 @@ def _sample_endpoints(rng: np.random.Generator, nj: int, step: float | None = No
     return x0, xg
 
 
-def _controller_from_token(tok: ControllerToken, cfg: ExperimentConfig, seed: int) -> Controller:
-    if tok.kind == "empc":
-        st = EmpcSettings(
-            num_sims=cfg.empc_sims,
-            num_parents=cfg.empc_parents,
-            generations=tok.generations,
-            seed=seed,
-        )
-        return Controller("empc", p=tok.p, empc=st)
-    return Controller(tok.kind, p=tok.p)
+def _controller_from_token(controller: Controller, cfg: ExperimentConfig, seed: int) -> Controller:
+    """The parsed controller with the config's EMPC population and ``seed``."""
+    if controller.kind != "empc":
+        return controller
+    empc = replace(controller.empc, num_sims=cfg.empc_sims, num_parents=cfg.empc_parents, seed=seed)
+    return replace(controller, empc=empc)
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +435,14 @@ def _trial_setup(task: _Task, step: float | None = None):
 
 
 def _controllers(task: _Task):
-    """(token, controller) for each controller the trial runs, baseline first."""
+    """Each controller the trial runs, baseline first."""
     cfg = task.cfg
     for c_idx, text in enumerate(cfg.resolved_controllers()):
-        tok = parse_controller_token(text)
-        yield tok, _controller_from_token(tok, cfg, _derived_seed(cfg, task.links, task.trial, c_idx))
+        seed = _derived_seed(cfg, task.links, task.trial, c_idx)
+        yield _controller_from_token(parse_controller_token(text), cfg, seed)
 
 
-def _row(task: _Task, tok: ControllerToken, T: int, x0, xg, report=None, **extra) -> dict:
+def _row(task: _Task, controller: Controller, T: int, x0, xg, report=None, **extra) -> dict:
     """One CSV row: one controller's result in one trial; ``extra`` sets
     the columns the experiment adds (and ``steps`` for a one-shot solve)."""
     cfg = task.cfg
@@ -468,9 +452,9 @@ def _row(task: _Task, tok: ControllerToken, T: int, x0, xg, report=None, **extra
         robot=cfg.robot,
         links=task.links if cfg.robot == "nlink" else 1,
         T=T,
-        p=tok.p if tok.p is not None else "",
-        controller=tok.kind,
-        generations=tok.generations if tok.kind == "empc" else "",
+        p=controller.p if controller.p is not None else "",
+        controller=controller.kind,
+        generations=controller.empc.generations if controller.kind == "empc" else "",
         trial=task.trial,
         seed=cfg.seed,
         start=_fmt_vec(x0),
@@ -521,11 +505,11 @@ def _run_comparison(task: _Task) -> list[dict]:
     template = make_template(plant, cfg, cfg.horizon())
     rows = []
     base_cost = None
-    for tok, controller in _controllers(task):
+    for controller in _controllers(task):
         report = _closed_loop(plant, controller, template, x0, xg, cfg)
         if base_cost is None:
             base_cost = report.actual_cost
-        rows.append(_row(task, tok, template.T, x0, xg, report,
+        rows.append(_row(task, controller, template.T, x0, xg, report,
                          cost_ratio=cost_ratio(report.actual_cost, base_cost)))
     return rows
 
@@ -534,14 +518,14 @@ def _run_horizon_sweep(task: _Task) -> list[dict]:
     """One closed loop per distinct horizon, costs relative to horizon T."""
     cfg = task.cfg
     plant, x0, xg = _trial_setup(task)
-    tok, controller = next(_controllers(task))
+    controller = next(_controllers(task))
     reports = {}
     for T in (cfg.T, *cfg.horizons):
         if T not in reports:
             reports[T] = _closed_loop(plant, controller, make_template(plant, cfg, T), x0, xg, cfg)
     base = reports[cfg.T]
     return [
-        _row(task, tok, T, x0, xg, reports[T], cost_ratio=cost_ratio(reports[T].actual_cost, base.actual_cost))
+        _row(task, controller, T, x0, xg, reports[T], cost_ratio=cost_ratio(reports[T].actual_cost, base.actual_cost))
         for T in cfg.horizons
     ]
 
@@ -552,7 +536,7 @@ def _run_robustness(task: _Task) -> list[dict]:
     template = make_template(plant, cfg, cfg.T)
 
     rows = []
-    for tok, controller in _controllers(task):
+    for controller in _controllers(task):
         reports = {}
         for mult in sorted(set(cfg.multipliers) | {1.0}):
             wrong = apply_error_multiplier(plant.params, mult)
@@ -560,7 +544,7 @@ def _run_robustness(task: _Task) -> list[dict]:
             reports[mult] = _closed_loop(plant, controller, template, x0, xg, cfg, controller_plant=model_plant)
         for mult in cfg.multipliers:
             report = reports[mult]
-            rows.append(_row(task, tok, cfg.T, x0, xg, report, multiplier=mult,
+            rows.append(_row(task, controller, cfg.T, x0, xg, report, multiplier=mult,
                              normalized_cost=cost_ratio(report.actual_cost, reports[1.0].actual_cost)))
     return rows
 
@@ -573,9 +557,9 @@ def _run_solve_time_scaling(task: _Task) -> list[dict]:
     spec = replace(make_template(plant, cfg, cfg.T), model=model, x_goal=xg)
 
     rows = []
-    for tok, controller in _controllers(task):
-        sched = KnotSchedule(cfg.T, tok.p) if tok.p is not None else None
-        if tok.kind == "empc":
+    for controller in _controllers(task):
+        sched = KnotSchedule(cfg.T, controller.p) if controller.p is not None else None
+        if controller.kind == "empc":
             t0 = time.perf_counter()
             solve_empc(spec, sched, controller.empc, x0)
             opt = total = time.perf_counter() - t0
@@ -583,10 +567,10 @@ def _run_solve_time_scaling(task: _Task) -> list[dict]:
         else:
             solver = AdmmSolver(qp_settings(cfg))
             t0 = time.perf_counter()
-            sol = solver.solve(build(tok.kind, spec, x0, sched))
+            sol = solver.solve(build(controller.kind, spec, x0, sched))
             total = time.perf_counter() - t0
             opt, failed = sol.solve_time, int(sol.status != "solved")
-        rows.append(_row(task, tok, cfg.T, x0, xg, steps=1, opt_time_med=opt, mpc_time_med=total, failures=failed))
+        rows.append(_row(task, controller, cfg.T, x0, xg, steps=1, opt_time_med=opt, mpc_time_med=total, failures=failed))
     return rows
 
 
@@ -666,114 +650,99 @@ def rows_to_csv_text(rows: list[dict], include_timing: bool = True) -> str:
 # presets
 
 
-def _preset_param_sweep_linear() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment="param_sweep",
-        robot="pendulum_nograv",
-        p=(1, 2, 3, 4, 8, 16, 32, 64, 100),
-        trials=20,
-        duration=1.0,
-        rate=100.0,
-        seed=1001,
-        out="param_sweep_linear.csv",
-    )
+_PARAM_SWEEP_LINEAR = ExperimentConfig(
+    experiment="param_sweep",
+    robot="pendulum_nograv",
+    p=(1, 2, 3, 4, 8, 16, 32, 64, 100),
+    trials=20,
+    duration=1.0,
+    rate=100.0,
+    seed=1001,
+    out="param_sweep_linear.csv",
+)
 
+_ROBUSTNESS_PENDULUM = ExperimentConfig(
+    experiment="robustness",
+    robot="pendulum",
+    T=50,
+    multipliers=tuple(round(0.5 + 0.1 * i, 10) for i in range(11)),
+    controllers=("small", "small_param:2", "small_param:4", "small_param:8"),
+    trials=20,
+    duration=2.0,
+    rate=100.0,
+    seed=1004,
+    out="robustness_pendulum.csv",
+)
 
-def _preset_param_sweep_gravity() -> ExperimentConfig:
-    return replace(_preset_param_sweep_linear(), robot="pendulum", seed=1002, out="param_sweep_gravity.csv")
+_SOLVE_TIMES_T50 = ExperimentConfig(
+    experiment="solve_time_scaling",
+    robot="nlink",
+    links=tuple(range(1, 14)),
+    T=50,
+    controllers=("large", "small", "large_param:5", "small_param:5", "empc:5:1"),
+    trials=20,
+    rate=100.0,
+    seed=1006,
+    out="solve_times_t50.csv",
+)
 
-
-def _preset_horizon_sweep() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment="horizon_sweep",
-        robot="pendulum_nograv",
-        T=50,
-        horizons=(5, 10, 15, 20, 25, 30, 40, 50, 75, 100),
-        trials=20,
-        duration=1.0,
-        rate=100.0,
-        seed=1003,
-        out="horizon_sweep.csv",
-    )
-
-
-def _preset_robustness_pendulum() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment="robustness",
-        robot="pendulum",
-        T=50,
-        multipliers=tuple(round(0.5 + 0.1 * i, 10) for i in range(11)),
-        controllers=("small", "small_param:2", "small_param:4", "small_param:8"),
-        trials=20,
-        duration=2.0,
-        rate=100.0,
-        seed=1004,
-        out="robustness_pendulum.csv",
-    )
-
-
-def _preset_robustness_arm() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment="robustness",
-        robot="nlink",
-        links=(3,),
-        T=50,
-        multipliers=tuple(round(0.5 + 0.1 * i, 10) for i in range(11)),
-        controllers=("small", "small_param:4"),
-        trials=20,
-        duration=2.0,
-        rate=100.0,
-        seed=1005,
-        out="robustness_arm.csv",
-    )
-
-
-def _preset_solve_times_t50() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment="solve_time_scaling",
-        robot="nlink",
-        links=tuple(range(1, 14)),
-        T=50,
-        controllers=("large", "small", "large_param:5", "small_param:5", "empc:5:1"),
-        trials=20,
-        rate=100.0,
-        seed=1006,
-        out="solve_times_t50.csv",
-    )
-
-
-def _preset_solve_times_t100() -> ExperimentConfig:
-    return replace(_preset_solve_times_t50(), T=100, seed=1007, out="solve_times_t100.csv")
-
-
-def _preset_closedloop_arms() -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment="closedloop_comparison",
-        robot="nlink",
-        links=(1, 2, 4, 6),
-        T=100,
-        controllers=("large", "small_param:3", "empc:3:1", "empc:3:3"),
-        trials=5,
-        duration=10.0,
-        rate=100.0,
-        seed=1008,
-        out="closedloop_arms.csv",
-    )
-
-
+# name -> (config, description); the configs are frozen, so callers share them
 PRESETS = {
-    "param_sweep_linear": (_preset_param_sweep_linear, "knot-count sweep on the no-gravity pendulum"),
-    "param_sweep_gravity": (_preset_param_sweep_gravity, "knot-count sweep on the gravity pendulum"),
-    "horizon_sweep": (_preset_horizon_sweep, "horizon-length sweep, traditional MPC"),
-    "robustness_pendulum": (_preset_robustness_pendulum, "inertial-error robustness on the pendulum"),
-    "robustness_arm": (_preset_robustness_arm, "inertial-error robustness on a 3-link arm"),
-    "solve_times_t50": (_preset_solve_times_t50, "formulation solve times vs links, horizon 50"),
-    "solve_times_t100": (_preset_solve_times_t100, "formulation solve times vs links, horizon 100"),
-    "closedloop_arms": (_preset_closedloop_arms, "closed-loop convex vs evolutionary comparison"),
+    "param_sweep_linear": (_PARAM_SWEEP_LINEAR, "knot-count sweep on the no-gravity pendulum"),
+    "param_sweep_gravity": (
+        replace(_PARAM_SWEEP_LINEAR, robot="pendulum", seed=1002, out="param_sweep_gravity.csv"),
+        "knot-count sweep on the gravity pendulum",
+    ),
+    "horizon_sweep": (
+        ExperimentConfig(
+            experiment="horizon_sweep",
+            robot="pendulum_nograv",
+            T=50,
+            horizons=(5, 10, 15, 20, 25, 30, 40, 50, 75, 100),
+            trials=20,
+            duration=1.0,
+            rate=100.0,
+            seed=1003,
+            out="horizon_sweep.csv",
+        ),
+        "horizon-length sweep, traditional MPC",
+    ),
+    "robustness_pendulum": (_ROBUSTNESS_PENDULUM, "inertial-error robustness on the pendulum"),
+    "robustness_arm": (
+        replace(
+            _ROBUSTNESS_PENDULUM,
+            robot="nlink",
+            links=(3,),
+            controllers=("small", "small_param:4"),
+            seed=1005,
+            out="robustness_arm.csv",
+        ),
+        "inertial-error robustness on a 3-link arm",
+    ),
+    "solve_times_t50": (_SOLVE_TIMES_T50, "formulation solve times vs links, horizon 50"),
+    "solve_times_t100": (
+        replace(_SOLVE_TIMES_T50, T=100, seed=1007, out="solve_times_t100.csv"),
+        "formulation solve times vs links, horizon 100",
+    ),
+    "closedloop_arms": (
+        ExperimentConfig(
+            experiment="closedloop_comparison",
+            robot="nlink",
+            links=(1, 2, 4, 6),
+            T=100,
+            controllers=("large", "small_param:3", "empc:3:1", "empc:3:3"),
+            trials=5,
+            duration=10.0,
+            rate=100.0,
+            seed=1008,
+            out="closedloop_arms.csv",
+        ),
+        "closed-loop convex vs evolutionary comparison",
+    ),
 }
 
 
 def preset_config(name: str) -> ExperimentConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    return PRESETS[name][0]()
+    return PRESETS[name][0]

@@ -59,8 +59,7 @@ def _cmd_run(args) -> int:
 def _cmd_presets(args) -> int:
     width = max(len(name) for name in PRESETS)
     for name in sorted(PRESETS):
-        factory, desc = PRESETS[name]
-        print(f"{name:<{width}}  {desc}")
+        print(f"{name:<{width}}  {PRESETS[name][1]}")
     if args.write is not None:
         os.makedirs(args.write, exist_ok=True)
         for name in sorted(PRESETS):

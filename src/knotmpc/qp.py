@@ -52,6 +52,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 _EQ_TOL = 1e-12
+_RHO = 0.1  # ADMM penalty on inequality rows
 _RHO_EQ_SCALE = 1e3
 _SIGMA = 1e-6  # proximal regularization of the x-update
 _ALPHA = 1.6  # over-relaxation
@@ -66,7 +67,6 @@ class QpSettings:
     Residuals are checked, and the exact finish tried, every
     ``_CHECK_INTERVAL`` ADMM iterations up to ``max_iters``."""
 
-    rho: float = 0.1
     eps_prim: float = 1e-6
     eps_dual: float = 1e-6
     max_iters: int = 20000
@@ -203,7 +203,7 @@ class AdmmSolver:
         P2 = P2 * 2.0
 
         eq = np.isfinite(prob.lb) & (prob.ub - prob.lb < _EQ_TOL)
-        rho_vec = np.full(r, s.rho)
+        rho_vec = np.full(r, _RHO)
         rho_vec[eq] *= _RHO_EQ_SCALE
         inv_rho = 1.0 / rho_vec
 
@@ -597,11 +597,3 @@ def _infeasibility_certificate(At_dy, dy, lb, ub, eps) -> bool:
     val = ub[fin_ub] @ dyp[fin_ub] + lb[fin_lb] @ dym[fin_lb]
     return val <= -eps * norm_dy
 
-
-def solve_qp(
-    prob: QpProblem,
-    warm: tuple[np.ndarray, np.ndarray] | None = None,
-    settings: QpSettings | None = None,
-) -> QpSolution:
-    """One-shot solve with a fresh solver instance."""
-    return AdmmSolver(settings).solve(prob, warm=warm)

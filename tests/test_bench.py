@@ -3,7 +3,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,13 +41,13 @@ from knotmpc.dynamics import NLinkArm, Pendulum
 # controller tokens
 
 def test_token_grammar():
-    t = parse_controller_token("large")
-    assert (t.kind, t.p, t.generations) == ("large", None, 1)
-    t = parse_controller_token("small_param:4")
-    assert (t.kind, t.p) == ("small_param", 4)
-    t = parse_controller_token("empc:3:5")
-    assert (t.kind, t.p, t.generations) == ("empc", 3, 5)
-    assert t.text == "empc:3:5"
+    c = parse_controller_token("large")
+    assert c == Controller("large")
+    assert (c.kind, c.p, c.empc) == ("large", None, None)
+    c = parse_controller_token("small_param:4")
+    assert (c.kind, c.p) == ("small_param", 4)
+    c = parse_controller_token("empc:3:5")
+    assert (c.kind, c.p, c.empc.generations) == ("empc", 3, 5)
 
 
 def test_token_errors():
@@ -93,6 +93,11 @@ def test_config_from_mapping_parses_lists_and_ranges():
     assert cfg.multipliers == (0.5, 1.0, 1.5)
     assert cfg.trials == 3
     assert cfg.links == (2,)
+    # a range stops at its end, also when the step does not land on it
+    for text, want in (("1:4:2", (1, 3)), ("2:2", (2,)), ("3,5:7:2", (3, 5, 7))):
+        assert config_from_mapping({"experiment": "param_sweep", "p": text}).p == want
+    for text, want in (("0.5:1.2:0.5", (0.5, 1.0)), ("0.5:1.1:0.1", (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1))):
+        assert config_from_mapping({"experiment": "robustness", "multipliers": text}).multipliers == want
 
 
 def test_load_config_ignores_comments(tmp_path):
@@ -123,6 +128,51 @@ def test_config_errors():
         config_from_mapping({"experiment": "param_sweep", "robot": "quadrotor"})
     with pytest.raises(ConfigError):
         config_from_mapping({"experiment": "robustness", "duration": "0.004", "rate": "100"})  # zero steps
+    # an int list takes integer endpoints and steps only, and a range must not run backwards
+    for text in ("1:2:0.5", "1.5:3", "1:2.0", "3,5:1", "2:1:1", "1:3:0", "1:2:3:4"):
+        with pytest.raises(ConfigError, match="p: "):
+            config_from_mapping({"experiment": "param_sweep", "p": text})
+    with pytest.raises(ConfigError, match="multipliers: "):
+        config_from_mapping({"experiment": "robustness", "multipliers": "1.5:0.5"})
+
+
+def test_load_config_rejects_repeated_keys(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("experiment = param_sweep\ntrials = 2\n# fewer\ntrials = 1\n")
+    with pytest.raises(ConfigError, match="trials: set twice, on lines 2 and 4"):
+        load_config(str(path))
+
+
+def test_dump_load_round_trip_of_every_field(tmp_path):
+    cfg = ExperimentConfig(
+        experiment="closedloop_comparison",
+        robot="nlink",
+        links=(2, 3),
+        T=20,
+        p=(2, 5),
+        horizons=(5, 15),
+        multipliers=(0.5, 1.25),
+        controllers=("small", "empc:4:2"),
+        trials=3,
+        seed=17,
+        duration=0.5,
+        rate=50.0,
+        workers=2,
+        out="all.csv",
+        u_max=1.5,
+        q_pos=3.0,
+        q_vel=0.5,
+        r_input=0.02,
+        qp_eps_prim=1e-5,
+        qp_eps_dual=2e-5,
+        qp_max_iters=500,
+        empc_sims=64,
+        empc_parents=8,
+    )
+    assert all(getattr(cfg, f.name) != f.default for f in fields(ExperimentConfig))
+    path = tmp_path / "all.cfg"
+    path.write_text(dump_config(cfg))
+    assert load_config(str(path)) == cfg
 
 
 def test_dump_load_round_trip(tmp_path):

@@ -23,7 +23,7 @@ from knotmpc.condense import (
 from knotmpc.bench import make_plant, make_template, preset_config
 from knotmpc.dynamics import DiscreteLinearModel, discretize, linearize, rollout
 from knotmpc.param import KnotSchedule, interpolation_matrix
-from knotmpc.qp import AdmmSolver, QpProblem, QpSolution, solve_qp
+from knotmpc.qp import AdmmSolver, QpProblem, QpSolution
 
 
 def _model(n=2, m=1, seed=0, spectral=0.9):
@@ -357,12 +357,12 @@ def test_condensed_qp_paths_and_warm_starts_agree(data):
     )
     box = build_small_param(spec, KnotSchedule(T, p), rng.normal(size=n))
     sparse = QpProblem(box.P, box.q, sp.eye(p * m, format="csc"), box.lb, box.ub, box.offset)
-    cold, cold_sparse = solve_qp(box), solve_qp(sparse)
+    cold, cold_sparse = AdmmSolver().solve(box), AdmmSolver().solve(sparse)
     assert cold.status == cold_sparse.status == "solved"
     np.testing.assert_allclose(cold_sparse.z, cold.z, rtol=0, atol=1e-8)
     warm = (cold.z + 0.1 * rng.normal(size=p * m), cold.dual + 0.1 * rng.normal(size=p * m))
     for prob in (box, sparse):
-        again = solve_qp(prob, warm=warm)
+        again = AdmmSolver().solve(prob, warm=warm)
         assert again.status == "solved"
         np.testing.assert_allclose(again.z, cold.z, rtol=0, atol=1e-8)
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotmpc import qp
-from knotmpc.qp import AdmmSolver, QpProblem, QpSettings, QpSolution, _is_box, solve_qp
+from knotmpc.qp import AdmmSolver, QpProblem, QpSettings, QpSolution, _is_box
 
 # equality-constrained QP assembled from default_rng(42):
 #   M = normal(6,6); P = M'M + I; q = normal(6); A = normal(2,6); b = normal(2)
@@ -44,7 +44,7 @@ def test_diagonal_box_qp_analytic():
     # separable problem, each coordinate clips independently
     P = np.diag([2.0, 1.0, 4.0])
     q = np.array([-2.0, 3.0, 0.0])
-    sol = solve_qp(QpProblem(P, q, np.eye(3), -np.ones(3), np.ones(3)))
+    sol = AdmmSolver().solve(QpProblem(P, q, np.eye(3), -np.ones(3), np.ones(3)))
     assert sol.status == "solved"
     np.testing.assert_allclose(sol.z, [1.0, -1.0, 0.0], atol=1e-7)
     assert sol.objective == pytest.approx(-7.0, abs=1e-7)
@@ -101,7 +101,7 @@ def test_box_qp_matches_exhaustive_enumeration(data):
     q = rng.normal(size=d)
     lb = rng.uniform(-2.0, 0.0, d)
     ub = rng.uniform(0.0, 2.0, d)
-    sol = solve_qp(QpProblem(P, q, np.eye(d), lb, ub))
+    sol = AdmmSolver().solve(QpProblem(P, q, np.eye(d), lb, ub))
     assert sol.status == "solved"
     z_ref, obj_ref = _enumerate_box_optimum(P, q, lb, ub)
     np.testing.assert_allclose(sol.z, z_ref, atol=1e-5)
@@ -129,7 +129,7 @@ def test_solution_satisfies_unscaled_kkt_after_bad_scaling():
     A = np.vstack([np.eye(5), rng.normal(size=(2, 5))]) @ D
     lb = np.concatenate([-np.ones(5) * 1e3, [-5.0, -5.0]])
     ub = np.concatenate([np.ones(5) * 1e3, [5.0, 5.0]])
-    sol = solve_qp(QpProblem(Pb, qb, A, lb, ub))
+    sol = AdmmSolver().solve(QpProblem(Pb, qb, A, lb, ub))
     assert sol.status == "solved"
     r_dual = 2.0 * Pb @ sol.z + 2.0 * qb + A.T @ sol.dual
     assert np.max(np.abs(r_dual)) <= 2e-6
@@ -182,13 +182,13 @@ def test_sparse_and_dense_paths_agree():
     assert _is_box(np.eye(n)) and not _is_box(sp.eye(n, format="csc"))
     box = QpProblem(P, q, np.eye(n), lb, ub)
     general = QpProblem(P, q, sp.eye(n, format="csc"), lb, ub)
-    dense, sparse = solve_qp(box), solve_qp(general)
+    dense, sparse = AdmmSolver().solve(box), AdmmSolver().solve(general)
     assert dense.status == sparse.status == "solved"
     assert min(dense.iterations, sparse.iterations) > 0
     assert np.any(np.abs(dense.z) > 0.4 - 1e-9)  # some bounds are active
     np.testing.assert_allclose(dense.z, sparse.z, atol=1e-9)
     for prob, other in ((box, sparse), (general, dense)):
-        warm = solve_qp(prob, warm=(other.z, other.dual))
+        warm = AdmmSolver().solve(prob, warm=(other.z, other.dual))
         assert warm.status == "solved" and warm.iterations == 0
         np.testing.assert_allclose(warm.z, other.z, atol=1e-9)
 
@@ -367,13 +367,13 @@ def test_problem_rejects_non_finite_data():
     with pytest.raises(ValueError, match="inf"):
         QpProblem(P, q, A, np.array([-np.inf, -1.0]), np.array([-np.inf, 1.0]))  # z <= -inf
     # infinite bounds are a free side, not bad data
-    sol = solve_qp(QpProblem(P, np.array([-3.0, 0.5]), A, np.array([-np.inf, -1.0]), np.array([1.0, np.inf])))
+    sol = AdmmSolver().solve(QpProblem(P, np.array([-3.0, 0.5]), A, np.array([-np.inf, -1.0]), np.array([1.0, np.inf])))
     assert sol.status == "solved"
     np.testing.assert_allclose(sol.z, [1.0, -0.5], atol=1e-7)
 
 
 def test_solution_type():
-    sol = solve_qp(QpProblem(np.eye(2), np.ones(2), np.eye(2), -np.ones(2), np.ones(2)))
+    sol = AdmmSolver().solve(QpProblem(np.eye(2), np.ones(2), np.eye(2), -np.ones(2), np.ones(2)))
     assert isinstance(sol, QpSolution)
     assert sol.solve_time >= 0.0
     assert sol.iterations >= 0
