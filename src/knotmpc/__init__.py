@@ -36,12 +36,13 @@ from .dynamics import (
 )
 from .empc import EmpcResult, EmpcSettings, Population, solve_empc
 from .param import KnotSchedule
-from .qp import AdmmSolver, QpProblem, QpSettings, QpSolution
+from .qp import AdmmSolver, BoxQp, QpProblem, QpSettings, QpSolution
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdmmSolver",
+    "BoxQp",
     "CONTROLLER_KINDS",
     "ConfigError",
     "ConfigurationError",

@@ -149,6 +149,12 @@ class ExperimentConfig:
             raise ConfigError(f"T: horizon must be >= 1, got {self.T}")
         if self.trials < 1:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
+        # every float field, before the checks below: NaN passes each x <= 0,
+        # and an infinite duration or rate overflows round(duration * rate)
+        for name, hint in typing.get_type_hints(ExperimentConfig).items():
+            value = getattr(self, name)
+            if float in (hint, *typing.get_args(hint)) and value is not None and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{name}: must be finite, got {value}")
         if self.duration <= 0:
             raise ConfigError(f"duration: must be positive, got {self.duration}")
         if self.rate <= 0:
@@ -253,6 +259,8 @@ def _parse_list(text: str, cast, field_name: str):
                 step = cast(parts[2]) if len(parts) == 3 else cast(1)
             except ValueError as e:
                 raise ConfigError(f"{field_name}: bad range {chunk!r}, expected {cast.__name__} bounds and step") from e
+            if not (np.isfinite(a) and np.isfinite(b)):
+                raise ConfigError(f"{field_name}: range {chunk!r} needs finite ends")
             if not step > 0:
                 raise ConfigError(f"{field_name}: range step must be positive in {chunk!r}")
             if not b >= a:

@@ -8,7 +8,7 @@ W is the identity.  Each constraint structure has one builder:
 * ``build_large_param`` -- states and knots are all decision variables
   and the dynamics enter as equality constraints (big and sparse).
 * ``build_small_param`` -- the states are condensed out through the
-  prediction matrices, leaving the knots (small and dense): one
+  prediction matrices, leaving a ``BoxQp`` over the knots: one
   recursion for [S | v], one Gram product for P, q and the offset.
 
 ``build`` maps the four formulation names onto them: ``large_param`` and
@@ -24,7 +24,7 @@ All of them minimize the same tracking objective
 so their minimizers agree (the parameterized ones on the restricted
 input family), even though the two structures drop different additive
 constants from the quadratic form.  Each builder records its constant as
-``QpProblem.offset``, so ``objective + offset`` is the tracking cost: the
+the problem's ``offset``, so ``objective + offset`` is the tracking cost: the
 large form's is the goal terms (T+1) x_goal'Q x_goal + T u_goal'R u_goal,
 the condensed form's comes from the free-response error.
 """
@@ -40,7 +40,7 @@ import scipy.sparse as sp
 
 from .dynamics import DiscreteLinearModel
 from .param import KnotSchedule, interpolation_matrix
-from .qp import QpProblem, QpSolution
+from .qp import BoxQp, QpProblem, QpSolution
 
 # Controller kinds, each with the integer arguments its token takes after
 # the name ("small_param:3", "empc:3:1"): the four QP formulations built
@@ -225,12 +225,12 @@ def build_large_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
     return QpProblem(P, q, A, np.concatenate(lb), np.concatenate(ub), offset)
 
 
-def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpProblem:
+def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> BoxQp:
     """Condensed formulation over the stacked knot points.
 
     The states are eliminated through the prediction x = S U + v, leaving
-    a dense QP whose only constraint is the knot box.  With e = v - x_goal
-    the state cost is (U; 1)' G (U; 1) for the Gram matrix
+    a ``BoxQp``: a dense QP whose only constraint is the knot box.  With
+    e = v - x_goal the state cost is (U; 1)' G (U; 1) for the Gram matrix
     G = [S | e]' (I kron Q) [S | e], so one product gives the state terms
     of P (G[:d, :d]), of q (G[:d, d]) and of the offset (G[d, d]).
     """
@@ -255,14 +255,14 @@ def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
     # the input goal terms, none of which depend on the knots
     err0 = spec.x_goal - x0
     offset = float(G[d, d] + T * spec.u_goal @ spec.R @ spec.u_goal + err0 @ spec.Q @ err0)
-    return QpProblem(P, q, np.eye(d), np.tile(spec.u_min, sched.p), np.tile(spec.u_max, sched.p), offset)
+    return BoxQp(P, q, np.tile(spec.u_min, sched.p), np.tile(spec.u_max, sched.p), offset)
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
 
 
-def build(kind: str, spec: MpcSpec, x0, sched: KnotSchedule | None = None) -> QpProblem:
+def build(kind: str, spec: MpcSpec, x0, sched: KnotSchedule | None = None) -> QpProblem | BoxQp:
     """Build the QP of a formulation; the per-step kinds use one knot per step."""
     x0 = np.asarray(x0, float)
     if not np.all(np.isfinite(x0)):

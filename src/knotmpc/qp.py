@@ -14,17 +14,17 @@ quasi-definite KKT system
 
 (P~ = 2P, q~ = 2q internally) with a fixed penalty, a boosted penalty on
 equality rows, and projection of the constraint image onto [lb, ub].  The
-constraint structure picks the path: a dense square ``A = diag(a)`` with
-a > 0 (the condensed builders' ``A = I``) is a box, whose KKT system
-reduces to (P~ + sigma I + diag(rho a^2)) x = sigma x - q~ + a (rho z - y)
-as in OSQP, factored by a d x d LAPACK LU and polished by a box active-set
-walk; any other ``A`` goes through a sparse LU of the full KKT matrix.
-A solve builds that factor once, and only if it iterates.
+problem's type picks the path.  A ``BoxQp`` bounds z itself, so its A is
+diag(a), a > 0, and the KKT system reduces to (P~ + sigma I + diag(rho a^2))
+x = sigma x - q~ + a (rho z - y) as in OSQP, factored by a d x d LAPACK LU
+and polished by a box active-set walk; a ``QpProblem``, whatever its A,
+goes through a sparse LU of the full KKT matrix.  A solve builds that
+factor once, and only if it iterates.
 
 Condensed MPC problems can be badly scaled (prediction matrices stack
 powers of A_d), so the iteration runs on a Ruiz-equilibrated copy of the
-problem, kept while the matrices repeat; on a box only the diagonal of A
-is scaled, with the dense arithmetic.  Termination always tests the
+problem, kept while the matrices repeat; on a box only the vector a is
+scaled, with the dense arithmetic.  Termination always tests the
 residuals of the original, unscaled problem, so reported accuracy is
 unaffected by scaling.
 
@@ -74,11 +74,11 @@ class QpSettings:
 
 @dataclass(frozen=True)
 class QpProblem:
-    """One box-constrained QP; ``A`` (at least one row) and ``P`` may be
-    dense or scipy-sparse.  Only the bounds may be infinite (a free side),
-    and nothing may be NaN.  ``offset`` is the constant the quadratic form
-    drops: ``objective + offset`` is the cost the problem was built from
-    (the MPC tracking cost for the condense builders)."""
+    """One QP with general constraint rows; ``A`` (at least one row) and
+    ``P`` may be dense or scipy-sparse.  Only the bounds may be infinite (a
+    free side), and nothing may be NaN.  ``offset`` is the constant the
+    quadratic form drops: ``objective + offset`` is the cost the problem
+    was built from (the MPC tracking cost for the condense builders)."""
 
     P: object
     q: np.ndarray
@@ -88,41 +88,61 @@ class QpProblem:
     offset: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", float(self.offset))
-        if not np.isfinite(self.offset):
-            raise ValueError("offset must be finite")
-        q = np.asarray(self.q, float).ravel()
-        object.__setattr__(self, "q", q)
-        d = q.size
-        if self.P.shape != (d, d):
-            raise ValueError(f"P must be {d}x{d}, got {self.P.shape}")
-        if not (_all_finite(self.P) and _all_finite(q)):
-            raise ValueError("P and q must be finite")
-        asym = _max_abs(self.P - self.P.T)
-        if asym > 1e-8 * (1.0 + _max_abs(self.P)):
-            raise ValueError("P must be symmetric")
         r = self.A.shape[0]
-        if r == 0 or self.A.shape[1] != d:
-            raise ValueError(f"A must have {d} columns and at least one row, got {self.A.shape}")
+        _validate(self, r)
+        if r == 0 or self.A.shape[1] != self.q.size:
+            raise ValueError(f"A must have {self.q.size} columns and at least one row, got {self.A.shape}")
         if not _all_finite(self.A):
             raise ValueError("A must be finite")
-        lb = np.full(r, -np.inf) if self.lb is None else np.asarray(self.lb, float).ravel()
-        ub = np.full(r, np.inf) if self.ub is None else np.asarray(self.ub, float).ravel()
-        if lb.size != r or ub.size != r:
-            raise ValueError("lb and ub must match the number of constraint rows")
-        # each comparison is also false on NaN; lb = +inf or ub = -inf admits no z
-        if not (np.all(lb <= ub) and np.all(lb < np.inf) and np.all(ub > -np.inf)):
-            raise ValueError("need lb <= ub elementwise, with no NaN, lb = +inf or ub = -inf")
-        object.__setattr__(self, "lb", lb)
-        object.__setattr__(self, "ub", ub)
+
+
+@dataclass(frozen=True)
+class BoxQp:
+    """``minimize z'Pz + 2q'z s.t. lb <= z <= ub`` with a dense P: the
+    bounds act on each variable directly.  Fields and checks are those of
+    ``QpProblem`` without ``A``."""
+
+    P: np.ndarray
+    q: np.ndarray
+    lb: np.ndarray | None = None
+    ub: np.ndarray | None = None
+    offset: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "P", np.asarray(self.P, float))
+        _validate(self, np.size(self.q))
 
     @property
-    def n_vars(self) -> int:
-        return self.q.size
+    def A(self) -> np.ndarray:
+        """The identity, for readers of lb <= Az <= ub; the solver never uses it."""
+        return np.eye(self.q.size)
 
-    @property
-    def n_cons(self) -> int:
-        return self.A.shape[0]
+
+def _validate(prob, r: int) -> None:
+    """Check and normalize the fields both problem types share, with ``r``
+    bound rows; a missing bound is a free side."""
+    object.__setattr__(prob, "offset", float(prob.offset))
+    if not np.isfinite(prob.offset):
+        raise ValueError("offset must be finite")
+    q = np.asarray(prob.q, float).ravel()
+    object.__setattr__(prob, "q", q)
+    d = q.size
+    if prob.P.shape != (d, d):
+        raise ValueError(f"P must be {d}x{d}, got {prob.P.shape}")
+    if not (_all_finite(prob.P) and _all_finite(q)):
+        raise ValueError("P and q must be finite")
+    asym = _max_abs(prob.P - prob.P.T)
+    if asym > 1e-8 * (1.0 + _max_abs(prob.P)):
+        raise ValueError("P must be symmetric")
+    lb = np.full(r, -np.inf) if prob.lb is None else np.asarray(prob.lb, float).ravel()
+    ub = np.full(r, np.inf) if prob.ub is None else np.asarray(prob.ub, float).ravel()
+    if lb.size != r or ub.size != r:
+        raise ValueError("lb and ub must match the number of constraint rows")
+    # each comparison is also false on NaN; lb = +inf or ub = -inf admits no z
+    if not (np.all(lb <= ub) and np.all(lb < np.inf) and np.all(ub > -np.inf)):
+        raise ValueError("need lb <= ub elementwise, with no NaN, lb = +inf or ub = -inf")
+    object.__setattr__(prob, "lb", lb)
+    object.__setattr__(prob, "ub", ub)
 
 
 @dataclass
@@ -143,16 +163,6 @@ def _max_abs(M) -> float:
 
 def _all_finite(M) -> bool:
     return bool(np.all(np.isfinite(M.data if sp.issparse(M) else np.asarray(M, float))))
-
-
-def _is_box(A) -> bool:
-    """Whether A is dense, square, positive on the diagonal and zero elsewhere,
-    so that lb <= A z <= ub bounds each variable on its own."""
-    if sp.issparse(A) or A.shape[0] != A.shape[1]:
-        return False
-    A = np.asarray(A, float)
-    diag = np.diagonal(A)
-    return bool(np.all(diag > 0) and np.count_nonzero(A) == np.count_nonzero(diag))
 
 
 class _BoxKkt:
@@ -192,15 +202,15 @@ class AdmmSolver:
         self.settings = settings or QpSettings()
         self._cache = None  # (P2 repr, A repr, rho_vec, (D, E, P2s, As))
 
-    def solve(self, prob: QpProblem, warm: tuple[np.ndarray, np.ndarray] | None = None) -> QpSolution:
+    def solve(self, prob: QpProblem | BoxQp, warm: tuple[np.ndarray, np.ndarray] | None = None) -> QpSolution:
         t_start = time.perf_counter()
         s = self.settings
-        d, r = prob.n_vars, prob.n_cons
         q2 = 2.0 * prob.q
 
-        box = _is_box(prob.A)
-        P2, A = _normalize(prob.P, prob.A, box)
+        box = isinstance(prob, BoxQp)  # a box is A = diag(a), from a = 1
+        P2, A = (prob.P, np.ones(prob.q.size)) if box else (sp.csc_matrix(prob.P), sp.csc_matrix(prob.A))
         P2 = P2 * 2.0
+        d, r = q2.size, A.shape[0]
 
         eq = np.isfinite(prob.lb) & (prob.ub - prob.lb < _EQ_TOL)
         rho_vec = np.full(r, _RHO)
@@ -211,10 +221,11 @@ class AdmmSolver:
         q2s = D * q2
         lbs = E * prob.lb
         ubs = E * prob.ub
-        if box:
-            a = np.diagonal(As)
-            polish = lambda y, z: self._polish_box(prob, P2s, q2s, D, E, lbs, ubs, a, z)
+        if box:  # As is the scaled diagonal a
+            A_mul = At_mul = lambda v: As * v
+            polish = lambda y, z: self._polish_box(prob, P2s, q2s, D, E, lbs, ubs, As, z)
         else:
+            A_mul, At_mul = (lambda v: As @ v), (lambda v: As.T @ v)
             polish = lambda y, z: self._try_polish(prob, P2s, As, q2s, D, E, lbs, ubs, y, z)
 
         x, y = np.zeros(d), np.zeros(r)
@@ -226,7 +237,7 @@ class AdmmSolver:
             if not (np.isfinite(xw).all() and np.isfinite(yw).all()):
                 raise ValueError("warm start must be finite")
             x, y = xw / D, yw / E
-        z = np.clip(As @ x, lbs, ubs)
+        z = np.clip(A_mul(x), lbs, ubs)
         # a warm dual often nails the active set outright, making the
         # iteration below a fallback; a cold start runs ADMM first
         polished = polish(y, z) if warm is not None else None
@@ -237,7 +248,7 @@ class AdmmSolver:
         iters = s.max_iters
         check_no = 0
         next_polish = 1
-        kkt = _BoxKkt(P2s, a, rho_vec) if box else _SparseKkt(P2s, As, rho_vec)
+        kkt = (_BoxKkt if box else _SparseKkt)(P2s, As, rho_vec)
         for i in range(1, s.max_iters + 1):
             xt, zt = kkt.step(x, z, y, q2s)
             x = _ALPHA * xt + (1.0 - _ALPHA) * x
@@ -249,8 +260,8 @@ class AdmmSolver:
 
             if i % _CHECK_INTERVAL == 0 or i == s.max_iters:
                 # residuals of the original problem, not the scaled one
-                r_prim = np.max(np.abs((As @ x - z) / E))
-                r_dual = np.max(np.abs((P2s @ x + q2s + As.T @ y) / D))
+                r_prim = np.max(np.abs((A_mul(x) - z) / E))
+                r_dual = np.max(np.abs((P2s @ x + q2s + At_mul(y)) / D))
                 converged = r_prim <= s.eps_prim and r_dual <= s.eps_dual
                 # Exact finish from the current active-set guess.  A failed
                 # attempt is discarded (acceptance is gated on the full KKT
@@ -265,7 +276,7 @@ class AdmmSolver:
                 if converged:
                     status, iters = "solved", i
                     break
-                At_dy0 = (As.T @ dy) / D
+                At_dy0 = At_mul(dy) / D
                 if _infeasibility_certificate(At_dy0, E * dy, prob.lb, prob.ub, _EPS_INFEAS):
                     status, iters = "primal_infeasible", i
                     break
@@ -350,12 +361,12 @@ class AdmmSolver:
         return None
 
     def _polish_box(self, prob, P2s, q2s, D, E, lbs, ubs, a, z):
-        """Active-set finish when the constraints are a pure box, from a warm
-        start at iteration 0 or from the ADMM iterate at a residual check.
+        """Active-set finish of a ``BoxQp``, from a warm start at iteration 0
+        or from the ADMM iterate at a residual check.
 
-        The condensed builders emit A = I, which survives equilibration as a
-        positive diagonal, so bounds act componentwise on the variables and
-        the reduced systems are Cholesky solves of the free block.  The walk
+        Equilibration turns the box into lbs <= a x <= ubs for the positive
+        scaled diagonal ``a``, so bounds act componentwise on the variables
+        and the reduced systems are Cholesky solves of the free block.  The walk
         is the classic bending one: take the free-block Newton direction
         (strict descent), stop at the first bound it crosses and pin that
         coordinate, and at each subspace optimum release the single worst
@@ -538,11 +549,11 @@ def _ruiz(P2, A, iters):
 
 
 def _ruiz_box(P2, a, iters):
-    """``_ruiz`` for a dense P2 and A = diag(a), a > 0, scaling the diagonal
+    """``_ruiz`` for a dense P2 and A = diag(a), a > 0, on the vector a
     alone: a column or row of diag(a) has the norm a, and E@A@D stays
-    diag(E*a*D).  The arithmetic and its order are those of Ruiz on the
-    dense matrix, so D, E and P2s match it bit for bit; As is returned
-    dense."""
+    diag(E*a*D), returned as its diagonal.  The arithmetic and its order
+    are those of Ruiz on the dense matrix, so D, E, P2s and the diagonal
+    match it bit for bit."""
     D = np.ones(a.size)
     E = np.ones(a.size)
     P2s = P2
@@ -554,19 +565,7 @@ def _ruiz_box(P2, a, iters):
         a = de * a * dd
         D *= dd
         E *= de
-    return D, E, P2s, np.diag(a)
-
-
-def _normalize(P, A, box):
-    """Bring P and A into the representation of the chosen path: a dense P
-    and the diagonal of A for a box, CSC matrices for any other A."""
-    if box:
-        Pn = P.toarray() if sp.issparse(P) else np.asarray(P, float)
-        An = np.diagonal(np.asarray(A, float))
-    else:
-        Pn = sp.csc_matrix(P)
-        An = sp.csc_matrix(A)
-    return Pn, An
+    return D, E, P2s, a
 
 
 def _same_matrix(M1, M2) -> bool:

@@ -136,6 +136,19 @@ def test_config_errors():
         config_from_mapping({"experiment": "robustness", "multipliers": "1.5:0.5"})
 
 
+@pytest.mark.parametrize(
+    "key, text",
+    [(key, "nan") for key in ("multipliers", "q_pos", "q_vel", "r_input", "u_max", "qp_eps_prim", "qp_eps_dual")]
+    + [(key, text) for key in ("duration", "rate") for text in ("nan", "inf")]
+    + [("q_pos", "inf"), ("multipliers", "0.5,inf"), ("multipliers", "0.5:inf")],
+)
+def test_non_finite_numbers_are_config_errors(key, text):
+    # NaN passes every ``x <= 0`` check and inf overflows round(duration * rate):
+    # both must be reported as a bad config, which the CLI exits 1 on
+    with pytest.raises(ConfigError, match=f"{key}: "):
+        config_from_mapping({"experiment": "robustness", key: text})
+
+
 def test_load_config_rejects_repeated_keys(tmp_path):
     path = tmp_path / "exp.cfg"
     path.write_text("experiment = param_sweep\ntrials = 2\n# fewer\ntrials = 1\n")

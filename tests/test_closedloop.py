@@ -283,7 +283,7 @@ def test_solver_failure_path(monkeypatch):
     def indefinite(*args):
         prob = build(*args)
         shift = np.linalg.eigvalsh(prob.P)[0] + 0.5
-        return replace(prob, P=prob.P - shift * np.eye(prob.n_vars))
+        return replace(prob, P=prob.P - shift * np.eye(prob.q.size))
 
     monkeypatch.setattr(closedloop, "build", indefinite)
     plant = Pendulum(PendulumParams(gravity=0.0))

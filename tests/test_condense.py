@@ -23,7 +23,7 @@ from knotmpc.condense import (
 from knotmpc.bench import make_plant, make_template, preset_config
 from knotmpc.dynamics import DiscreteLinearModel, discretize, linearize, rollout
 from knotmpc.param import KnotSchedule, interpolation_matrix
-from knotmpc.qp import AdmmSolver, QpProblem, QpSolution
+from knotmpc.qp import AdmmSolver, BoxQp, QpProblem, QpSolution
 
 
 def _model(n=2, m=1, seed=0, spectral=0.9):
@@ -256,13 +256,17 @@ def test_problem_dimensions():
     assert large.A.shape == (18, 18)
     small = build("small", spec, x0)
     assert small.P.shape[0] == 5  # Tm
-    np.testing.assert_array_equal(small.A, np.eye(5))
     sched = KnotSchedule(T=5, p=3)
     lp = build_large_param(spec, sched, x0)
     assert lp.P.shape[0] == 16  # n(T+1) + pm + 1
     sp_ = build_small_param(spec, sched, x0)
     assert sp_.P.shape[0] == 3  # pm
-    assert sp_.A.shape == (3, 3)
+    assert sp_.lb.shape == sp_.ub.shape == (3,)
+    # the condensed forms are boxes by type; the large ones keep sparse rows
+    for prob in (small, sp_, build("small_param", spec, x0, sched)):
+        assert type(prob) is BoxQp
+    for prob in (large, lp, build("large_param", spec, x0, sched)):
+        assert type(prob) is QpProblem and sp.issparse(prob.A)
 
 
 def test_large_row_structure():
@@ -343,7 +347,7 @@ def test_first_input_agrees_across_formulations():
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_condensed_qp_paths_and_warm_starts_agree(data):
-    # random condensed forms: the box path (dense identity A) and the
+    # random condensed forms: the box path (the built BoxQp) and the
     # sparse path (scipy identity A) find the same knots, and a warm
     # re-solve from a perturbed cold solution returns to it
     n, m, T = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 2)), data.draw(st.integers(1, 12))

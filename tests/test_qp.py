@@ -1,8 +1,8 @@
 """Tests for the operator-splitting QP solver.
 
-The solver minimizes z'Pz + 2q'z subject to lb <= Az <= ub.  Reference
-solutions come from closed forms, a dense KKT solve, and an exhaustive
-active-set enumeration for small box problems.
+The solver minimizes z'Pz + 2q'z subject to lb <= Az <= ub (a ``BoxQp``
+has lb <= z <= ub).  Reference solutions come from closed forms, a dense
+KKT solve, and an exhaustive active-set enumeration for small box problems.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotmpc import qp
-from knotmpc.qp import AdmmSolver, QpProblem, QpSettings, QpSolution, _is_box
+from knotmpc.qp import AdmmSolver, BoxQp, QpProblem, QpSettings, QpSolution
 
 # equality-constrained QP assembled from default_rng(42):
 #   M = normal(6,6); P = M'M + I; q = normal(6); A = normal(2,6); b = normal(2)
@@ -44,7 +44,7 @@ def test_diagonal_box_qp_analytic():
     # separable problem, each coordinate clips independently
     P = np.diag([2.0, 1.0, 4.0])
     q = np.array([-2.0, 3.0, 0.0])
-    sol = AdmmSolver().solve(QpProblem(P, q, np.eye(3), -np.ones(3), np.ones(3)))
+    sol = AdmmSolver().solve(BoxQp(P, q, -np.ones(3), np.ones(3)))
     assert sol.status == "solved"
     np.testing.assert_allclose(sol.z, [1.0, -1.0, 0.0], atol=1e-7)
     assert sol.objective == pytest.approx(-7.0, abs=1e-7)
@@ -101,7 +101,7 @@ def test_box_qp_matches_exhaustive_enumeration(data):
     q = rng.normal(size=d)
     lb = rng.uniform(-2.0, 0.0, d)
     ub = rng.uniform(0.0, 2.0, d)
-    sol = AdmmSolver().solve(QpProblem(P, q, np.eye(d), lb, ub))
+    sol = AdmmSolver().solve(BoxQp(P, q, lb, ub))
     assert sol.status == "solved"
     z_ref, obj_ref = _enumerate_box_optimum(P, q, lb, ub)
     np.testing.assert_allclose(sol.z, z_ref, atol=1e-5)
@@ -169,28 +169,34 @@ def test_repeated_solves_reuse_factorization():
     assert a.status == b.status == "solved"
 
 
-def test_sparse_and_dense_paths_agree():
-    # the same box QP, once with a dense A (box path) and once with a
-    # scipy-sparse A (general sparse path); cold, both run ADMM before the
-    # exact finish, the box path on its reduced d x d factor, and each
-    # finishes at iteration 0 when warm-started from the other's solution
+def test_sparse_and_dense_paths_agree(monkeypatch):
+    # the same box QP, once as a BoxQp (box path) and once as a QpProblem
+    # with a scipy-sparse or a dense identity A, which takes the sparse path
+    # all the same; cold, both run ADMM before the exact finish, the box
+    # path on its reduced d x d factor, and each finishes at iteration 0
+    # when warm-started from the other's solution
     rng = np.random.default_rng(21)
     n = 40
     P = np.diag(np.full(n, 2.0)) + np.diag(np.full(n - 1, -0.5), 1) + np.diag(np.full(n - 1, -0.5), -1)
     q = rng.normal(size=n)
     lb, ub = -0.4 * np.ones(n), 0.4 * np.ones(n)
-    assert _is_box(np.eye(n)) and not _is_box(sp.eye(n, format="csc"))
-    box = QpProblem(P, q, np.eye(n), lb, ub)
-    general = QpProblem(P, q, sp.eye(n, format="csc"), lb, ub)
-    dense, sparse = AdmmSolver().solve(box), AdmmSolver().solve(general)
-    assert dense.status == sparse.status == "solved"
-    assert min(dense.iterations, sparse.iterations) > 0
+    box = BoxQp(P, q, lb, ub)
+    dense = AdmmSolver().solve(box)
+    assert dense.status == "solved" and dense.iterations > 0
     assert np.any(np.abs(dense.z) > 0.4 - 1e-9)  # some bounds are active
-    np.testing.assert_allclose(dense.z, sparse.z, atol=1e-9)
-    for prob, other in ((box, sparse), (general, dense)):
-        warm = AdmmSolver().solve(prob, warm=(other.z, other.dual))
-        assert warm.status == "solved" and warm.iterations == 0
-        np.testing.assert_allclose(warm.z, other.z, atol=1e-9)
+    lu_calls = _counting(monkeypatch, qp.sla, "lu_factor")
+    splu_calls = _counting(monkeypatch, qp.spla, "splu")
+    for A in (sp.eye(n, format="csc"), np.eye(n)):
+        general = QpProblem(P, q, A, lb, ub)
+        n_splu = len(splu_calls)
+        sparse = AdmmSolver().solve(general)
+        assert sparse.status == "solved" and sparse.iterations > 0
+        assert len(splu_calls) > n_splu and lu_calls == []  # the sparse path's factors only
+        np.testing.assert_allclose(dense.z, sparse.z, atol=1e-9)
+        for prob, other in ((box, sparse), (general, dense)):
+            warm = AdmmSolver().solve(prob, warm=(other.z, other.dual))
+            assert warm.status == "solved" and warm.iterations == 0
+            np.testing.assert_allclose(warm.z, other.z, atol=1e-9)
 
 
 def _counting(monkeypatch, module, name):
@@ -205,12 +211,12 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def _small_box_problem(seed=1, A=np.eye(6)):
+def _small_box_problem(seed=1):
     rng = np.random.default_rng(seed)
     M = rng.normal(size=(6, 6))
     P = M.T @ M + np.eye(6)
     q = 3.0 * rng.normal(size=6)
-    return QpProblem(P, q, A, -np.ones(6), np.ones(6))
+    return BoxQp(P, q, -np.ones(6), np.ones(6))
 
 
 def test_cold_box_solve_runs_admm_to_the_first_check(monkeypatch):
@@ -256,7 +262,8 @@ def test_finish_is_tried_on_convergence_between_due_checks(monkeypatch):
     # the sparse path tries its finish at checks 1, 2, 4, ...; here the
     # first two attempts are made to fail and ADMM converges at check 3,
     # where no attempt is due, about 1e-5 from the optimum
-    prob = _small_box_problem(seed=0, A=sp.eye(6, format="csc"))
+    box = _small_box_problem(seed=0)
+    prob = QpProblem(box.P, box.q, sp.eye(6, format="csc"), box.lb, box.ub)
     z_ref, _ = _enumerate_box_optimum(prob.P, prob.q, prob.lb, prob.ub)
     finish = AdmmSolver._try_polish
     calls = []
@@ -272,7 +279,7 @@ def test_finish_is_tried_on_convergence_between_due_checks(monkeypatch):
     np.testing.assert_allclose(sol.z, z_ref, atol=1e-12)
 
 
-@pytest.mark.parametrize("A", [np.eye(5), sp.eye(5, format="csc")], ids=["box", "sparse"])
+@pytest.mark.parametrize("A", [None, sp.eye(5, format="csc")], ids=["box", "sparse"])
 def test_admm_factor_is_built_once_per_system(monkeypatch, A):
     # with the exact finish patched out ADMM iterates to its tolerance: each
     # solve builds its factor once, however many iterations it runs, while
@@ -281,30 +288,27 @@ def test_admm_factor_is_built_once_per_system(monkeypatch, A):
         monkeypatch.setattr(AdmmSolver, name, lambda self, *args: None)
     calls = {"lu_factor": _counting(monkeypatch, qp.sla, "lu_factor"),
              "splu": _counting(monkeypatch, qp.spla, "splu")}
-    ruiz = _counting(monkeypatch, qp, "_ruiz" if sp.issparse(A) else "_ruiz_box")
+    ruiz = _counting(monkeypatch, qp, "_ruiz_box" if A is None else "_ruiz")
     rng = np.random.default_rng(8)
     M = rng.normal(size=(5, 5))
-    prob = QpProblem(M.T @ M + np.eye(5), rng.normal(size=5), A, -0.1 * np.ones(5), 0.1 * np.ones(5))
+    q, lb, ub = rng.normal(size=5), -0.1 * np.ones(5), 0.1 * np.ones(5)
+
+    def problem(P):
+        return BoxQp(P, q, lb, ub) if A is None else QpProblem(P, q, A, lb, ub)
+
+    prob = problem(M.T @ M + np.eye(5))
     solver = AdmmSolver()
     first, second = solver.solve(prob), solver.solve(prob)
     assert first.status == second.status == "solved" and first.iterations > qp._CHECK_INTERVAL
     np.testing.assert_array_equal(first.z, second.z)
-    factor = "splu" if sp.issparse(A) else "lu_factor"
+    factor = "lu_factor" if A is None else "splu"
     assert len(calls[factor]) == 2
     assert sum(len(c) for c in calls.values()) == 2
     assert len(ruiz) == 1
     # a different P is a new system and gets its own equilibration
-    solver.solve(QpProblem(2.0 * prob.P, prob.q, A, prob.lb, prob.ub))
+    solver.solve(problem(2.0 * prob.P))
     assert len(calls[factor]) == 3
     assert len(ruiz) == 2
-
-
-def test_box_detection():
-    assert _is_box(np.diag([1.0, 2.0, 3.0]))
-    assert not _is_box(np.diag([1.0, 0.0, 3.0]))  # a zero row bounds nothing
-    assert not _is_box(np.diag([1.0, -2.0, 3.0]))
-    assert not _is_box(np.eye(3) + np.eye(3, k=1))
-    assert not _is_box(np.eye(3)[:2])
 
 
 def _scaled_box_problem(c):
@@ -312,7 +316,7 @@ def _scaled_box_problem(c):
     M = rng.normal(size=(18, 18))
     P = M.T @ M + np.eye(18)
     q = 3.0 * rng.normal(size=18)
-    return QpProblem(c * P, c * q, np.eye(18), -np.ones(18), np.ones(18))
+    return BoxQp(c * P, c * q, -np.ones(18), np.ones(18))
 
 
 @pytest.mark.parametrize("c", [1.0, 1e6, 1e9, 1e11])
@@ -329,13 +333,19 @@ def test_polish_accepts_badly_scaled_box_qp(c):
     np.testing.assert_allclose(sol.z, ref.z, atol=1e-9)
 
 
+def _both_types(P, q, lb=None, ub=None, offset=0.0):
+    """The problem as a BoxQp and as a QpProblem with a sparse identity A."""
+    A = sp.eye(np.size(q), format="csc")
+    return (lambda: BoxQp(P, q, lb, ub, offset)), (lambda: QpProblem(P, q, A, lb, ub, offset))
+
+
 def test_problem_validation():
-    with pytest.raises(ValueError):
-        QpProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2), np.eye(2))  # not symmetric
-    with pytest.raises(ValueError):
-        QpProblem(np.eye(2), np.zeros(3), np.eye(3))
-    with pytest.raises(ValueError):
-        QpProblem(np.eye(1), np.zeros(1), np.eye(1), np.ones(1), -np.ones(1))
+    for make in (*_both_types(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2)),  # not symmetric
+                 *_both_types(np.eye(2), np.zeros(3)),
+                 *_both_types(np.eye(1), np.zeros(1), np.ones(1), -np.ones(1)),
+                 *_both_types(np.eye(2), np.zeros(2), np.zeros(3), np.ones(3))):
+        with pytest.raises(ValueError):
+            make()
     with pytest.raises(ValueError):
         QpProblem(np.eye(2), np.zeros(2), np.ones((1, 3)), np.zeros(1), np.ones(1))
     with pytest.raises(ValueError, match="row"):
@@ -343,37 +353,36 @@ def test_problem_validation():
 
 
 def test_problem_rejects_non_finite_data():
-    P, q, A = np.eye(2), np.zeros(2), np.eye(2)
+    P, q = np.eye(2), np.zeros(2)
     lb, ub = -np.ones(2), np.ones(2)
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            QpProblem(np.array([[1.0, 0.0], [0.0, bad]]), q, A, lb, ub)
-        with pytest.raises(ValueError, match="finite"):
-            QpProblem(sp.csc_matrix(np.array([[1.0, 0.0], [0.0, bad]])), q, A, lb, ub)
-        with pytest.raises(ValueError, match="finite"):
-            QpProblem(P, np.array([0.0, bad]), A, lb, ub)
-        with pytest.raises(ValueError, match="finite"):
-            QpProblem(P, q, np.array([[1.0, bad], [0.0, 1.0]]), lb, ub)
-        with pytest.raises(ValueError, match="finite"):
-            QpProblem(P, np.array([bad, 0.0]), A)  # unbounded box too
-        with pytest.raises(ValueError, match="offset must be finite"):
-            QpProblem(P, q, A, lb, ub, offset=bad)
-    with pytest.raises(ValueError, match="NaN"):
-        QpProblem(P, q, A, np.array([np.nan, -1.0]), ub)
-    with pytest.raises(ValueError, match="NaN"):
-        QpProblem(P, q, A, lb, np.array([1.0, np.nan]))
-    with pytest.raises(ValueError, match="inf"):
-        QpProblem(P, q, A, np.array([-1.0, np.inf]), np.array([1.0, np.inf]))  # z >= +inf
-    with pytest.raises(ValueError, match="inf"):
-        QpProblem(P, q, A, np.array([-np.inf, -1.0]), np.array([-np.inf, 1.0]))  # z <= -inf
+        bad_P = np.array([[1.0, 0.0], [0.0, bad]])
+        for make in (*_both_types(bad_P, q, lb, ub),
+                     *_both_types(P, np.array([0.0, bad]), lb, ub),
+                     *_both_types(P, np.array([bad, 0.0])),  # unbounded box too
+                     lambda: QpProblem(sp.csc_matrix(bad_P), q, np.eye(2), lb, ub),  # a QpProblem may have a sparse P
+                     lambda: QpProblem(P, q, np.array([[1.0, bad], [0.0, 1.0]]), lb, ub)):
+            with pytest.raises(ValueError, match="finite"):
+                make()
+        for make in _both_types(P, q, lb, ub, offset=bad):
+            with pytest.raises(ValueError, match="offset must be finite"):
+                make()
+    for pattern, bounds in (("NaN", (np.array([np.nan, -1.0]), ub)),
+                            ("NaN", (lb, np.array([1.0, np.nan]))),
+                            ("inf", (np.array([-1.0, np.inf]), np.array([1.0, np.inf]))),  # z >= +inf
+                            ("inf", (np.array([-np.inf, -1.0]), np.array([-np.inf, 1.0])))):  # z <= -inf
+        for make in _both_types(P, q, *bounds):
+            with pytest.raises(ValueError, match=pattern):
+                make()
     # infinite bounds are a free side, not bad data
-    sol = AdmmSolver().solve(QpProblem(P, np.array([-3.0, 0.5]), A, np.array([-np.inf, -1.0]), np.array([1.0, np.inf])))
-    assert sol.status == "solved"
-    np.testing.assert_allclose(sol.z, [1.0, -0.5], atol=1e-7)
+    for make in _both_types(P, np.array([-3.0, 0.5]), np.array([-np.inf, -1.0]), np.array([1.0, np.inf])):
+        sol = AdmmSolver().solve(make())
+        assert sol.status == "solved"
+        np.testing.assert_allclose(sol.z, [1.0, -0.5], atol=1e-7)
 
 
 def test_solution_type():
-    sol = AdmmSolver().solve(QpProblem(np.eye(2), np.ones(2), np.eye(2), -np.ones(2), np.ones(2)))
+    sol = AdmmSolver().solve(BoxQp(np.eye(2), np.ones(2), -np.ones(2), np.ones(2)))
     assert isinstance(sol, QpSolution)
     assert sol.solve_time >= 0.0
     assert sol.iterations >= 0
@@ -407,9 +416,9 @@ def test_box_equilibration_matches_dense_ruiz(data):
     M = rng.normal(size=(d, d))
     P2 = 2.0 * (c * (M.T @ M + np.eye(d)))
     a = 10.0 ** rng.uniform(-14.0, 3.0, d)
-    got = qp._ruiz_box(P2, a, qp._SCALING_ITERS)
+    D, E, P2s, a_s = qp._ruiz_box(P2, a, qp._SCALING_ITERS)
     ref = _dense_ruiz_reference(P2, np.diag(a), qp._SCALING_ITERS)
-    for g, r in zip(got, ref):
+    for g, r in zip((D, E, P2s, np.diag(a_s)), ref):
         np.testing.assert_array_equal(g, r)
 
 
@@ -420,7 +429,7 @@ def _indefinite_box_problem():
     Q, _ = np.linalg.qr(rng.normal(size=(18, 18)))
     P = Q @ np.diag(np.concatenate([[-0.5], np.logspace(0, 8, 17)])) @ Q.T
     P = 0.5 * (P + P.T)
-    return QpProblem(P, rng.normal(size=18), np.eye(18), -np.ones(18), np.ones(18))
+    return BoxQp(P, rng.normal(size=18), -np.ones(18), np.ones(18))
 
 
 def test_indefinite_box_qp_reports_failure():
@@ -463,7 +472,7 @@ def test_walk_factors_once_per_pivot(monkeypatch):
     cho_calls = _counting(monkeypatch, qp.sla, "cho_factor")
     P = np.diag([1.0, 2.0, 3.0, 4.0])
     target = np.array([0.5, 2.0, 3.0, 5.0])
-    prob = QpProblem(P, -P @ target, np.eye(4), -np.ones(4), np.ones(4))
+    prob = BoxQp(P, -P @ target, -np.ones(4), np.ones(4))
     sol = AdmmSolver().solve(prob, warm=(np.zeros(4), np.zeros(4)))
     assert sol.status == "solved" and sol.iterations == 0
     np.testing.assert_allclose(sol.z, np.clip(target, -1.0, 1.0), atol=1e-12)
