@@ -19,7 +19,6 @@ from .closedloop import (
 from .condense import (
     CONTROLLER_KINDS,
     FORMULATIONS,
-    ConfigurationError,
     MpcSpec,
     build,
     extract_first_input,
@@ -45,7 +44,6 @@ __all__ = [
     "BoxQp",
     "CONTROLLER_KINDS",
     "ConfigError",
-    "ConfigurationError",
     "Controller",
     "DiscreteLinearModel",
     "EmpcResult",

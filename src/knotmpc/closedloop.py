@@ -34,7 +34,8 @@ class Controller:
     """Which solver runs inside the loop.
 
     kind is one of ``condense.CONTROLLER_KINDS``; the kinds whose tokens
-    take a knot count need p, and empc carries its population settings.
+    take a knot count need p >= 1 and the others take none, and only empc
+    carries population settings.
     """
 
     kind: str
@@ -44,8 +45,15 @@ class Controller:
     def __post_init__(self):
         if self.kind not in CONTROLLER_KINDS:
             raise ValueError(f"unknown controller kind {self.kind!r}")
-        if "p" in CONTROLLER_KINDS[self.kind] and self.p is None:
+        takes_p = "p" in CONTROLLER_KINDS[self.kind]
+        if takes_p and self.p is None:
             raise ValueError(f"{self.kind} needs a knot count p")
+        if not takes_p and self.p is not None:
+            raise ValueError(f"{self.kind} takes no knot count, got p={self.p}")
+        if self.p is not None and self.p < 1:
+            raise ValueError(f"knot count p must be >= 1, got {self.p}")
+        if self.kind != "empc" and self.empc is not None:
+            raise ValueError(f"{self.kind} takes no EMPC settings")
         if self.kind == "empc" and self.empc is None:
             object.__setattr__(self, "empc", EmpcSettings())
 
@@ -79,6 +87,8 @@ def run_closed_loop(
     timing columns, matching how the solvers are compared elsewhere.
     """
     H = int(round(duration * rate))
+    if H < 1:
+        raise ValueError("duration: duration * rate must round to at least one control step")
     dt = 1.0 / rate
     model_src = controller_plant if controller_plant is not None else plant
     x_goal = np.asarray(x_goal, float)

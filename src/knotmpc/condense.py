@@ -3,10 +3,12 @@
 The input trajectory over a T-step horizon is described by p knot points
 that are linearly interpolated, u = W U (``param.interpolation_matrix``).
 Traditional MPC, with one free input per step, is the case p = T, where
-W is the identity.  Each constraint structure has one builder:
+W is the identity.  The only constraints are the input bounds, so there
+are two constraint structures, one builder and one solver path each:
 
-* ``build_large_param`` -- states and knots are all decision variables
-  and the dynamics enter as equality constraints (big and sparse).
+* ``build_large_param`` -- states and knots are all decision variables,
+  the dynamics enter as equality constraints and the knots as a box (a
+  big, sparse ``QpProblem``).
 * ``build_small_param`` -- the states are condensed out through the
   prediction matrices, leaving a ``BoxQp`` over the knots: one
   recursion for [S | v], one Gram product for P, q and the offset.
@@ -55,13 +57,11 @@ CONTROLLER_KINDS = {
 FORMULATIONS = tuple(kind for kind in CONTROLLER_KINDS if kind != "empc")
 
 
-class ConfigurationError(ValueError):
-    """A problem spec routed to a builder or solver that cannot express it."""
-
-
 @dataclass(frozen=True)
 class MpcSpec:
-    """Everything defining one finite-horizon tracking problem.
+    """Everything defining one finite-horizon tracking problem: the model,
+    the horizon, the weights and goals, and the input bounds, which every
+    controller kind can enforce.
 
     Goals and weights must be finite; bounds may be infinite but not NaN.
     """
@@ -74,8 +74,6 @@ class MpcSpec:
     u_goal: np.ndarray
     u_min: np.ndarray
     u_max: np.ndarray
-    x_min: np.ndarray | None = None
-    x_max: np.ndarray | None = None
 
     def __post_init__(self):
         n, m = self.model.n, self.model.m
@@ -100,13 +98,6 @@ class MpcSpec:
             raise ValueError("R must be positive definite")
         if not np.all(self.u_min <= self.u_max):  # also false on NaN
             raise ValueError("u_min must be elementwise <= u_max, and neither may be NaN")
-        for name, size in (("x_min", n), ("x_max", n)):
-            val = getattr(self, name)
-            if val is not None:
-                arr = np.broadcast_to(np.asarray(val, float), (size,)).copy()
-                if np.any(np.isnan(arr)):
-                    raise ValueError(f"{name} must not be NaN")
-                object.__setattr__(self, name, arr)
 
     def _with_model(self, model: DiscreteLinearModel) -> MpcSpec:
         """This spec with ``model`` swapped in, without re-validating the
@@ -118,12 +109,6 @@ class MpcSpec:
         spec = copy.copy(self)
         object.__setattr__(spec, "model", model)
         return spec
-
-    @property
-    def has_state_bounds(self) -> bool:
-        return (self.x_min is not None and np.any(np.isfinite(self.x_min))) or (
-            self.x_max is not None and np.any(np.isfinite(self.x_max))
-        )
 
 
 def _check_symmetric(M, name):
@@ -208,21 +193,11 @@ def build_large_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
     pin_one = sp.csc_matrix(([1.0], ([0], [n * (T + 1) + n_inputs])), shape=(1, n * (T + 1) + n_inputs + 1))
     bounds_u = sp.hstack([sp.csc_matrix((n_inputs, n * (T + 1))), sp.eye(n_inputs), sp.csc_matrix((n_inputs, 1))])
 
-    blocks = [pin_x0, dynamics, pin_one, bounds_u]
-    lb = [-x0, np.zeros(n * T), [1.0], np.tile(spec.u_min, sched.p)]
-    ub = [-x0, np.zeros(n * T), [1.0], np.tile(spec.u_max, sched.p)]
-
-    if spec.has_state_bounds:
-        bounds_x = sp.hstack([sp.eye(n * (T + 1)), sp.csc_matrix((n * (T + 1), n_inputs + 1))])
-        blocks.append(bounds_x)
-        x_lo = spec.x_min if spec.x_min is not None else np.full(n, -np.inf)
-        x_hi = spec.x_max if spec.x_max is not None else np.full(n, np.inf)
-        lb.append(np.tile(x_lo, T + 1))
-        ub.append(np.tile(x_hi, T + 1))
-
-    A = sp.vstack(blocks, format="csc")
+    A = sp.vstack([pin_x0, dynamics, pin_one, bounds_u], format="csc")
+    lb = np.concatenate([-x0, np.zeros(n * T), [1.0], np.tile(spec.u_min, sched.p)])
+    ub = np.concatenate([-x0, np.zeros(n * T), [1.0], np.tile(spec.u_max, sched.p)])
     offset = float((T + 1) * spec.x_goal @ spec.Q @ spec.x_goal + T * spec.u_goal @ spec.R @ spec.u_goal)
-    return QpProblem(P, q, A, np.concatenate(lb), np.concatenate(ub), offset)
+    return QpProblem(P, q, A, lb, ub, offset)
 
 
 def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> BoxQp:
@@ -237,11 +212,6 @@ def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> Box
     T, n = spec.T, spec.model.n
     if sched.T != T:
         raise ValueError("knot schedule horizon does not match the spec")
-    if spec.has_state_bounds:
-        raise ConfigurationError(
-            "state bounds require a large formulation; the condensed forms "
-            "eliminate the states from the decision vector"
-        )
     x0 = np.asarray(x0, float)
     Se = _param_prediction(spec.model, sched, x0)
     Se[:, :, -1] -= spec.x_goal

@@ -7,9 +7,9 @@ plus its offset, which equals their tracking cost under the discrete
 model; the cheapest ``num_parents`` survive unchanged, and the rest of the
 population is refilled by parameter-wise crossover of two random parents
 plus Gaussian mutation, clamped to the input bounds.  The first knot of
-the best candidate is the input to apply.  The search covers the input
-box only, so a spec with state bounds is rejected.  ``evaluate_cost``
-rolls one candidate out; it is the reference for the condensed scores.
+the best candidate is the input to apply.  The input box is the spec's
+only constraint, and the search never leaves it.  ``evaluate_cost`` rolls
+one candidate out; it is the reference for the condensed scores.
 
 Randomness comes from one SFC64 stream per (seed, generation), keyed by
 ``SeedSequence(seed, spawn_key=(generation,))``.  Generation 0 draws the
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condense import ConfigurationError, MpcSpec, build_small_param
+from .condense import MpcSpec, build_small_param
 from .dynamics import rollout
 from .param import KnotSchedule, interpolation_matrix
 
@@ -125,8 +125,6 @@ def _check_searchable(spec: MpcSpec) -> None:
     # candidates are sampled, mutated and clamped within [u_min, u_max]
     if not (np.all(np.isfinite(spec.u_min)) and np.all(np.isfinite(spec.u_max))):
         raise ValueError(f"EMPC needs finite input bounds, got u_min={spec.u_min}, u_max={spec.u_max}")
-    if spec.has_state_bounds:
-        raise ConfigurationError("EMPC searches the input box only and cannot enforce state bounds")
 
 
 def init_population(

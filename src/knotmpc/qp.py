@@ -14,12 +14,15 @@ quasi-definite KKT system
 
 (P~ = 2P, q~ = 2q internally) with a fixed penalty, a boosted penalty on
 equality rows, and projection of the constraint image onto [lb, ub].  The
-problem's type picks the path.  A ``BoxQp`` bounds z itself, so its A is
-diag(a), a > 0, and the KKT system reduces to (P~ + sigma I + diag(rho a^2))
-x = sigma x - q~ + a (rho z - y) as in OSQP, factored by a d x d LAPACK LU
-and polished by a box active-set walk; a ``QpProblem``, whatever its A,
-goes through a sparse LU of the full KKT matrix.  A solve builds that
-factor once, and only if it iterates.
+problem's type picks one of two straight paths.  A ``BoxQp`` bounds z
+itself, so its A is diag(a), a > 0, and the KKT system reduces to
+(P~ + sigma I + diag(rho a^2)) x = sigma x - q~ + a (rho z - y) as in OSQP,
+factored by a d x d LAPACK LU; a ``QpProblem``, whatever its A, goes
+through a sparse LU of the full KKT matrix.  A solve builds that factor
+once, and only if it iterates.  Only the sparse path tests for primal
+infeasibility: a validated box is never empty, and its scaled a equals
+E D, so the certificate's test |A' dy| / D <= eps |E dy| would compare a
+quantity with itself up to rounding.
 
 Condensed MPC problems can be badly scaled (prediction matrices stack
 powers of A_d), so the iteration runs on a Ruiz-equilibrated copy of the
@@ -33,12 +36,10 @@ finish (polish): it reads the active set off the iterate, solves that
 equality-constrained subproblem exactly, and accepts the result only if it
 passes the full KKT conditions at the configured tolerances (stationarity
 allowing for the rounding floor of its own computation, see
-``_dual_tol``).  A cold start runs ADMM from x = 0, y = 0.  At a residual
-check the finish is tried when one is due and whenever the residuals have
-converged, so the bare ADMM iterate is returned only if the finish fails.
-The box walk checks its scaled data for finiteness once per attempt and
-factors each free block unchecked, shifting a block that is indefinite at
-its rounding floor by that floor once before it gives up.
+``_dual_tol``).  A cold start runs ADMM from x = 0, y = 0.  The box finish,
+an active-set walk, is tried at every residual check; the sparse one
+refactors, so it is tried on convergence and at checks 1, 2, 4, ....  The
+bare ADMM iterate is returned only if the finish fails.
 """
 
 from __future__ import annotations
@@ -165,133 +166,95 @@ def _all_finite(M) -> bool:
     return bool(np.all(np.isfinite(M.data if sp.issparse(M) else np.asarray(M, float))))
 
 
-class _BoxKkt:
-    """ADMM step for A = diag(a) by the reduced d x d system.  LU, not
-    Cholesky: it tolerates a numerically indefinite condensed P."""
-
-    def __init__(self, P2, a, rho_vec):
-        self._a = a
-        self._rho = rho_vec
-        self._lu = sla.lu_factor(P2 + np.diag(_SIGMA + rho_vec * a * a))
-
-    def step(self, x, z, y, q2):
-        xt = sla.lu_solve(self._lu, _SIGMA * x - q2 + self._a * (self._rho * z - y))
-        return xt, self._a * xt
-
-
-class _SparseKkt:
-    """ADMM step for a general A by the full sparse KKT system."""
-
-    def __init__(self, P2, A, rho_vec):
-        self._inv_rho = 1.0 / rho_vec
-        reg = P2 + _SIGMA * sp.eye(P2.shape[0])
-        K = sp.bmat([[reg, A.T], [A, -sp.diags(self._inv_rho)]], format="csc")
-        self._lu = spla.splu(K)
-
-    def step(self, x, z, y, q2):
-        d = x.size
-        sol = self._lu.solve(np.concatenate([_SIGMA * x - q2, z - self._inv_rho * y]))
-        return sol[:d], z + self._inv_rho * (sol[d:] - y)
-
-
 class AdmmSolver:
-    """Reusable solver.  While P, A and the penalties repeat it keeps their
-    equilibration."""
+    """Reusable solver.  While P and A repeat it keeps their equilibration."""
 
     def __init__(self, settings: QpSettings | None = None):
         self.settings = settings or QpSettings()
-        self._cache = None  # (P2 repr, A repr, rho_vec, (D, E, P2s, As))
+        self._cache = None  # (P2 repr, A repr, (D, E, P2s, As))
 
     def solve(self, prob: QpProblem | BoxQp, warm: tuple[np.ndarray, np.ndarray] | None = None) -> QpSolution:
+        """Solve ``prob``, from ``warm`` = (z, dual) of an earlier solve if given."""
+        if isinstance(prob, BoxQp):
+            return self._solve_box(prob, warm)
+        return self._solve_sparse(prob, warm)
+
+    def _solve_box(self, prob: BoxQp, warm) -> QpSolution:
         t_start = time.perf_counter()
         s = self.settings
-        q2 = 2.0 * prob.q
-
-        box = isinstance(prob, BoxQp)  # a box is A = diag(a), from a = 1
-        P2, A = (prob.P, np.ones(prob.q.size)) if box else (sp.csc_matrix(prob.P), sp.csc_matrix(prob.A))
-        P2 = P2 * 2.0
-        d, r = q2.size, A.shape[0]
-
-        eq = np.isfinite(prob.lb) & (prob.ub - prob.lb < _EQ_TOL)
-        rho_vec = np.full(r, _RHO)
-        rho_vec[eq] *= _RHO_EQ_SCALE
-        inv_rho = 1.0 / rho_vec
-
-        D, E, P2s, As = self._prepare(P2, A, rho_vec, box)
-        q2s = D * q2
+        rho_vec, inv_rho = _penalty(prob.lb, prob.ub)
+        D, E, P2s, a = self._prepare(_ruiz_box, prob.P * 2.0, np.ones(prob.q.size))
+        q2s = D * (2.0 * prob.q)
         lbs = E * prob.lb
         ubs = E * prob.ub
-        if box:  # As is the scaled diagonal a
-            A_mul = At_mul = lambda v: As * v
-            polish = lambda y, z: self._polish_box(prob, P2s, q2s, D, E, lbs, ubs, As, z)
-        else:
-            A_mul, At_mul = (lambda v: As @ v), (lambda v: As.T @ v)
-            polish = lambda y, z: self._try_polish(prob, P2s, As, q2s, D, E, lbs, ubs, y, z)
 
-        x, y = np.zeros(d), np.zeros(r)
+        x, y = _scaled_start(warm, D, E)
+        z = np.clip(a * x, lbs, ubs)
+        # a warm dual often nails the active set outright, leaving ADMM a fallback
         if warm is not None:
-            xw = np.array(warm[0], float).ravel()
-            yw = np.array(warm[1], float).ravel()
-            if xw.size != d or yw.size != r:
-                raise ValueError("warm start has wrong dimensions")
-            if not (np.isfinite(xw).all() and np.isfinite(yw).all()):
-                raise ValueError("warm start must be finite")
-            x, y = xw / D, yw / E
-        z = np.clip(A_mul(x), lbs, ubs)
-        # a warm dual often nails the active set outright, making the
-        # iteration below a fallback; a cold start runs ADMM first
-        polished = polish(y, z) if warm is not None else None
-        if polished is not None:
-            return _solution(prob, polished, "solved", 0, t_start)
+            polished = self._polish_box(prob, P2s, q2s, D, E, lbs, ubs, a, z)
+            if polished is not None:
+                return _solution(prob, polished, "solved", 0, t_start)
 
-        status = "max_iters"
-        iters = s.max_iters
-        check_no = 0
-        next_polish = 1
-        kkt = (_BoxKkt if box else _SparseKkt)(P2s, As, rho_vec)
+        # LU, not Cholesky: it tolerates a numerically indefinite condensed P
+        lu = sla.lu_factor(P2s + np.diag(_SIGMA + rho_vec * a * a))
         for i in range(1, s.max_iters + 1):
-            xt, zt = kkt.step(x, z, y, q2s)
-            x = _ALPHA * xt + (1.0 - _ALPHA) * x
-            z_relax = _ALPHA * zt + (1.0 - _ALPHA) * z
-            z_new = np.clip(z_relax + inv_rho * y, lbs, ubs)
-            dy = rho_vec * (z_relax - z_new)
-            y = y + dy
-            z = z_new
-
+            xt = sla.lu_solve(lu, _SIGMA * x - q2s + a * (rho_vec * z - y))
+            x, z, y, _ = _relax(x, z, y, xt, a * xt, rho_vec, inv_rho, lbs, ubs)
             if i % _CHECK_INTERVAL == 0 or i == s.max_iters:
-                # residuals of the original problem, not the scaled one
-                r_prim = np.max(np.abs((A_mul(x) - z) / E))
-                r_dual = np.max(np.abs((P2s @ x + q2s + At_mul(y)) / D))
-                converged = r_prim <= s.eps_prim and r_dual <= s.eps_dual
-                # Exact finish from the current active-set guess.  A failed
-                # attempt is discarded (acceptance is gated on the full KKT
-                # check inside), so box problems retry every check while
-                # general ones back off because each attempt refactors.
+                # a failed walk is discarded, as acceptance is gated on the full KKT check
+                polished = self._polish_box(prob, P2s, q2s, D, E, lbs, ubs, a, z)
+                if polished is not None:
+                    return _solution(prob, polished, "solved", i, t_start)
+                if _converged(a * x - z, P2s @ x + q2s + a * y, D, E, s):
+                    return _solution(prob, (D * x, E * y), "solved", i, t_start)
+        return _solution(prob, (D * x, E * y), "max_iters", s.max_iters, t_start)
+
+    def _solve_sparse(self, prob: QpProblem, warm) -> QpSolution:
+        t_start = time.perf_counter()
+        s = self.settings
+        rho_vec, inv_rho = _penalty(prob.lb, prob.ub)
+        D, E, P2s, As = self._prepare(_ruiz, sp.csc_matrix(prob.P) * 2.0, sp.csc_matrix(prob.A))
+        q2s = D * (2.0 * prob.q)
+        lbs = E * prob.lb
+        ubs = E * prob.ub
+
+        x, y = _scaled_start(warm, D, E)
+        z = np.clip(As @ x, lbs, ubs)
+        if warm is not None:
+            polished = self._try_polish(prob, P2s, As, q2s, D, E, lbs, ubs, y, z)
+            if polished is not None:
+                return _solution(prob, polished, "solved", 0, t_start)
+
+        d = prob.q.size
+        K = sp.bmat([[P2s + _SIGMA * sp.eye(d), As.T], [As, -sp.diags(inv_rho)]], format="csc")
+        lu = spla.splu(K)
+        check_no = 0
+        for i in range(1, s.max_iters + 1):
+            sol = lu.solve(np.concatenate([_SIGMA * x - q2s, z - inv_rho * y]))
+            x, z, y, dy = _relax(x, z, y, sol[:d], z + inv_rho * (sol[d:] - y), rho_vec, inv_rho, lbs, ubs)
+            if i % _CHECK_INTERVAL == 0 or i == s.max_iters:
+                converged = _converged(As @ x - z, P2s @ x + q2s + As.T @ y, D, E, s)
                 check_no += 1
-                if converged or check_no >= next_polish:
-                    polished = polish(y, z)
+                # each attempt refactors, so it is due at checks 1, 2, 4, ... only
+                if converged or check_no & (check_no - 1) == 0:
+                    polished = self._try_polish(prob, P2s, As, q2s, D, E, lbs, ubs, y, z)
                     if polished is not None:
                         return _solution(prob, polished, "solved", i, t_start)
-                    next_polish = check_no + 1 if box else check_no * 2
                 if converged:
-                    status, iters = "solved", i
-                    break
-                At_dy0 = At_mul(dy) / D
-                if _infeasibility_certificate(At_dy0, E * dy, prob.lb, prob.ub, _EPS_INFEAS):
-                    status, iters = "primal_infeasible", i
-                    break
+                    return _solution(prob, (D * x, E * y), "solved", i, t_start)
+                if _infeasibility_certificate((As.T @ dy) / D, E * dy, prob.lb, prob.ub, _EPS_INFEAS):
+                    return _solution(prob, (D * x, E * y), "primal_infeasible", i, t_start)
+        return _solution(prob, (D * x, E * y), "max_iters", s.max_iters, t_start)
 
-        return _solution(prob, (D * x, E * y), status, iters, t_start)
-
-    def _prepare(self, P2, A, rho_vec, box):
-        """Equilibrate, reusing the result while the matrices and penalties
-        repeat; the ADMM factor is not kept across solves."""
+    def _prepare(self, ruiz, P2, A):
+        """``ruiz(P2, A)``, reused while P2 and A repeat."""
         if self._cache is not None:
-            cP, cA, c_rho, payload = self._cache
-            if _same_matrix(cP, P2) and _same_matrix(cA, A) and np.array_equal(c_rho, rho_vec):
+            cP, cA, payload = self._cache
+            if _same_matrix(cP, P2) and _same_matrix(cA, A):
                 return payload
-        payload = _ruiz_box(P2, A, _SCALING_ITERS) if box else _ruiz(P2, A, _SCALING_ITERS)
-        self._cache = (P2, A, rho_vec.copy(), payload)
+        payload = ruiz(P2, A, _SCALING_ITERS)
+        self._cache = (P2, A, payload)
         return payload
 
     def _try_polish(self, prob, P2s, As, q2s, D, E, lbs, ubs, y, z):
@@ -509,6 +472,43 @@ def _solution(prob, xy, status, iters, t_start) -> QpSolution:
     xs, ys = xy
     obj = float(xs @ (prob.P @ xs) + 2.0 * prob.q @ xs)
     return QpSolution(xs, status, iters, obj, time.perf_counter() - t_start, ys)
+
+
+def _penalty(lb, ub):
+    """The ADMM penalty of each row, boosted on equality rows, and its inverse."""
+    eq = np.isfinite(lb) & (ub - lb < _EQ_TOL)
+    rho_vec = np.full(lb.size, _RHO)
+    rho_vec[eq] *= _RHO_EQ_SCALE
+    return rho_vec, 1.0 / rho_vec
+
+
+def _scaled_start(warm, D, E):
+    """The scaled start (x, y): the origin, or the checked warm (z, dual) over (D, E)."""
+    if warm is None:
+        return np.zeros(D.size), np.zeros(E.size)
+    xw = np.array(warm[0], float).ravel()
+    yw = np.array(warm[1], float).ravel()
+    if xw.size != D.size or yw.size != E.size:
+        raise ValueError("warm start has wrong dimensions")
+    if not (np.isfinite(xw).all() and np.isfinite(yw).all()):
+        raise ValueError("warm start must be finite")
+    return xw / D, yw / E
+
+
+def _relax(x, z, y, xt, zt, rho_vec, inv_rho, lbs, ubs):
+    """Over-relaxed ADMM update of (x, z, y) from the KKT step (xt, zt), and the dual step."""
+    x = _ALPHA * xt + (1.0 - _ALPHA) * x
+    z_relax = _ALPHA * zt + (1.0 - _ALPHA) * z
+    z_new = np.clip(z_relax + inv_rho * y, lbs, ubs)
+    dy = rho_vec * (z_relax - z_new)
+    return x, z_new, y + dy, dy
+
+
+def _converged(prim, dual, D, E, s: QpSettings) -> bool:
+    """The termination test: the scaled residuals Ax - z and P~x + q~ + A'y, unscaled."""
+    r_prim = np.max(np.abs(prim / E))
+    r_dual = np.max(np.abs(dual / D))
+    return r_prim <= s.eps_prim and r_dual <= s.eps_dual
 
 
 def _dual_tol(eps_dual: float, Pz2: np.ndarray, q: np.ndarray) -> float:

@@ -351,8 +351,26 @@ def test_controller_validation():
         Controller("small_param")  # needs p
     with pytest.raises(ValueError):
         Controller("empc")  # needs p
+    for kwargs in (
+        {"kind": "small", "p": 3},  # the per-step kinds take no knot count
+        {"kind": "large", "p": 50},
+        {"kind": "small_param", "p": 0},
+        {"kind": "empc", "p": -1},
+        {"kind": "small", "empc": EmpcSettings()},  # only empc searches
+        {"kind": "small_param", "p": 3, "empc": EmpcSettings()},
+    ):
+        with pytest.raises(ValueError):
+            Controller(**kwargs)
     c = Controller("empc", p=2)
     assert c.empc is not None  # defaults filled in
+
+
+def test_zero_step_run_rejected():
+    # an empty trace would only fail later, inside compute_metrics
+    plant = Pendulum(PendulumParams(gravity=0.0))
+    with pytest.raises(ValueError, match="at least one control step"):
+        run_closed_loop(plant, Controller("small"), _template(plant), x0=np.zeros(2),
+                        x_goal=np.array([0.5, 0.0]), duration=0.004, rate=100.0)
 
 
 def test_compute_metrics_quartiles():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from knotmpc.condense import (
     FORMULATIONS,
-    ConfigurationError,
     MpcSpec,
     _param_input_cost,
     _param_prediction,
@@ -33,12 +32,9 @@ def _model(n=2, m=1, seed=0, spectral=0.9):
     return DiscreteLinearModel(Ad, rng.normal(size=(n, m)), rng.normal(size=n) * 0.1, 0.05)
 
 
-def _spec(model, T, seed=0, state_bounds=False):
+def _spec(model, T, seed=0):
     rng = np.random.default_rng(seed + 100)
     n, m = model.n, model.m
-    kw = {}
-    if state_bounds:
-        kw = {"x_min": -50.0 * np.ones(n), "x_max": 50.0 * np.ones(n)}
     return MpcSpec(
         model, T,
         Q=np.diag(rng.uniform(0.5, 2.0, n)),
@@ -47,7 +43,6 @@ def _spec(model, T, seed=0, state_bounds=False):
         u_goal=np.zeros(m),
         u_min=-2.0 * np.ones(m),
         u_max=2.0 * np.ones(m),
-        **kw,
     )
 
 
@@ -280,18 +275,6 @@ def test_large_row_structure():
     A = prob.A.toarray() if hasattr(prob.A, "toarray") else np.asarray(prob.A)
     assert np.count_nonzero(A[12]) == 1 and A[12, 17] != 0  # offset var pinned to one
     np.testing.assert_array_equal(np.count_nonzero(A[13:], axis=1), np.ones(5, int))
-    bounded = _spec(model, 5, state_bounds=True)
-    prob2 = build("large", bounded, np.ones(2))
-    assert prob2.A.shape[0] == 18 + 12  # state box rows on every stage
-
-
-def test_small_builders_reject_state_bounds():
-    model = _model(2, 1)
-    spec = _spec(model, 5, state_bounds=True)
-    with pytest.raises(ConfigurationError):
-        build("small", spec, np.zeros(2))
-    with pytest.raises(ConfigurationError):
-        build_small_param(spec, KnotSchedule(T=5, p=3), np.zeros(2))
 
 
 def test_dense_knots_reproduce_unparameterized():
@@ -535,11 +518,11 @@ def test_spec_rejects_non_finite_data():
                           ("R", [[bad]])):
             with pytest.raises(ValueError, match=name):
                 MpcSpec(model, 5, **{**ok, name: np.array(val)})
-    for name in ("u_min", "u_max", "x_min", "x_max"):
+    for name in ("u_min", "u_max"):
         with pytest.raises(ValueError, match="NaN"):
-            MpcSpec(model, 5, **{**ok, name: np.full(1 if name[0] == "u" else 2, np.nan)})
+            MpcSpec(model, 5, **{**ok, name: np.full(1, np.nan)})
     # infinite bounds stay allowed
-    MpcSpec(model, 5, **{**ok, "u_min": -np.inf, "u_max": np.inf, "x_min": -np.inf, "x_max": np.inf})
+    MpcSpec(model, 5, **{**ok, "u_min": -np.inf, "u_max": np.inf})
 
 
 def test_build_rejects_non_finite_state():
@@ -550,13 +533,3 @@ def test_build_rejects_non_finite_state():
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite|NaN"):
                 build(kind, spec, np.array([bad, 0.0]), sched)
-
-
-def test_has_state_bounds():
-    model = _model(2, 1)
-    assert not _spec(model, 5).has_state_bounds
-    assert _spec(model, 5, state_bounds=True).has_state_bounds
-    # all-infinite bounds count as unbounded
-    spec = MpcSpec(model, 5, np.eye(2), np.eye(1), 0.0, 0.0, -1.0, 1.0,
-                   x_min=np.full(2, -np.inf), x_max=np.full(2, np.inf))
-    assert not spec.has_state_bounds

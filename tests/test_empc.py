@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import knotmpc
-from knotmpc.condense import ConfigurationError, MpcSpec, build_small_param
+from knotmpc.condense import MpcSpec, build_small_param
 from knotmpc.dynamics import DiscreteLinearModel, rollout
 from knotmpc.empc import (
     EmpcSettings,
@@ -176,23 +176,6 @@ def test_settings_validation():
         EmpcSettings(mutation_prob=1.5)
     with pytest.raises(ValueError):
         EmpcSettings(crossover_prob=-0.1)
-
-
-def test_empc_rejects_state_bounded_spec():
-    # the search covers the input box only, so state bounds it cannot
-    # enforce are refused instead of ignored
-    spec = MpcSpec(
-        SPEC.model, 20, SPEC.Q, SPEC.R, SPEC.x_goal, SPEC.u_goal,
-        SPEC.u_min, SPEC.u_max, x_min=-10.0 * np.ones(2), x_max=10.0 * np.ones(2),
-    )
-    warm = solve_empc(SPEC, SCHED, _small_settings(), X0).population
-    for call in (
-        lambda: init_population(spec, SCHED, _small_settings(), X0),
-        lambda: solve_empc(spec, SCHED, _small_settings(), X0),
-        lambda: solve_empc(spec, SCHED, _small_settings(), X0, prev=warm),
-    ):
-        with pytest.raises(ConfigurationError, match="EMPC"):
-            call()
 
 
 def test_infinite_input_bounds_rejected():

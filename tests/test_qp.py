@@ -293,7 +293,7 @@ def test_admm_factor_is_built_once_per_system(monkeypatch, A):
     M = rng.normal(size=(5, 5))
     q, lb, ub = rng.normal(size=5), -0.1 * np.ones(5), 0.1 * np.ones(5)
 
-    def problem(P):
+    def problem(P, ub=ub):
         return BoxQp(P, q, lb, ub) if A is None else QpProblem(P, q, A, lb, ub)
 
     prob = problem(M.T @ M + np.eye(5))
@@ -305,9 +305,15 @@ def test_admm_factor_is_built_once_per_system(monkeypatch, A):
     assert len(calls[factor]) == 2
     assert sum(len(c) for c in calls.values()) == 2
     assert len(ruiz) == 1
+    # pinning a coordinate (lb == ub) changes only the penalties, which the
+    # equilibration does not depend on
+    pinned = solver.solve(problem(prob.P, ub=np.where(np.arange(5) == 0, lb, ub)))
+    assert pinned.status == "solved" and pinned.z[0] == pytest.approx(-0.1, abs=1e-6)
+    assert len(calls[factor]) == 3
+    assert len(ruiz) == 1
     # a different P is a new system and gets its own equilibration
     solver.solve(problem(2.0 * prob.P))
-    assert len(calls[factor]) == 3
+    assert len(calls[factor]) == 4
     assert len(ruiz) == 2
 
 
