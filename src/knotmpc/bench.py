@@ -575,9 +575,11 @@ def _run_solve_time_scaling(task: _Task) -> list[dict]:
         else:
             solver = AdmmSolver(qp_settings(cfg))
             t0 = time.perf_counter()
-            sol = solver.solve(build(controller.kind, spec, x0, sched))
-            total = time.perf_counter() - t0
-            opt, failed = sol.solve_time, int(sol.status != "solved")
+            prob = build(controller.kind, spec, x0, sched)
+            t1 = time.perf_counter()
+            sol = solver.solve(prob)
+            t2 = time.perf_counter()
+            opt, total, failed = t2 - t1, t2 - t0, int(sol.status != "solved")
         rows.append(_row(task, controller, cfg.T, x0, xg, steps=1, opt_time_med=opt, mpc_time_med=total, failures=failed))
     return rows
 

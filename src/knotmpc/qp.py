@@ -15,21 +15,20 @@ quasi-definite KKT system
 (P~ = 2P, q~ = 2q internally) with a fixed penalty, a boosted penalty on
 equality rows, and projection of the constraint image onto [lb, ub].  The
 problem's type picks one of two straight paths.  A ``BoxQp`` bounds z
-itself, so its A is diag(a), a > 0, and the KKT system reduces to
-(P~ + sigma I + diag(rho a^2)) x = sigma x - q~ + a (rho z - y) as in OSQP,
+itself, so after scaling its A is the identity and the KKT system reduces
+to (P~ + diag(sigma + rho)) x = sigma x - q~ + rho z - y as in OSQP,
 factored by a d x d LAPACK LU; a ``QpProblem``, whatever its A, goes
 through a sparse LU of the full KKT matrix.  A solve builds that factor
 once, and only if it iterates.  Only the sparse path tests for primal
-infeasibility: a validated box is never empty, and its scaled a equals
-E D, so the certificate's test |A' dy| / D <= eps |E dy| would compare a
-quantity with itself up to rounding.
+infeasibility: a validated box is never empty.
 
 Condensed MPC problems can be badly scaled (prediction matrices stack
-powers of A_d), so the iteration runs on a Ruiz-equilibrated copy of the
-problem, kept while the matrices repeat; on a box only the vector a is
-scaled, with the dense arithmetic.  Termination always tests the
-residuals of the original, unscaled problem, so reported accuracy is
-unaffected by scaling.
+powers of A_d), so the iteration runs on an equilibrated copy of the
+problem.  The sparse path runs Ruiz passes, kept while the matrices
+repeat.  A box has Ruiz's fixed point in closed form (``_box_scaling``),
+so its scaled A stays the identity and its scaled box is lb/D <= x <= ub/D.
+Termination always tests the residuals of the original, unscaled problem,
+so reported accuracy is unaffected by scaling.
 
 Both paths share one start rule.  A warm start goes first to the exact
 finish (polish): it reads the active set off the iterate, solves that
@@ -44,7 +43,6 @@ bare ADMM iterate is returned only if the finish fails.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,7 +150,6 @@ class QpSolution:
     status: str  # solved | max_iters | primal_infeasible
     iterations: int
     objective: float
-    solve_time: float
     dual: np.ndarray
 
 
@@ -167,11 +164,12 @@ def _all_finite(M) -> bool:
 
 
 class AdmmSolver:
-    """Reusable solver.  While P and A repeat it keeps their equilibration."""
+    """Reusable solver.  While the P and A of general problems repeat it
+    keeps their Ruiz equilibration; a box scales in closed form."""
 
     def __init__(self, settings: QpSettings | None = None):
         self.settings = settings or QpSettings()
-        self._cache = None  # (P2 repr, A repr, (D, E, P2s, As))
+        self._cache = None  # (P2, A, (D, E, P2s, As)) of the last QpProblem
 
     def solve(self, prob: QpProblem | BoxQp, warm: tuple[np.ndarray, np.ndarray] | None = None) -> QpSolution:
         """Solve ``prob``, from ``warm`` = (z, dual) of an earlier solve if given."""
@@ -180,41 +178,42 @@ class AdmmSolver:
         return self._solve_sparse(prob, warm)
 
     def _solve_box(self, prob: BoxQp, warm) -> QpSolution:
-        t_start = time.perf_counter()
         s = self.settings
         rho_vec, inv_rho = _penalty(prob.lb, prob.ub)
-        D, E, P2s, a = self._prepare(_ruiz_box, prob.P * 2.0, np.ones(prob.q.size))
+        P2 = prob.P * 2.0
+        D = _box_scaling(P2)
+        E = 1.0 / D
+        P2s = D[:, None] * P2 * D[None, :]
         q2s = D * (2.0 * prob.q)
         lbs = E * prob.lb
         ubs = E * prob.ub
 
         x, y = _scaled_start(warm, D, E)
-        z = np.clip(a * x, lbs, ubs)
+        z = np.clip(x, lbs, ubs)
         # a warm dual often nails the active set outright, leaving ADMM a fallback
         if warm is not None:
-            polished = self._polish_box(prob, P2s, q2s, D, E, lbs, ubs, a, z)
+            polished = self._polish_box(prob, P2s, q2s, D, E, lbs, ubs, z)
             if polished is not None:
-                return _solution(prob, polished, "solved", 0, t_start)
+                return _solution(prob, polished, "solved", 0)
 
         # LU, not Cholesky: it tolerates a numerically indefinite condensed P
-        lu = sla.lu_factor(P2s + np.diag(_SIGMA + rho_vec * a * a))
+        lu = sla.lu_factor(P2s + np.diag(_SIGMA + rho_vec))
         for i in range(1, s.max_iters + 1):
-            xt = sla.lu_solve(lu, _SIGMA * x - q2s + a * (rho_vec * z - y))
-            x, z, y, _ = _relax(x, z, y, xt, a * xt, rho_vec, inv_rho, lbs, ubs)
+            xt = sla.lu_solve(lu, _SIGMA * x - q2s + (rho_vec * z - y))
+            x, z, y, _ = _relax(x, z, y, xt, xt, rho_vec, inv_rho, lbs, ubs)
             if i % _CHECK_INTERVAL == 0 or i == s.max_iters:
                 # a failed walk is discarded, as acceptance is gated on the full KKT check
-                polished = self._polish_box(prob, P2s, q2s, D, E, lbs, ubs, a, z)
+                polished = self._polish_box(prob, P2s, q2s, D, E, lbs, ubs, z)
                 if polished is not None:
-                    return _solution(prob, polished, "solved", i, t_start)
-                if _converged(a * x - z, P2s @ x + q2s + a * y, D, E, s):
-                    return _solution(prob, (D * x, E * y), "solved", i, t_start)
-        return _solution(prob, (D * x, E * y), "max_iters", s.max_iters, t_start)
+                    return _solution(prob, polished, "solved", i)
+                if _converged(x - z, P2s @ x + q2s + y, D, E, s):
+                    return _solution(prob, (D * x, E * y), "solved", i)
+        return _solution(prob, (D * x, E * y), "max_iters", s.max_iters)
 
     def _solve_sparse(self, prob: QpProblem, warm) -> QpSolution:
-        t_start = time.perf_counter()
         s = self.settings
         rho_vec, inv_rho = _penalty(prob.lb, prob.ub)
-        D, E, P2s, As = self._prepare(_ruiz, sp.csc_matrix(prob.P) * 2.0, sp.csc_matrix(prob.A))
+        D, E, P2s, As = self._prepare(sp.csc_matrix(prob.P) * 2.0, sp.csc_matrix(prob.A))
         q2s = D * (2.0 * prob.q)
         lbs = E * prob.lb
         ubs = E * prob.ub
@@ -224,7 +223,7 @@ class AdmmSolver:
         if warm is not None:
             polished = self._try_polish(prob, P2s, As, q2s, D, E, lbs, ubs, y, z)
             if polished is not None:
-                return _solution(prob, polished, "solved", 0, t_start)
+                return _solution(prob, polished, "solved", 0)
 
         d = prob.q.size
         K = sp.bmat([[P2s + _SIGMA * sp.eye(d), As.T], [As, -sp.diags(inv_rho)]], format="csc")
@@ -240,20 +239,20 @@ class AdmmSolver:
                 if converged or check_no & (check_no - 1) == 0:
                     polished = self._try_polish(prob, P2s, As, q2s, D, E, lbs, ubs, y, z)
                     if polished is not None:
-                        return _solution(prob, polished, "solved", i, t_start)
+                        return _solution(prob, polished, "solved", i)
                 if converged:
-                    return _solution(prob, (D * x, E * y), "solved", i, t_start)
+                    return _solution(prob, (D * x, E * y), "solved", i)
                 if _infeasibility_certificate((As.T @ dy) / D, E * dy, prob.lb, prob.ub, _EPS_INFEAS):
-                    return _solution(prob, (D * x, E * y), "primal_infeasible", i, t_start)
-        return _solution(prob, (D * x, E * y), "max_iters", s.max_iters, t_start)
+                    return _solution(prob, (D * x, E * y), "primal_infeasible", i)
+        return _solution(prob, (D * x, E * y), "max_iters", s.max_iters)
 
-    def _prepare(self, ruiz, P2, A):
-        """``ruiz(P2, A)``, reused while P2 and A repeat."""
+    def _prepare(self, P2, A):
+        """``_ruiz(P2, A)``, reused while the sparse P2 and A repeat."""
         if self._cache is not None:
             cP, cA, payload = self._cache
             if _same_matrix(cP, P2) and _same_matrix(cA, A):
                 return payload
-        payload = ruiz(P2, A, _SCALING_ITERS)
+        payload = _ruiz(P2, A, _SCALING_ITERS)
         self._cache = (P2, A, payload)
         return payload
 
@@ -323,30 +322,27 @@ class AdmmSolver:
                 up[worst] = False
         return None
 
-    def _polish_box(self, prob, P2s, q2s, D, E, lbs, ubs, a, z):
+    def _polish_box(self, prob, P2s, q2s, D, E, lx, ux, z):
         """Active-set finish of a ``BoxQp``, from a warm start at iteration 0
         or from the ADMM iterate at a residual check.
 
-        Equilibration turns the box into lbs <= a x <= ubs for the positive
-        scaled diagonal ``a``, so bounds act componentwise on the variables
-        and the reduced systems are Cholesky solves of the free block.  The walk
-        is the classic bending one: take the free-block Newton direction
-        (strict descent), stop at the first bound it crosses and pin that
-        coordinate, and at each subspace optimum release the single worst
-        wrong-sign multiplier.  Strict decrease over finitely many sets
-        terminates; the result is only returned after the full KKT gates.
-        Every free block is a submatrix of P2s, so P2s and q2s are checked
-        for finiteness once here and each pivot factors and solves without
-        checks.  A condensed P can be indefinite at its rounding floor, so a
-        block of size k whose Cholesky fails is retried once shifted by
-        k eps max|diag| and the gates judge the outcome; a second failure
-        ends the attempt.
+        Equilibration keeps the box a box, lx <= x <= ux in the scaled
+        variables, so bounds act componentwise and the reduced systems are
+        Cholesky solves of the free block.  The walk is the classic bending
+        one: take the free-block Newton direction (strict descent), stop at
+        the first bound it crosses and pin that coordinate, and at each
+        subspace optimum release the single worst wrong-sign multiplier.
+        Strict decrease over finitely many sets terminates; the result is
+        only returned after the full KKT gates.  Every free block is a
+        submatrix of P2s, so P2s and q2s are checked for finiteness once here
+        and each pivot factors and solves without checks.  A condensed P can
+        be indefinite at its rounding floor, so a block of size k whose
+        Cholesky fails is retried once shifted by k eps max|diag| and the
+        gates judge the outcome; a second failure ends the attempt.
         """
         if not (np.isfinite(P2s).all() and np.isfinite(q2s).all()):
             return None
         s = self.settings
-        lx = lbs / a
-        ux = ubs / a
         fixed = lx == ux
         fin_lo = np.isfinite(lx)
         fin_up = np.isfinite(ux)
@@ -356,7 +352,7 @@ class AdmmSolver:
         on_lo[fin_lo] = lx[fin_lo] + 1e-12 * (1.0 + np.abs(lx[fin_lo]))
         on_up[fin_up] = ux[fin_up] - 1e-12 * (1.0 + np.abs(ux[fin_up]))
 
-        x = np.clip(z / a, lx, ux)
+        x = np.clip(z, lx, ux)
         x[fixed] = lx[fixed]
         g = P2s @ x + q2s
         low = fin_lo & (x <= on_lo) & (g > 0) & ~fixed
@@ -422,12 +418,12 @@ class AdmmSolver:
 
         y_hat = np.zeros_like(x)
         bnd = fixed | low | up
-        y_hat[bnd] = -g[bnd] / a[bnd]
+        y_hat[bnd] = -g[bnd]
         Px = P2s @ x
-        r_dual = np.max(np.abs((Px + q2s + a * y_hat) / D))
+        r_dual = np.max(np.abs((Px + q2s + y_hat) / D))
         if not np.isfinite(r_dual) or r_dual > _dual_tol(s.eps_dual, Px / D, prob.q):
             return None
-        Ax = (a * x) / E
+        Ax = x / E
         if np.any(Ax < prob.lb - s.eps_prim) or np.any(Ax > prob.ub + s.eps_prim):
             return None
         y0 = E * y_hat
@@ -467,11 +463,11 @@ class AdmmSolver:
         return x_hat, y_hat
 
 
-def _solution(prob, xy, status, iters, t_start) -> QpSolution:
-    """Package unscaled (z, dual) with its objective and the elapsed time."""
+def _solution(prob, xy, status, iters) -> QpSolution:
+    """Package unscaled (z, dual) with its objective."""
     xs, ys = xy
     obj = float(xs @ (prob.P @ xs) + 2.0 * prob.q @ xs)
-    return QpSolution(xs, status, iters, obj, time.perf_counter() - t_start, ys)
+    return QpSolution(xs, status, iters, obj, ys)
 
 
 def _penalty(lb, ub):
@@ -548,36 +544,22 @@ def _ruiz(P2, A, iters):
     return D, E, P2s, As
 
 
-def _ruiz_box(P2, a, iters):
-    """``_ruiz`` for a dense P2 and A = diag(a), a > 0, on the vector a
-    alone: a column or row of diag(a) has the norm a, and E@A@D stays
-    diag(E*a*D), returned as its diagonal.  The arithmetic and its order
-    are those of Ruiz on the dense matrix, so D, E, P2s and the diagonal
-    match it bit for bit."""
-    D = np.ones(a.size)
-    E = np.ones(a.size)
-    P2s = P2
-    for _ in range(iters):
-        col = np.maximum(np.abs(P2s).max(axis=0), a)
-        dd = np.where(col > 1e-12, 1.0 / np.sqrt(col), 1.0)
-        de = np.where(a > 1e-12, 1.0 / np.sqrt(a), 1.0)
-        P2s = dd[:, None] * P2s * dd[None, :]
-        a = de * a * dd
-        D *= dd
-        E *= de
-    return D, E, P2s, a
+def _box_scaling(P2):
+    """The variable scaling D of a box QP, with E = 1 / D: a fixed point of
+    ``_ruiz`` on [P2; I], the one its passes from D = 1 approach.  It
+    leaves [D P2 D; E I D] = [D P2 D; I] with every column of max-norm 1,
+    since |P2_ij| <= sqrt(P2_ii P2_jj) for a PSD P2 and
+    diag(D P2 D) = min(diag(P2), 1)."""
+    return 1.0 / np.sqrt(np.maximum(np.diagonal(P2), 1.0))
 
 
 def _same_matrix(M1, M2) -> bool:
-    if sp.issparse(M1) != sp.issparse(M2) or M1.shape != M2.shape:
-        return False
-    if sp.issparse(M1):
-        return (
-            np.array_equal(M1.indptr, M2.indptr)
-            and np.array_equal(M1.indices, M2.indices)
-            and np.array_equal(M1.data, M2.data)
-        )
-    return np.array_equal(M1, M2)
+    return (
+        M1.shape == M2.shape
+        and np.array_equal(M1.indptr, M2.indptr)
+        and np.array_equal(M1.indices, M2.indices)
+        and np.array_equal(M1.data, M2.data)
+    )
 
 
 def _infeasibility_certificate(At_dy, dy, lb, ub, eps) -> bool:

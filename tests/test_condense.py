@@ -367,7 +367,7 @@ def test_extract_first_input_layout():
 def test_extract_first_input_rejects_failed_solve():
     model = _model(2, 1)
     spec = _spec(model, 5)
-    bad = QpSolution(np.zeros(5), "max_iters", 10, 0.0, 0.0, np.zeros(5))
+    bad = QpSolution(np.zeros(5), "max_iters", 10, 0.0, np.zeros(5))
     with pytest.raises(ValueError):
         extract_first_input(bad, "small", spec)
 

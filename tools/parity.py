@@ -1,0 +1,93 @@
+"""Masked-CSV parity check over the bundled presets.
+
+    python3 tools/parity.py > side.json                  # record this checkout
+    python3 tools/parity.py --against parent.json        # compare with a record
+
+Each preset runs reduced: trials=2, workers=1, links=(1, 2), and a
+0.1 s duration except for the ``param_sweep*`` and ``solve_times*``
+presets, which keep theirs.  BLAS runs one thread.  The hash is the first
+16 hex digits of the sha256 of the preset's CSV with the timing columns
+masked.  Without ``--against`` the output is one JSON object: per preset,
+the hash, the ``actual_cost`` column (null where a row has none) and the
+summed ``failures``.  With ``--against`` it is, per preset, whether the
+hash is unchanged and the largest relative ``actual_cost`` change against
+the recorded side.
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS/OpenMP thread, set before numpy loads: the hashes depend on it.
+os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"})
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from knotmpc.bench import PRESETS, preset_config, rows_to_csv_text, run_experiment
+
+
+def reduced_config(name: str):
+    """The preset's config under the parity protocol."""
+    cfg = replace(preset_config(name), trials=2, workers=1, links=(1, 2))
+    if name.startswith(("param_sweep", "solve_times")):
+        return cfg
+    return replace(cfg, duration=0.1)
+
+
+def record(name: str, out_dir: str) -> dict:
+    rows = run_experiment(reduced_config(name), out_dir)
+    text = rows_to_csv_text(rows, include_timing=False)
+    return {
+        "hash": hashlib.sha256(text.encode()).hexdigest()[:16],
+        "actual_cost": [None if r["actual_cost"] == "" else r["actual_cost"] for r in rows],
+        "failures": sum(int(r["failures"] or 0) for r in rows),
+    }
+
+
+def max_rel_change(old: list, new: list) -> float:
+    """Largest |new - old| / |old| over the rows; inf if the rows do not pair up."""
+    if len(old) != len(new) or any((a is None) != (b is None) for a, b in zip(old, new)):
+        return float("inf")
+    worst = 0.0
+    for a, b in zip(old, new):
+        if a is None or a == b:
+            continue
+        worst = max(worst, abs(b - a) / abs(a) if a else float("inf"))
+    return worst
+
+
+def compare(old: dict, new: dict) -> dict:
+    return {
+        name: {
+            "hash_unchanged": rec["hash"] == old[name]["hash"],
+            "max_rel_actual_cost": max_rel_change(old[name]["actual_cost"], rec["actual_cost"]),
+            "failures": rec["failures"],
+        }
+        for name, rec in new.items()
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--against", metavar="FILE", help="a JSON record of another side to compare with")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory() as out_dir:
+        records = {name: record(name, out_dir) for name in sorted(PRESETS)}
+    if args.against:
+        result = compare(json.loads(Path(args.against).read_text()), records)
+    else:
+        result = records
+    print(json.dumps(result, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
