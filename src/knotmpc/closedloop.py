@@ -4,9 +4,14 @@ Each control period the plant model is relinearized at the current state
 (with zero nominal input), discretized exactly at the control rate, and
 handed to the selected controller.  The chosen first input is then held
 for one period while the true nonlinear plant is integrated with RK4
-substeps.  A deliberately wrong controller model (for robustness studies)
-is passed separately from the true plant, so the mismatch never leaks
-into the simulated physics.
+substeps.  Linearization and integration use different derivative paths
+of the same physics: ``linearize`` evaluates the batched ``ode`` on all
+of its row-stacked points in one call, and ``integrate`` steps the true
+plant through the single-state ``ode1``, because its RK4 stages are
+serial.  A plant state that goes non-finite raises ``FloatingPointError``
+at that step.  A deliberately wrong controller model (for robustness
+studies) is passed separately from the true plant, so the mismatch never
+leaks into the simulated physics.
 
 Metrics follow the usual servo conventions: the realized tracking cost
 (final stage padded with a zero input), rise time to the 90% level,
@@ -142,7 +147,9 @@ def run_closed_loop(
 
         inputs[i] = u
         last_u = u
-        x = integrate(plant.ode, x, u, dt, substeps=PLANT_SUBSTEPS)
+        x = integrate(plant.ode1, x, u, dt, substeps=PLANT_SUBSTEPS)
+        if not np.isfinite(x).all():
+            raise FloatingPointError(f"plant state went non-finite at step {i}: {x}")
         states[i + 1] = x
 
     return SimResult(states, inputs, opt_time, mpc_time, failures)

@@ -2,11 +2,18 @@
 
 Two plants are provided: a torque-driven pendulum and a planar chain of
 N revolute links with a point mass at the distal end of each link.  Both
-expose continuous dynamics ``xdot = f(x, u)`` on the state ``x = [q, qd]``;
-``f`` also takes row-stacked (k, n)/(k, m) inputs, which ``linearize``
-requires: it evaluates all of its points in one call.  The rest of the
-module turns those nonlinear models into the discrete affine models
-consumed by the controllers:
+expose continuous dynamics ``xdot = f(x, u)`` on the state ``x = [q, qd]``
+in two forms:
+
+- ``ode`` also takes row-stacked (k, n)/(k, m) inputs, which ``linearize``
+  requires: it evaluates all of its points in one call.
+- ``ode1`` takes one state and one input, and serves the closed loop's
+  plant integration, whose RK4 stages depend on each other.  The arm's
+  ``ode1`` solves its SPD inertia matrix by Cholesky and so agrees with
+  ``ode`` to rounding; the pendulum's is its ``ode``.
+
+The rest of the module turns those nonlinear models into the discrete
+affine models consumed by the controllers:
 
     xdot ~= A x + B u + w          (linearize)
     x[k+1] = Ad x[k] + Bd u[k] + wd  (discretize, then step/rollout)
@@ -21,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.linalg.lapack import dposv
 
 
 class SingularInertiaError(RuntimeError):
@@ -72,6 +80,8 @@ class Pendulum:
         x, u = np.asarray(x, float), np.asarray(u, float)
         q, qd = x[..., 0], x[..., 1]
         return np.stack([qd, pendulum_accel(self.params, q, qd, u[..., 0])], axis=-1)
+
+    ode1 = ode  # the single-state derivative the closed loop integrates
 
     def energy(self, x):
         return total_energy(self.params, x)
@@ -172,6 +182,37 @@ class NLinkArm:
         N = self.params.links
         q, qd = x[..., :N], x[..., N:]
         return np.concatenate([qd, nlink_accel(self.params, q, qd, u)], axis=-1)
+
+    def ode1(self, x, u):
+        """State derivative of one state ``x`` (2N,) under ``u`` (N,).
+
+        The physics of ``nlink_accel`` in the fewest numpy calls, for the
+        serial RK4 stages of the plant: the inertia matrix is SPD, so one
+        LAPACK ``dposv`` solves for the absolute accelerations.  Agrees with
+        ``ode`` to rounding, not to the byte.
+        """
+        p = self.params
+        N = p.links
+        th, thd = np.add.accumulate(x.reshape(2, N), axis=1)
+        dth = th[:, None] - th
+        W = p.inertia_weights
+        qd = x[N:]
+        # L^{-T}(u - b qd) - c - g, with L the cumulative-sum map q -> th
+        f = u - p.damping * qd
+        rhs = f.copy()
+        rhs[:-1] -= f[1:]
+        rhs -= (W * np.sin(dth)) @ (thd * thd)
+        rhs -= p.gravity_weights * np.cos(th)
+        # W * cos(dth) is symmetric, so its transpose is the Fortran-ordered
+        # array dposv overwrites
+        _, thdd, info = dposv((W * np.cos(dth)).T, rhs, overwrite_a=1, overwrite_b=1)
+        if info > 0:
+            raise SingularInertiaError(f"inertia matrix is not positive definite at q={x[:N]}")
+        out = np.empty(2 * N)
+        out[:N] = qd
+        out[N] = thdd[0]
+        np.subtract(thdd[1:], thdd[:-1], out=out[N + 1 :])
+        return out
 
     def energy(self, x):
         return total_energy(self.params, x)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from knotmpc.closedloop import (
+    PLANT_SUBSTEPS,
     Controller,
     EmpcSettings,
     actual_cost,
@@ -342,6 +343,63 @@ def test_non_finite_endpoints_rejected_before_the_first_step(monkeypatch):
         with pytest.raises(ValueError, match="finite"):
             run_closed_loop(plant, Controller("small"), template, x0=np.array(x0),
                             x_goal=np.array(goal), duration=0.1, rate=100.0)
+
+
+def test_arm_plant_steps_through_ode1(monkeypatch):
+    # the true plant advances through the single-state derivative, 4 RK4
+    # stages x 10 substeps per step; the batched ode serves only linearize
+    from knotmpc.bench import _sample_endpoints, make_plant, make_template, preset_config, qp_settings
+
+    cfg = preset_config("closedloop_arms")
+    plant = make_plant(cfg.robot, 6)
+    template = make_template(plant, cfg, cfg.T)
+    x0, x_goal = _sample_endpoints(np.random.default_rng(0), plant.m)
+    calls = {"ode": 0, "ode1": 0}
+
+    def counting(name):
+        f = getattr(plant, name)
+
+        def wrapper(x, u):
+            calls[name] += 1
+            return f(x, u)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(plant, name, counting(name))
+    res = run_closed_loop(plant, Controller("small_param", p=3), template, x0, x_goal, 5 / cfg.rate, cfg.rate,
+                          qp_settings=qp_settings(cfg))
+    assert calls == {"ode": 5, "ode1": 5 * 4 * PLANT_SUBSTEPS}
+    assert res.states.shape == (6, plant.n) and res.failures == 0
+
+
+class _PlantGoingNonFinite(Pendulum):
+    """A pendulum whose single-state derivative turns NaN after ``steps``
+    control steps of 4 RK4 stages per substep."""
+
+    def __init__(self, steps):
+        super().__init__(PendulumParams(gravity=0.0))
+        self.calls = 0
+        self.after = steps * 4 * PLANT_SUBSTEPS
+
+    def ode1(self, x, u):
+        self.calls += 1
+        return self.ode(x, u) if self.calls <= self.after else np.full(2, np.nan)
+
+
+@pytest.mark.parametrize(
+    "controller",
+    [Controller("small_param", p=4), Controller("empc", p=3, empc=EmpcSettings(num_sims=64, num_parents=8, generations=2))],
+    ids=["small_param", "empc"],
+)
+def test_non_finite_plant_state_raises_at_its_step(controller):
+    plant = _PlantGoingNonFinite(steps=3)
+    template = _template(plant, T=30)
+    with pytest.raises(FloatingPointError, match="non-finite at step 3"):
+        run_closed_loop(plant, controller, template, x0=np.zeros(2), x_goal=np.array([0.4, 0.0]),
+                        duration=0.1, rate=100.0)
+    # the loop stopped at the step whose integration went non-finite
+    assert plant.calls == 4 * 4 * PLANT_SUBSTEPS
 
 
 def test_controller_validation():

@@ -298,14 +298,59 @@ def test_ode_accepts_row_stacked_states():
         np.testing.assert_array_equal(got, want)
 
 
-def test_chain_energy_conserved_when_undamped():
+@pytest.mark.parametrize("path", ["ode", "ode1"])
+def test_chain_energy_conserved_when_undamped(path):
     params = NLinkParams(links=3, damping=0.0, gravity=9.81)
     plant = NLinkArm(params)
     x = np.array([0.4, -0.8, 1.1, 0.5, -0.2, 0.3])
     e0 = total_energy(params, x)
     for _ in range(100):
-        x = integrate(plant.ode, x, np.zeros(3), 0.01)
+        x = integrate(getattr(plant, path), x, np.zeros(3), 0.01)
     assert total_energy(params, x) == pytest.approx(e0, rel=1e-5)
+
+
+def _random_arm_states(links, gravity, damping, count):
+    rng = np.random.default_rng([links, int(gravity), int(damping * 100)])
+    plant = NLinkArm(NLinkParams(links=links, mass=rng.uniform(0.5, 2.0, links), gravity=gravity, damping=damping))
+    for _ in range(count):
+        x = np.concatenate([rng.uniform(-np.pi, np.pi, links), rng.normal(size=links)])
+        yield plant, x, rng.normal(size=links)
+
+
+@pytest.mark.parametrize("damping", [0.0, 0.01])
+@pytest.mark.parametrize("gravity", [0.0, 9.81])
+@pytest.mark.parametrize("links", [1, 2, 6, 13])
+def test_ode1_agrees_with_ode(links, gravity, damping):
+    # the two paths differ only in the solve (Cholesky against LU), and a
+    # backward-stable solve's forward error scales with the condition number
+    # of the inertia matrix, so the bound is 1e-15 (about 4.5 eps) times it;
+    # at one link the matrix is 1x1 and the bound is 1e-15 itself
+    for plant, x, u in _random_arm_states(links, gravity, damping, 50):
+        want = plant.ode(x, u)
+        got = plant.ode1(x, u)
+        assert got.shape == want.shape == (2 * links,)
+        th = np.cumsum(x[:links])
+        cond = np.linalg.cond(plant.params.inertia_weights * np.cos(np.subtract.outer(th, th)))
+        assert np.max(np.abs(got - want)) <= 1e-15 * cond * np.max(np.abs(want))
+    # one 10-substep control period through each path: a derivative
+    # difference changes a substep only where it tips the rounding of
+    # x + h*k, so the states part by a few ulps of the largest component
+    for plant, x, u in _random_arm_states(links, gravity, damping, 10):
+        want = integrate(plant.ode, x, u, 0.01, substeps=10)
+        got = integrate(plant.ode1, x, u, 0.01, substeps=10)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_ode1_rejects_an_inertia_matrix_that_is_not_positive_definite():
+    params = NLinkParams(links=3)
+    object.__setattr__(params, "inertia_weights", -params.inertia_weights)
+    with pytest.raises(SingularInertiaError, match="positive definite"):
+        NLinkArm(params).ode1(np.zeros(6), np.zeros(3))
+
+
+def test_pendulum_ode1_is_its_ode():
+    plant = Pendulum(PendulumParams())
+    assert plant.ode1 == plant.ode
 
 
 def test_nlink_params_broadcasting_and_validation():
