@@ -10,8 +10,8 @@ experiment kinds:
                             over the horizon length
 * ``robustness``            step-response metrics under a deliberately
                             wrong controller model (inertial multiplier)
-* ``solve_time_scaling``    cold build+solve times of each formulation
-                            as the robot grows
+* ``solve_time_scaling``    the cold first control step of each
+                            controller as the robot grows
 * ``closedloop_comparison`` full closed-loop runs comparing convex and
                             evolutionary solvers
 
@@ -39,7 +39,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -53,11 +52,10 @@ from .closedloop import (
     cost_ratio,
     run_closed_loop,
 )
-from .condense import CONTROLLER_KINDS, MpcSpec, build
+from .condense import CONTROLLER_KINDS, MpcSpec
 from .dynamics import NLinkArm, NLinkParams, Pendulum, PendulumParams, discretize, linearize
-from .empc import EmpcSettings, solve_empc
-from .param import KnotSchedule
-from .qp import AdmmSolver, QpSettings
+from .empc import EmpcSettings
+from .qp import QpSettings
 
 EXPERIMENTS = (
     "param_sweep",
@@ -283,7 +281,10 @@ def _parse_value(text: str, hint, key: str):
     if typing.get_origin(hint) is tuple:
         item = typing.get_args(hint)[0]
         if item is str:  # controller tokens contain ':', so no ranges
-            return tuple(t.strip() for t in text.split(",") if t.strip())
+            tokens = tuple(t.strip() for t in text.split(",") if t.strip())
+            if not tokens:
+                raise ConfigError(f"{key}: empty list")
+            return tokens
         return _parse_list(text, item, key)
     cast = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
     if cast is str:
@@ -558,29 +559,15 @@ def _run_robustness(task: _Task) -> list[dict]:
 
 
 def _run_solve_time_scaling(task: _Task) -> list[dict]:
-    """Cold one-shot solve per controller; the MPC time adds the QP build."""
+    """The cold first control step of each controller, as a one-period closed loop."""
     cfg = task.cfg
     plant, x0, xg = _trial_setup(task)
-    model = discretize(linearize(plant.ode, x0, np.zeros(plant.m)), 1.0 / cfg.rate)
-    spec = replace(make_template(plant, cfg, cfg.T), model=model, x_goal=xg)
-
+    template = make_template(plant, cfg, cfg.T)
     rows = []
     for controller in _controllers(task):
-        sched = KnotSchedule(cfg.T, controller.p) if controller.p is not None else None
-        if controller.kind == "empc":
-            t0 = time.perf_counter()
-            solve_empc(spec, sched, controller.empc, x0)
-            opt = total = time.perf_counter() - t0
-            failed = 0
-        else:
-            solver = AdmmSolver(qp_settings(cfg))
-            t0 = time.perf_counter()
-            prob = build(controller.kind, spec, x0, sched)
-            t1 = time.perf_counter()
-            sol = solver.solve(prob)
-            t2 = time.perf_counter()
-            opt, total, failed = t2 - t1, t2 - t0, int(sol.status != "solved")
-        rows.append(_row(task, controller, cfg.T, x0, xg, steps=1, opt_time_med=opt, mpc_time_med=total, failures=failed))
+        res = run_closed_loop(plant, controller, template, x0, xg, 1.0 / cfg.rate, cfg.rate, qp_settings=qp_settings(cfg))
+        rows.append(_row(task, controller, cfg.T, x0, xg, steps=1, opt_time_med=float(res.opt_time[0]),
+                         mpc_time_med=float(res.mpc_time[0]), failures=res.failures))
     return rows
 
 

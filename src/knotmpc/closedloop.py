@@ -237,21 +237,12 @@ def percent_overshoot(positions, start, goal) -> np.ndarray:
     return out
 
 
-def itae(positions, command, rate: float, t_start: float = 0.0, t_end: float | None = None) -> np.ndarray:
-    """Per-joint integral of time-weighted absolute error, by trapezoid.
-
-    ``command`` may be a constant per-joint target or a full trace.
-    """
+def itae(positions, command, rate: float) -> np.ndarray:
+    """Per-joint integral of time-weighted absolute error against the
+    constant per-joint target ``command``, by trapezoid."""
     positions = np.atleast_2d(np.asarray(positions, float))
-    command = np.asarray(command, float)
-    if command.ndim < 2:
-        command = np.broadcast_to(np.atleast_1d(command), positions.shape)
     t = np.arange(positions.shape[0]) / rate
-    if t_end is None:
-        t_end = t[-1]
-    mask = (t >= t_start) & (t <= t_end)
-    weighted = (t[mask] - t_start)[:, None] * np.abs(command[mask] - positions[mask])
-    return np.trapezoid(weighted, t[mask], axis=0)
+    return np.trapezoid(t[:, None] * np.abs(np.asarray(command, float) - positions), t, axis=0)
 
 
 @dataclass

@@ -24,9 +24,9 @@ infeasibility: a validated box is never empty.
 
 Condensed MPC problems can be badly scaled (prediction matrices stack
 powers of A_d), so the iteration runs on an equilibrated copy of the
-problem.  The sparse path runs Ruiz passes, kept while the matrices
-repeat.  A box has Ruiz's fixed point in closed form (``_box_scaling``),
-so its scaled A stays the identity and its scaled box is lb/D <= x <= ub/D.
+problem.  The sparse path runs Ruiz passes at every solve.  A box has
+Ruiz's fixed point in closed form (``_box_scaling``), so its scaled A
+stays the identity and its scaled box is lb/D <= x <= ub/D.
 Termination always tests the residuals of the original, unscaled problem,
 so reported accuracy is unaffected by scaling.
 
@@ -164,12 +164,10 @@ def _all_finite(M) -> bool:
 
 
 class AdmmSolver:
-    """Reusable solver.  While the P and A of general problems repeat it
-    keeps their Ruiz equilibration; a box scales in closed form."""
+    """A solver with fixed settings; it keeps no state between solves."""
 
     def __init__(self, settings: QpSettings | None = None):
         self.settings = settings or QpSettings()
-        self._cache = None  # (P2, A, (D, E, P2s, As)) of the last QpProblem
 
     def solve(self, prob: QpProblem | BoxQp, warm: tuple[np.ndarray, np.ndarray] | None = None) -> QpSolution:
         """Solve ``prob``, from ``warm`` = (z, dual) of an earlier solve if given."""
@@ -213,7 +211,7 @@ class AdmmSolver:
     def _solve_sparse(self, prob: QpProblem, warm) -> QpSolution:
         s = self.settings
         rho_vec, inv_rho = _penalty(prob.lb, prob.ub)
-        D, E, P2s, As = self._prepare(sp.csc_matrix(prob.P) * 2.0, sp.csc_matrix(prob.A))
+        D, E, P2s, As = _ruiz(sp.csc_matrix(prob.P) * 2.0, sp.csc_matrix(prob.A), _SCALING_ITERS)
         q2s = D * (2.0 * prob.q)
         lbs = E * prob.lb
         ubs = E * prob.ub
@@ -245,16 +243,6 @@ class AdmmSolver:
                 if _infeasibility_certificate((As.T @ dy) / D, E * dy, prob.lb, prob.ub, _EPS_INFEAS):
                     return _solution(prob, (D * x, E * y), "primal_infeasible", i)
         return _solution(prob, (D * x, E * y), "max_iters", s.max_iters)
-
-    def _prepare(self, P2, A):
-        """``_ruiz(P2, A)``, reused while the sparse P2 and A repeat."""
-        if self._cache is not None:
-            cP, cA, payload = self._cache
-            if _same_matrix(cP, P2) and _same_matrix(cA, A):
-                return payload
-        payload = _ruiz(P2, A, _SCALING_ITERS)
-        self._cache = (P2, A, payload)
-        return payload
 
     def _try_polish(self, prob, P2s, As, q2s, D, E, lbs, ubs, y, z):
         """Active-set finish from the current iterate of a general problem.
@@ -551,15 +539,6 @@ def _box_scaling(P2):
     since |P2_ij| <= sqrt(P2_ii P2_jj) for a PSD P2 and
     diag(D P2 D) = min(diag(P2), 1)."""
     return 1.0 / np.sqrt(np.maximum(np.diagonal(P2), 1.0))
-
-
-def _same_matrix(M1, M2) -> bool:
-    return (
-        M1.shape == M2.shape
-        and np.array_equal(M1.indptr, M2.indptr)
-        and np.array_equal(M1.indices, M2.indices)
-        and np.array_equal(M1.data, M2.data)
-    )
 
 
 def _infeasibility_certificate(At_dy, dy, lb, ub, eps) -> bool:

@@ -1,5 +1,6 @@
 """Tests for the experiment configs, runners, and CSV output."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from knotmpc.bench import (
     COLUMNS,
     EXPERIMENTS,
     PRESETS,
+    TIMING_COLUMNS,
     ConfigError,
     ExperimentConfig,
     _controller_from_token,
@@ -345,11 +347,53 @@ def test_horizon_sweep_simulates_each_horizon_once(tmp_path, monkeypatch):
     assert [r["cost_ratio"] for r in rows if r["T"] == 10] == [1.0]
 
 
+def test_solve_time_scaling_runs_one_closed_loop_step_per_controller(tmp_path, monkeypatch):
+    import knotmpc.bench as bench
+
+    results = {}
+    run = bench.run_closed_loop
+
+    def recording(plant, controller, template, x0, x_goal, duration, rate, **kwargs):
+        assert controller.kind not in results and round(duration * rate) == 1
+        res = run(plant, controller, template, x0, x_goal, duration, rate, **kwargs)
+        results[controller.kind] = res
+        return res
+
+    monkeypatch.setattr(bench, "run_closed_loop", recording)
+    cfg = _tiny("solve_time_scaling", robot="nlink", controllers="large,small,small_param:2,empc:2:1")
+    run_experiment(cfg, out_dir=str(tmp_path))
+    assert sorted(results) == ["empc", "large", "small", "small_param"]
+    with open(tmp_path / cfg.out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for row in rows:
+        res = results[row["controller"]]
+        assert res.inputs.shape[0] == 1 and row["steps"] == "1"
+        assert int(row["failures"]) == res.failures
+        # the unmasked cells are plain floats: the step's own times
+        assert float(row["opt_time_med"]) == res.opt_time[0]
+        assert float(row["mpc_time_med"]) == res.mpc_time[0]
+        for col in TIMING_COLUMNS - {"opt_time_med", "mpc_time_med"}:
+            assert row[col] == ""
+
+
 def test_sweeps_reject_a_controllers_key():
     # the sweeps fix their controllers, so a controllers key would be ignored
     for experiment in ("param_sweep", "horizon_sweep"):
         with pytest.raises(ConfigError, match="controllers"):
             config_from_mapping({"experiment": experiment, "controllers": "small"})
+
+
+@pytest.mark.parametrize("experiment", ["closedloop_comparison", "horizon_sweep"])
+@pytest.mark.parametrize("text", ["", " , "])
+def test_empty_controllers_is_a_config_error(tmp_path, experiment, text):
+    # an empty list would otherwise fall back to the default controllers
+    with pytest.raises(ConfigError, match="controllers: empty list"):
+        config_from_mapping({"experiment": experiment, "controllers": text})
+    path = tmp_path / "empty.cfg"
+    path.write_text(f"experiment = {experiment}\ncontrollers = {text}\n")
+    with pytest.raises(ConfigError, match="controllers: empty list"):
+        load_config(str(path))
 
 
 def test_param_sweep_has_cost_ratio(tmp_path):

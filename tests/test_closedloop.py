@@ -95,16 +95,6 @@ def test_itae_exponential_decay():
     assert got[0] == pytest.approx(EXP_ITAE, abs=1e-5)
 
 
-def test_itae_time_window():
-    rate = 100.0
-    t = np.arange(0, 2.0 + 0.5 / rate, 1.0 / rate)
-    pos = np.ones((t.size, 1))
-    pos[:, 0] = 2.0 - t  # error is |2 - t - 1| = |1 - t|
-    got = itae(pos, np.array([1.0]), rate, t_start=0.0, t_end=1.0)
-    # integral of t(1-t) on [0,1] = 1/6
-    assert got[0] == pytest.approx(1.0 / 6.0, abs=1e-3)
-
-
 def _second_order_trace(rate=1000.0, tf=10.0):
     # underdamped unit step response, zeta=0.5, wn=2, in closed form
     zeta, wn = 0.5, 2.0

@@ -1,0 +1,60 @@
+"""tools/parity.py reports a broken parity gate by its exit status."""
+
+import importlib.util
+import json
+import os
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from knotmpc.bench import PRESETS
+
+PARITY = Path(__file__).resolve().parent.parent / "tools" / "parity.py"
+
+
+@pytest.fixture
+def parity(monkeypatch):
+    # the script pins BLAS threads in os.environ and puts src/ on sys.path
+    # when it loads; neither may leak into the rest of the session
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    environ = dict(os.environ)
+    with mock.patch.dict(os.environ):
+        spec = importlib.util.spec_from_file_location("parity", PARITY)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        yield module
+    assert dict(os.environ) == environ
+
+
+def _records(failures=0):
+    return {name: {"hash": f"{i:016x}", "actual_cost": [1.0, None], "failures": failures}
+            for i, name in enumerate(sorted(PRESETS))}
+
+
+@pytest.mark.parametrize(
+    "edit, status",
+    [
+        (lambda rec: None, 0),
+        (lambda rec: rec.update(failures=0), 0),  # fewer failures than the record
+        (lambda rec: rec.update(hash="changed", actual_cost=[1.5, None]), 1),
+        (lambda rec: rec.update(failures=3), 1),
+    ],
+    ids=["same", "failures-fell", "hash-changed", "failures-rose"],
+)
+def test_against_exits_nonzero_when_parity_breaks(parity, monkeypatch, tmp_path, capsys, edit, status):
+    recorded = _records(failures=1)
+    current = _records(failures=1)
+    edit(current["horizon_sweep"])
+    monkeypatch.setattr(parity, "record", lambda name, out_dir: current[name])
+    path = tmp_path / "parent.json"
+    path.write_text(json.dumps(recorded))
+
+    assert parity.main(["--against", str(path)]) == status
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(report) == sorted(PRESETS)
+    assert report["horizon_sweep"]["failures_before"] == 1
+    assert report["closedloop_arms"] == {
+        "hash_unchanged": True, "max_rel_actual_cost": 0.0, "failures": 1, "failures_before": 1,
+    }

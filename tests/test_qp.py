@@ -160,7 +160,8 @@ def test_objective_field_is_consistent():
 
 
 def test_repeated_solves_reuse_factorization():
-    # the second solve reuses the equilibration and builds its own ADMM factor
+    # the solver keeps no state between solves, so a repeated solve repeats
+    # the result bit for bit
     prob = _random_equality_problem()
     solver = AdmmSolver()
     a = solver.solve(prob)
@@ -282,9 +283,8 @@ def test_finish_is_tried_on_convergence_between_due_checks(monkeypatch):
 @pytest.mark.parametrize("A", [None, sp.eye(5, format="csc")], ids=["box", "sparse"])
 def test_admm_factor_is_built_once_per_system(monkeypatch, A):
     # with the exact finish patched out ADMM iterates to its tolerance: each
-    # solve builds its factor once, however many iterations it runs, while
-    # the sparse path keeps its Ruiz equilibration as long as the system
-    # repeats (a box scales in closed form, with nothing to keep)
+    # solve builds its factor once, however many iterations it runs, and the
+    # sparse path runs Ruiz once per solve (a box scales in closed form)
     for name in ("_polish_box", "_try_polish"):
         monkeypatch.setattr(AdmmSolver, name, lambda self, *args: None)
     calls = {"lu_factor": _counting(monkeypatch, qp.sla, "lu_factor"),
@@ -305,17 +305,16 @@ def test_admm_factor_is_built_once_per_system(monkeypatch, A):
     factor = "lu_factor" if A is None else "splu"
     assert len(calls[factor]) == 2
     assert sum(len(c) for c in calls.values()) == 2
-    assert len(ruiz) == (0 if A is None else 1)
-    # pinning a coordinate (lb == ub) changes only the penalties, which the
-    # equilibration does not depend on
+    assert len(ruiz) == (0 if A is None else 2)
+    # pinning a coordinate (lb == ub) changes only the penalties
     pinned = solver.solve(problem(prob.P, ub=np.where(np.arange(5) == 0, lb, ub)))
     assert pinned.status == "solved" and pinned.z[0] == pytest.approx(-0.1, abs=1e-6)
     assert len(calls[factor]) == 3
-    assert len(ruiz) == (0 if A is None else 1)
-    # a different P is a new system and gets its own equilibration
+    assert len(ruiz) == (0 if A is None else 3)
+    # a different P is a new system
     solver.solve(problem(2.0 * prob.P))
     assert len(calls[factor]) == 4
-    assert len(ruiz) == (0 if A is None else 2)
+    assert len(ruiz) == (0 if A is None else 4)
 
 
 def _scaled_box_problem(c):

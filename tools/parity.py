@@ -10,8 +10,9 @@ presets, which keep theirs.  BLAS runs one thread.  The hash is the first
 masked.  Without ``--against`` the output is one JSON object: per preset,
 the hash, the ``actual_cost`` column (null where a row has none) and the
 summed ``failures``.  With ``--against`` it is, per preset, whether the
-hash is unchanged and the largest relative ``actual_cost`` change against
-the recorded side.
+hash is unchanged, the largest relative ``actual_cost`` change against
+the recorded side and the failures of both sides; the exit status is 1
+when a hash changed or failures rose, else 0.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ def compare(old: dict, new: dict) -> dict:
             "hash_unchanged": rec["hash"] == old[name]["hash"],
             "max_rel_actual_cost": max_rel_change(old[name]["actual_cost"], rec["actual_cost"]),
             "failures": rec["failures"],
+            "failures_before": old[name]["failures"],
         }
         for name, rec in new.items()
     }
@@ -81,12 +83,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as out_dir:
         records = {name: record(name, out_dir) for name in sorted(PRESETS)}
-    if args.against:
-        result = compare(json.loads(Path(args.against).read_text()), records)
-    else:
-        result = records
+    if not args.against:
+        print(json.dumps(records, indent=1))
+        return 0
+    result = compare(json.loads(Path(args.against).read_text()), records)
     print(json.dumps(result, indent=1))
-    return 0
+    parity = all(r["hash_unchanged"] and r["failures"] <= r["failures_before"] for r in result.values())
+    return 0 if parity else 1
 
 
 if __name__ == "__main__":
