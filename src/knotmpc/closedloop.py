@@ -127,7 +127,7 @@ def run_closed_loop(
             res = solve_empc(spec, sched, controller.empc, x, prev=population)
             elapsed = time.perf_counter() - t0
             population = res.population
-            u = np.clip(res.u, spec.u_min, spec.u_max)
+            u = res.u
             opt_time[i] = elapsed
             mpc_time[i] = elapsed
         else:

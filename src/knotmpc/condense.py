@@ -248,18 +248,15 @@ def build(kind: str, spec: MpcSpec, x0, sched: KnotSchedule | None = None) -> Qp
     return builder(spec, sched, x0)
 
 
-def extract_first_input(sol, kind: str, spec: MpcSpec) -> np.ndarray:
+def extract_first_input(sol: QpSolution, kind: str, spec: MpcSpec) -> np.ndarray:
     """First applied input from a solved problem of the given formulation.
 
     For the parameterized forms this is the first knot, which by
     construction equals the input applied at the first step.
     """
-    if isinstance(sol, QpSolution):
-        if sol.status != "solved":
-            raise ValueError(f"cannot extract an input from a {sol.status!r} solution")
-        z = sol.z
-    else:
-        z = np.asarray(sol, float)
+    if sol.status != "solved":
+        raise ValueError(f"cannot extract an input from a {sol.status!r} solution")
+    z = sol.z
     n, m, T = spec.model.n, spec.model.m, spec.T
     if kind in ("large", "large_param"):
         off = n * (T + 1)

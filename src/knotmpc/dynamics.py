@@ -83,9 +83,6 @@ class Pendulum:
 
     ode1 = ode  # the single-state derivative the closed loop integrates
 
-    def energy(self, x):
-        return total_energy(self.params, x)
-
 
 # ---------------------------------------------------------------------------
 # planar N-link chain
@@ -214,9 +211,6 @@ class NLinkArm:
         np.subtract(thdd[1:], thdd[:-1], out=out[N + 1 :])
         return out
 
-    def energy(self, x):
-        return total_energy(self.params, x)
-
 
 def total_energy(params, state) -> float:
     """Kinetic plus potential energy; zero at rest at the datum."""
@@ -240,6 +234,8 @@ def total_energy(params, state) -> float:
 
 # ---------------------------------------------------------------------------
 # linearization and discretization
+
+_FD_EPS = 1e-6  # central-difference step of ``linearize``
 
 
 @dataclass(frozen=True)
@@ -277,24 +273,24 @@ class DiscreteLinearModel:
         return self.Bd.shape[1]
 
 
-def linearize(f, x0, u0, eps: float = 1e-6) -> ContinuousLinearModel:
+def linearize(f, x0, u0) -> ContinuousLinearModel:
     """Linearize ``xdot = f(x, u)`` about (x0, u0) by central differences.
 
     ``f`` must accept row-stacked inputs: given X (k, n) and U (k, m) it
     returns the k derivatives as (k, n).  All 2(n+m)+1 points, each state
-    and input perturbed by +-eps and then the point itself, go to ``f`` in
-    one call.  The affine residual ``w = f(x0, u0) - A x0 - B u0`` makes
-    the returned model exact at the linearization point, so a linear plant
-    is recovered to rounding error.
+    and input perturbed by +-``_FD_EPS`` and then the point itself, go to
+    ``f`` in one call.  The affine residual ``w = f(x0, u0) - A x0 - B u0``
+    makes the returned model exact at the linearization point, so a linear
+    plant is recovered to rounding error.
     """
     x0 = np.asarray(x0, float)
     u0 = np.asarray(u0, float)
     n = x0.size
     z0 = np.concatenate([x0, u0])
-    E = eps * np.eye(z0.size)
+    E = _FD_EPS * np.eye(z0.size)
     Z = np.vstack([z0 + E, z0 - E, z0])
     F = np.asarray(f(Z[:, :n], Z[:, n:]), float)
-    J = ((F[: z0.size] - F[z0.size : -1]) / (2 * eps)).T
+    J = ((F[: z0.size] - F[z0.size : -1]) / (2 * _FD_EPS)).T
     A, B = J[:, :n].copy(), J[:, n:].copy()
     w = F[-1] - A @ x0 - B @ u0
     return ContinuousLinearModel(A, B, w)

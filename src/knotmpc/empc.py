@@ -1,12 +1,15 @@
 """Evolutionary MPC over knot-point trajectories.
 
-Each candidate is a full set of knot points (p, m).  One solver call
-condenses the problem once (``build_small_param``) and runs a fixed number
-of generations.  A generation scores candidates by the condensed quadratic
-plus its offset, which equals their tracking cost under the discrete
-model; the cheapest ``num_parents`` survive unchanged, and the rest of the
-population is refilled by parameter-wise crossover of two random parents
-plus Gaussian mutation, clamped to the input bounds.  The first knot of
+``solve_empc`` is the one entry point.  Each candidate is a full set of
+knot points (p, m).  One solver call condenses the problem once
+(``build_small_param``) and runs ``settings.generations`` generations.  A
+generation scores candidates by the condensed quadratic plus its offset,
+which equals their tracking cost under the discrete model; the cheapest
+``num_parents`` survive unchanged, and the rest of the population is
+refilled by parameter-wise crossover of two random parents plus Gaussian
+mutation, clamped to the input bounds.  Each child coordinate comes from
+its second parent with probability ``_CROSSOVER_PROB`` and is mutated with
+probability ``_MUTATION_PROB``; both are fixed at 0.5.  The first knot of
 the best candidate is the input to apply.  The input box is the spec's
 only constraint, and the search never leaves it.  ``evaluate_cost`` rolls
 one candidate out; it is the reference for the condensed scores.
@@ -16,14 +19,14 @@ Randomness comes from one SFC64 stream per (seed, generation), keyed by
 cold uniform population.  Every later generation draws, in this order and
 all at the generation barrier: the two parents of each child, one block
 of uniforms holding the crossover mask and the mutation mask of every
-child coordinate, and standard normals for the mutated coordinates only,
-in flat (child, knot, channel) order.  Candidate evaluation itself
-consumes no randomness, so the draws are the same no matter how the
-candidates are scored or batched.  The costs are per candidate as well,
-but they come from batched BLAS products, which can round the last bit
-differently for another batch size; ``solve_empc`` scores each population
-in one call, so a seed's result is bit-identical across processes and
-worker counts.
+child coordinate, each compared with its probability, and standard
+normals for the mutated coordinates only, in flat (child, knot, channel)
+order.  Candidate evaluation itself consumes no randomness, so the draws
+are the same no matter how the candidates are scored or batched.  The
+costs are per candidate as well, but they come from batched BLAS
+products, which can round the last bit differently for another batch
+size; ``solve_empc`` scores each population in one call, so a seed's
+result is bit-identical across processes and worker counts.
 """
 
 from __future__ import annotations
@@ -38,17 +41,17 @@ from .param import KnotSchedule, interpolation_matrix
 
 _SIGMA_SCALE = 0.2  # base mutation std as a fraction of the input range
 _DIST_REF = 1.0  # goal distance at which mutation noise reaches full scale
+_CROSSOVER_PROB = 0.5  # chance a child coordinate comes from its second parent
+_MUTATION_PROB = 0.5  # chance a child coordinate gets Gaussian noise
 
 
 @dataclass(frozen=True)
 class EmpcSettings:
-    """Population shape and variation operators."""
+    """Population shape, search length and seed."""
 
     num_sims: int = 1024
     num_parents: int = 64
     generations: int = 1
-    mutation_prob: float = 0.5
-    crossover_prob: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -56,9 +59,6 @@ class EmpcSettings:
             raise ValueError("need 1 <= num_parents <= num_sims")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
-        for name in ("mutation_prob", "crossover_prob"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 @dataclass
@@ -127,19 +127,6 @@ def _check_searchable(spec: MpcSpec) -> None:
         raise ValueError(f"EMPC needs finite input bounds, got u_min={spec.u_min}, u_max={spec.u_max}")
 
 
-def init_population(
-    spec: MpcSpec, sched: KnotSchedule, settings: EmpcSettings, x0, cost: _CostModel | None = None
-) -> Population:
-    """Cold start: candidates drawn uniformly within the input bounds."""
-    _check_searchable(spec)
-    if cost is None:
-        cost = _CostModel(spec, sched, x0)
-    rng = _rng(settings.seed, 0)
-    shape = (settings.num_sims, sched.p, spec.model.m)
-    cands = rng.uniform(spec.u_min, spec.u_max, size=shape)
-    return Population(cands, cost(cands), generation=1)
-
-
 def _children(
     rng: np.random.Generator, elites: np.ndarray, n_children: int, spec: MpcSpec, settings: EmpcSettings, x0
 ) -> np.ndarray:
@@ -150,7 +137,7 @@ def _children(
     d = p * m
     # every draw of the generation, in the order the module docstring gives
     first, second = rng.integers(0, settings.num_parents, size=(n_children, 2)).T
-    masks = rng.random((2, n_children * d)) < [[settings.crossover_prob], [settings.mutation_prob]]
+    masks = rng.random((2, n_children * d)) < [[_CROSSOVER_PROB], [_MUTATION_PROB]]
     mutated = np.flatnonzero(masks[1])
     noise = np.zeros((n_children, d))
     noise.reshape(-1)[mutated] = rng.standard_normal(mutated.size)
@@ -171,17 +158,8 @@ def _children(
     return children.reshape(n_children, p, m)
 
 
-def evolve_generation(
-    pop: Population,
-    spec: MpcSpec,
-    sched: KnotSchedule,
-    settings: EmpcSettings,
-    x0,
-    cost: _CostModel | None = None,
-) -> Population:
+def _evolve(pop: Population, spec: MpcSpec, settings: EmpcSettings, x0, cost: _CostModel) -> Population:
     """One elitist generation at a fixed state x0."""
-    if cost is None:
-        cost = _CostModel(spec, sched, x0)
     order = np.argsort(pop.costs, kind="stable")
     elite_idx = order[: settings.num_parents]
     elites = pop.candidates[elite_idx]
@@ -214,13 +192,16 @@ def solve_empc(
     x0 = np.asarray(x0, float)
     cost = _CostModel(spec, sched, x0)
     if prev is None:
-        pop = init_population(spec, sched, settings, x0, cost)
+        # cold start: generation 0 draws candidates uniformly within the input bounds
+        shape = (settings.num_sims, sched.p, spec.model.m)
+        cands = _rng(settings.seed, 0).uniform(spec.u_min, spec.u_max, size=shape)
+        pop = Population(cands, cost(cands), generation=1)
         remaining = settings.generations - 1
     else:
         pop = Population(prev.candidates, cost(prev.candidates), prev.generation)
         remaining = settings.generations
     for _ in range(remaining):
-        pop = evolve_generation(pop, spec, sched, settings, x0, cost)
+        pop = _evolve(pop, spec, settings, x0, cost)
     best = int(np.argmin(pop.costs))
     cand = pop.candidates[best]
     return EmpcResult(cand[0].copy(), cand.copy(), float(pop.costs[best]), pop)

@@ -18,15 +18,6 @@ import numpy as np
 _SNAP = 1e-9
 
 
-def knot_spacing(T: int, p: int) -> float:
-    """Spacing between knots, in (real) time steps."""
-    if p < 2:
-        raise ValueError("need at least two knots for a spacing")
-    if p > T:
-        raise ValueError(f"cannot place {p} knots on a horizon of {T} steps")
-    return (T - 1) / (p - 1)
-
-
 def interp_coeffs(k: int, spacing: float) -> tuple[int, int, float]:
     """Bracketing knot indices and blend weight for step k.
 
@@ -61,10 +52,8 @@ class KnotSchedule:
 
     @property
     def spacing(self) -> float | None:
-        """Knot spacing in steps; None for the single-knot (constant) case."""
-        if self.p == 1:
-            return None
-        return knot_spacing(self.T, self.p)
+        """Knot spacing in (real) steps; None for the single-knot (constant) case."""
+        return None if self.p == 1 else (self.T - 1) / (self.p - 1)
 
     def coeffs(self, k: int) -> tuple[int, int, float]:
         if not 0 <= k <= self.T - 1:

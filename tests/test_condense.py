@@ -358,10 +358,12 @@ def test_extract_first_input_layout():
     model = _model(2, 1)
     spec = _spec(model, 5)
     z_small = np.arange(5.0)
-    np.testing.assert_array_equal(extract_first_input(z_small, "small", spec), [0.0])
+    sol_small = QpSolution(z_small, "solved", 0, 0.0, np.zeros_like(z_small))
+    np.testing.assert_array_equal(extract_first_input(sol_small, "small", spec), [0.0])
     z_large = np.arange(18.0)
+    sol_large = QpSolution(z_large, "solved", 0, 0.0, np.zeros_like(z_large))
     # inputs start right after the n(T+1) stacked states
-    np.testing.assert_array_equal(extract_first_input(z_large, "large", spec), [12.0])
+    np.testing.assert_array_equal(extract_first_input(sol_large, "large", spec), [12.0])
 
 
 def test_extract_first_input_rejects_failed_solve():

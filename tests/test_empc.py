@@ -3,22 +3,22 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import knotmpc
+from knotmpc import empc
 from knotmpc.condense import MpcSpec, build_small_param
 from knotmpc.dynamics import DiscreteLinearModel, rollout
 from knotmpc.empc import (
     EmpcSettings,
-    Population,
     _CostModel,
+    _evolve,
     _rng,
     evaluate_cost,
-    evolve_generation,
-    init_population,
     solve_empc,
 )
 from knotmpc.param import KnotSchedule, interpolation_matrix
@@ -48,6 +48,16 @@ def _small_settings(**kw):
     return EmpcSettings(**base)
 
 
+def _cold(spec, settings):
+    """The cold population: generation 0's uniform draw, scored."""
+    return solve_empc(spec, SCHED, replace(settings, generations=1), X0).population
+
+
+def _step(pop, spec, settings, cost=None):
+    """One generation of ``pop`` at X0."""
+    return _evolve(pop, spec, settings, X0, cost or _CostModel(spec, SCHED, X0))
+
+
 def test_same_seed_reproduces_bitwise():
     s = _small_settings(generations=3)
     a = solve_empc(SPEC, SCHED, s, X0)
@@ -65,21 +75,21 @@ def test_different_seeds_differ():
 
 def test_candidates_respect_input_bounds():
     s = _small_settings(generations=4)
-    pop = init_population(SPEC, SCHED, s, X0)
+    pop = _cold(SPEC, s)
     assert pop.candidates.shape == (64, 3, 1)
     assert np.all(pop.candidates >= SPEC.u_min) and np.all(pop.candidates <= SPEC.u_max)
     for _ in range(3):
-        pop = evolve_generation(pop, SPEC, SCHED, s, X0)
+        pop = _step(pop, SPEC, s)
         assert np.all(pop.candidates >= SPEC.u_min)
         assert np.all(pop.candidates <= SPEC.u_max)
 
 
 def test_elitism_never_regresses():
     s = _small_settings()
-    pop = init_population(SPEC, SCHED, s, X0)
+    pop = _cold(SPEC, s)
     best = np.min(pop.costs)
     for _ in range(5):
-        pop = evolve_generation(pop, SPEC, SCHED, s, X0)
+        pop = _step(pop, SPEC, s)
         new_best = np.min(pop.costs)
         assert new_best <= best + 1e-12
         best = new_best
@@ -103,7 +113,7 @@ def test_evaluate_cost_matches_manual_rollout():
 
 def test_population_costs_match_evaluate_cost():
     # the batch scorer and the single-candidate path must agree
-    pop = init_population(SPEC, SCHED, _small_settings(), X0)
+    pop = _cold(SPEC, _small_settings())
     for i in (0, 17, 63):
         assert pop.costs[i] == pytest.approx(
             evaluate_cost(pop.candidates[i], SPEC, SCHED, X0), rel=1e-8, abs=1e-8
@@ -172,20 +182,13 @@ def test_settings_validation():
         EmpcSettings(num_parents=100, num_sims=50)
     with pytest.raises(ValueError):
         EmpcSettings(generations=0)
-    with pytest.raises(ValueError):
-        EmpcSettings(mutation_prob=1.5)
-    with pytest.raises(ValueError):
-        EmpcSettings(crossover_prob=-0.1)
 
 
 def test_infinite_input_bounds_rejected():
-    from dataclasses import replace
-
     warm = solve_empc(SPEC, SCHED, _small_settings(), X0).population
     for lo, hi in ((-np.inf, 4.0), (-4.0, np.inf)):
         spec = replace(SPEC, u_min=np.array([lo]), u_max=np.array([hi]))
         for call in (
-            lambda: init_population(spec, SCHED, _small_settings(), X0),
             lambda: solve_empc(spec, SCHED, _small_settings(), X0),
             lambda: solve_empc(spec, SCHED, _small_settings(), X0, prev=warm),
         ):
@@ -208,11 +211,13 @@ def _elites_and_parents(pop, settings):
 
 
 @pytest.mark.parametrize("crossover_prob", [0.0, 0.5, 1.0])
-def test_unmutated_children_come_from_their_drawn_parents(crossover_prob):
-    s = _small_settings(num_sims=512, num_parents=16, mutation_prob=0.0, crossover_prob=crossover_prob)
-    pop = init_population(SPEC, SCHED, s, X0)
+def test_unmutated_children_come_from_their_drawn_parents(crossover_prob, monkeypatch):
+    monkeypatch.setattr(empc, "_MUTATION_PROB", 0.0)
+    monkeypatch.setattr(empc, "_CROSSOVER_PROB", crossover_prob)
+    s = _small_settings(num_sims=512, num_parents=16)
+    pop = _cold(SPEC, s)
     elites, parents = _elites_and_parents(pop, s)
-    children = evolve_generation(pop, SPEC, SCHED, s, X0).candidates[16:].reshape(496, 3)
+    children = _step(pop, SPEC, s).candidates[16:].reshape(496, 3)
     first, second = elites[parents[:, 0]], elites[parents[:, 1]]
     assert np.all((children == first) | (children == second))
     if crossover_prob == 0.0:
@@ -224,14 +229,16 @@ def test_unmutated_children_come_from_their_drawn_parents(crossover_prob):
 
 
 @pytest.mark.parametrize("mutation_prob", [0.1, 0.5, 0.9])
-def test_mutated_fraction_matches_mutation_prob(mutation_prob):
+def test_mutated_fraction_matches_mutation_prob(mutation_prob, monkeypatch):
     # with crossover off every child starts as its first parent, so the
     # changed coordinates are exactly the mutated ones (a parent drawn
     # uniformly inside the box is never exactly at a bound)
-    s = EmpcSettings(num_sims=4096, num_parents=64, mutation_prob=mutation_prob, crossover_prob=0.0, seed=3)
-    pop = init_population(SPEC, SCHED, s, X0)
+    monkeypatch.setattr(empc, "_MUTATION_PROB", mutation_prob)
+    monkeypatch.setattr(empc, "_CROSSOVER_PROB", 0.0)
+    s = EmpcSettings(num_sims=4096, num_parents=64, seed=3)
+    pop = _cold(SPEC, s)
     elites, parents = _elites_and_parents(pop, s)
-    children = evolve_generation(pop, SPEC, SCHED, s, X0).candidates[64:].reshape(-1, 3)
+    children = _step(pop, SPEC, s).candidates[64:].reshape(-1, 3)
     changed = children != elites[parents[:, 0]]
     n = changed.size
     sd = np.sqrt(n * mutation_prob * (1.0 - mutation_prob))
@@ -251,9 +258,9 @@ def test_full_scale_mutation_stays_in_per_channel_bounds():
         u_goal=np.zeros(2), u_min=u_min, u_max=u_max,
     )
     s = _small_settings(num_sims=512, num_parents=16)
-    pop = init_population(spec, SCHED, s, X0)
+    pop = _cold(spec, s)
     for _ in range(3):
-        pop = evolve_generation(pop, spec, SCHED, s, X0)
+        pop = _step(pop, spec, s)
         assert np.all(pop.candidates >= u_min) and np.all(pop.candidates <= u_max)
     children = pop.candidates[16:]
     for bound in (u_min, u_max):
@@ -277,10 +284,10 @@ def test_chunked_scoring_changes_no_draw():
     # a few ulps
     s = _small_settings(num_sims=300, num_parents=20)
     cost = _CostModel(SPEC, SCHED, X0)
-    pop = init_population(SPEC, SCHED, s, X0, cost)
-    whole = evolve_generation(pop, SPEC, SCHED, s, X0, cost)
+    pop = _cold(SPEC, s)
+    whole = _step(pop, SPEC, s, cost)
     for size in (1, 7, 64, 257):
-        chunked = evolve_generation(pop, SPEC, SCHED, s, X0, _ChunkedCost(cost, size))
+        chunked = _step(pop, SPEC, s, _ChunkedCost(cost, size))
         np.testing.assert_array_equal(chunked.candidates, whole.candidates)
         np.testing.assert_allclose(chunked.costs, whole.costs, rtol=1e-13, atol=0)
 

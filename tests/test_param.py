@@ -9,7 +9,6 @@ from knotmpc.param import (
     KnotSchedule,
     interp_coeffs,
     interpolation_matrix,
-    knot_spacing,
 )
 
 W_T5_P3 = np.array(
@@ -24,16 +23,9 @@ W_T5_P3 = np.array(
 
 
 def test_knot_spacing_values():
-    assert knot_spacing(50, 5) == pytest.approx(12.25)
-    assert knot_spacing(5, 3) == pytest.approx(2.0)
-    assert knot_spacing(10, 10) == pytest.approx(1.0)
-
-
-def test_knot_spacing_rejects_bad_counts():
-    with pytest.raises(ValueError):
-        knot_spacing(10, 1)
-    with pytest.raises(ValueError):
-        knot_spacing(5, 6)
+    assert KnotSchedule(50, 5).spacing == pytest.approx(12.25)
+    assert KnotSchedule(5, 3).spacing == pytest.approx(2.0)
+    assert KnotSchedule(10, 10).spacing == pytest.approx(1.0)
 
 
 def test_interp_coeffs_basic():
