@@ -15,6 +15,12 @@ experiment kinds:
 * ``closedloop_comparison`` full closed-loop runs comparing convex and
                             evolutionary solvers
 
+A config chooses the robot, the horizons, the knot counts, the
+controllers and the trials.  Everything else is fixed for every
+experiment: the tracking weights and torque bounds (``make_template``),
+the solver settings (``QpSettings()``) and the EMPC population
+(``EmpcSettings``' defaults).
+
 Config format.  One ``key = value`` per line; the keys are the fields of
 ``ExperimentConfig``, each at most once, and only ``experiment`` is
 required.  ``#`` starts a comment, blank lines are skipped.  A field typed
@@ -126,15 +132,6 @@ class ExperimentConfig:
     rate: float = 100.0
     workers: int = 1
     out: str = "results.csv"
-    u_max: float | None = None
-    q_pos: float = 10.0
-    q_vel: float = 0.1
-    r_input: float = 0.01
-    qp_eps_prim: float = 1e-6
-    qp_eps_dual: float = 1e-6
-    qp_max_iters: int = 20000
-    empc_sims: int = 1024
-    empc_parents: int = 64
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -151,7 +148,7 @@ class ExperimentConfig:
         # and an infinite duration or rate overflows round(duration * rate)
         for name, hint in typing.get_type_hints(ExperimentConfig).items():
             value = getattr(self, name)
-            if float in (hint, *typing.get_args(hint)) and value is not None and not np.all(np.isfinite(value)):
+            if float in (hint, *typing.get_args(hint)) and not np.all(np.isfinite(value)):
                 raise ConfigError(f"{name}: must be finite, got {value}")
         if self.duration <= 0:
             raise ConfigError(f"duration: must be positive, got {self.duration}")
@@ -167,8 +164,6 @@ class ExperimentConfig:
             raise ConfigError("horizons: must be >= 1")
         if any(m <= 0 for m in self.multipliers):
             raise ConfigError("multipliers: must be positive")
-        if self.u_max is not None and self.u_max <= 0:
-            raise ConfigError(f"u_max: must be positive, got {self.u_max}")
         if self.controllers and self.experiment in ("param_sweep", "horizon_sweep"):
             raise ConfigError(f"controllers: {self.experiment} runs fixed controllers; remove this key")
         horizon = self.horizon()
@@ -177,13 +172,6 @@ class ExperimentConfig:
             if p is not None and p > horizon:
                 where = "round(duration * rate)" if self.experiment == "param_sweep" else "T"
                 raise ConfigError(f"{text!r}: {p} knots do not fit the {horizon}-step horizon ({where})")
-        for name in ("q_pos", "q_vel", "r_input", "qp_eps_prim", "qp_eps_dual"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name}: must be positive")
-        if self.qp_max_iters < 1:
-            raise ConfigError("qp_max_iters: must be >= 1")
-        if self.empc_sims < 1 or not 1 <= self.empc_parents <= self.empc_sims:
-            raise ConfigError("empc_parents: need 1 <= empc_parents <= empc_sims")
 
     def resolved_controllers(self) -> tuple[str, ...]:
         """Controller tokens the experiment runs; the first is the cost baseline.
@@ -286,10 +274,9 @@ def _parse_value(text: str, hint, key: str):
                 raise ConfigError(f"{key}: empty list")
             return tokens
         return _parse_list(text, item, key)
-    cast = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
-    if cast is str:
+    if hint is str:
         return text.strip()
-    if cast is int:
+    if hint is int:
         return _parse_int(text, key)
     try:
         return float(text)
@@ -335,8 +322,6 @@ def dump_config(cfg: ExperimentConfig) -> str:
     lines = []
     for f in fields(cfg):
         val = getattr(cfg, f.name)
-        if val is None:
-            continue
         if isinstance(val, tuple):
             if not val:
                 continue
@@ -359,16 +344,26 @@ def make_plant(robot: str, links: int):
     raise ConfigError(f"robot: unknown robot {robot!r}")
 
 
+# the tracking weights of every experiment: joint angle, joint rate, torque
+_Q_POS = 10.0
+_Q_VEL = 0.1
+_R_INPUT = 0.01
+
+
 def default_torque_bound(robot: str) -> float:
     return 25.0 if robot.startswith("pendulum") else 2.0
 
 
 def make_template(plant, cfg: ExperimentConfig, T: int) -> MpcSpec:
-    """Spec with placeholder model/goal; the loop swaps those per step."""
+    """Spec with placeholder model/goal; the loop swaps those per step.
+
+    The weights are the fixed tracking weights ``_Q_POS``, ``_Q_VEL`` and
+    ``_R_INPUT``, and the input box is +-``default_torque_bound`` per joint.
+    """
     nj = plant.m
-    Q = np.diag([cfg.q_pos] * nj + [cfg.q_vel] * nj)
-    R = cfg.r_input * np.eye(nj)
-    bound = cfg.u_max if cfg.u_max is not None else default_torque_bound(cfg.robot)
+    Q = np.diag([_Q_POS] * nj + [_Q_VEL] * nj)
+    R = _R_INPUT * np.eye(nj)
+    bound = default_torque_bound(cfg.robot)
     model = discretize(linearize(plant.ode, np.zeros(plant.n), np.zeros(nj)), 1.0 / cfg.rate)
     return MpcSpec(
         model=model,
@@ -376,18 +371,14 @@ def make_template(plant, cfg: ExperimentConfig, T: int) -> MpcSpec:
         Q=Q,
         R=R,
         x_goal=np.zeros(plant.n),
-        u_goal=np.zeros(nj),
         u_min=np.full(nj, -bound),
         u_max=np.full(nj, bound),
     )
 
 
 def qp_settings(cfg: ExperimentConfig) -> QpSettings:
-    return QpSettings(
-        eps_prim=cfg.qp_eps_prim,
-        eps_dual=cfg.qp_eps_dual,
-        max_iters=cfg.qp_max_iters,
-    )
+    """The solver settings every experiment runs: ``QpSettings()``."""
+    return QpSettings()
 
 
 def _trial_rng(cfg: ExperimentConfig, links: int, trial: int) -> np.random.Generator:
@@ -418,11 +409,10 @@ def _sample_endpoints(rng: np.random.Generator, nj: int, step: float | None = No
 
 
 def _controller_from_token(controller: Controller, cfg: ExperimentConfig, seed: int) -> Controller:
-    """The parsed controller with the config's EMPC population and ``seed``."""
+    """The parsed controller with its EMPC search seeded by ``seed``."""
     if controller.kind != "empc":
         return controller
-    empc = replace(controller.empc, num_sims=cfg.empc_sims, num_parents=cfg.empc_parents, seed=seed)
-    return replace(controller, empc=empc)
+    return replace(controller, empc=replace(controller.empc, seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +492,6 @@ def _closed_loop(plant, controller, template, x0, xg, cfg, *, controller_plant=N
         cfg.duration,
         cfg.rate,
         controller_plant=controller_plant,
-        qp_settings=qp_settings(cfg),
     )
     return compute_metrics(result, template.Q, template.R, xg, cfg.rate, plant.m)
 
@@ -565,7 +554,7 @@ def _run_solve_time_scaling(task: _Task) -> list[dict]:
     template = make_template(plant, cfg, cfg.T)
     rows = []
     for controller in _controllers(task):
-        res = run_closed_loop(plant, controller, template, x0, xg, 1.0 / cfg.rate, cfg.rate, qp_settings=qp_settings(cfg))
+        res = run_closed_loop(plant, controller, template, x0, xg, 1.0 / cfg.rate, cfg.rate)
         rows.append(_row(task, controller, cfg.T, x0, xg, steps=1, opt_time_med=float(res.opt_time[0]),
                          mpc_time_med=float(res.mpc_time[0]), failures=res.failures))
     return rows

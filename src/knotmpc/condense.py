@@ -20,15 +20,15 @@ W'W are computed once per schedule.
 
 All of them minimize the same tracking objective
 
-    sum_k (x_goal - x_k)' Q (x_goal - x_k) + (u_goal - u_k)' R (u_goal - u_k)
+    sum_k (x_goal - x_k)' Q (x_goal - x_k) + u_k' R u_k
     + terminal state term at the end of the horizon,
 
 so their minimizers agree (the parameterized ones on the restricted
 input family), even though the two structures drop different additive
 constants from the quadratic form.  Each builder records its constant as
 the problem's ``offset``, so ``objective + offset`` is the tracking cost: the
-large form's is the goal terms (T+1) x_goal'Q x_goal + T u_goal'R u_goal,
-the condensed form's comes from the free-response error.
+large form's is the goal term (T+1) x_goal'Q x_goal, the condensed form's
+is the free-response error plus the k = 0 stage.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ FORMULATIONS = tuple(kind for kind in CONTROLLER_KINDS if kind != "empc")
 @dataclass(frozen=True)
 class MpcSpec:
     """Everything defining one finite-horizon tracking problem: the model,
-    the horizon, the weights and goals, and the input bounds, which every
-    controller kind can enforce.
+    the horizon, the weights, the state goal, and the input bounds, which
+    every controller kind can enforce.  Inputs are penalized towards zero.
 
-    Goals and weights must be finite; bounds may be infinite but not NaN.
+    The goal and weights must be finite; bounds may be infinite but not NaN.
     """
 
     model: DiscreteLinearModel
@@ -71,7 +71,6 @@ class MpcSpec:
     Q: np.ndarray
     R: np.ndarray
     x_goal: np.ndarray
-    u_goal: np.ndarray
     u_min: np.ndarray
     u_max: np.ndarray
 
@@ -79,7 +78,7 @@ class MpcSpec:
         n, m = self.model.n, self.model.m
         if self.T < 1:
             raise ValueError("horizon must be at least one step")
-        for name, size in (("x_goal", n), ("u_goal", m), ("u_min", m), ("u_max", m)):
+        for name, size in (("x_goal", n), ("u_min", m), ("u_max", m)):
             arr = np.broadcast_to(np.asarray(getattr(self, name), float), (size,)).copy()
             object.__setattr__(self, name, arr)
         for name in ("Q", "R"):
@@ -87,7 +86,7 @@ class MpcSpec:
             object.__setattr__(self, name, M)
         if self.Q.shape != (n, n) or self.R.shape != (m, m):
             raise ValueError("Q and R must match the model dimensions")
-        for name in ("x_goal", "u_goal", "Q", "R"):
+        for name in ("x_goal", "Q", "R"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         _check_symmetric(self.Q, "Q")
@@ -183,7 +182,7 @@ def build_large_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
     Qbig = sp.kron(sp.eye(T + 1), spec.Q)
     Rblk = sp.kron(sp.csc_matrix(WtW), spec.R, format="csc")  # kron(W'W, R), see _param_input_cost
     P = sp.block_diag([Qbig, Rblk, sp.csc_matrix((1, 1))], format="csc")
-    z_goal = np.concatenate([np.tile(spec.x_goal, T + 1), np.tile(spec.u_goal, sched.p), [1.0]])
+    z_goal = np.concatenate([np.tile(spec.x_goal, T + 1), np.zeros(n_inputs), [1.0]])
     q = -(P @ z_goal)
 
     dyn_x = sp.kron(sp.eye(T, T + 1), model.Ad) - sp.kron(sp.eye(T, T + 1, k=1), sp.eye(n))
@@ -196,7 +195,7 @@ def build_large_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpP
     A = sp.vstack([pin_x0, dynamics, pin_one, bounds_u], format="csc")
     lb = np.concatenate([-x0, np.zeros(n * T), [1.0], np.tile(spec.u_min, sched.p)])
     ub = np.concatenate([-x0, np.zeros(n * T), [1.0], np.tile(spec.u_max, sched.p)])
-    offset = float((T + 1) * spec.x_goal @ spec.Q @ spec.x_goal + T * spec.u_goal @ spec.R @ spec.u_goal)
+    offset = float((T + 1) * spec.x_goal @ spec.Q @ spec.x_goal)
     return QpProblem(P, q, A, lb, ub, offset)
 
 
@@ -220,12 +219,11 @@ def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> Box
     R_knot = _param_input_cost(spec, sched)
     P = G[:d, :d] + R_knot
     P = 0.5 * (P + P.T)
-    q = G[:d, d] - R_knot @ np.tile(spec.u_goal, sched.p)
-    # the constant: the free-response error terms plus the k = 0 stage and
-    # the input goal terms, none of which depend on the knots
+    # the constant: the free-response error terms plus the k = 0 stage,
+    # neither of which depends on the knots
     err0 = spec.x_goal - x0
-    offset = float(G[d, d] + T * spec.u_goal @ spec.R @ spec.u_goal + err0 @ spec.Q @ err0)
-    return BoxQp(P, q, np.tile(spec.u_min, sched.p), np.tile(spec.u_max, sched.p), offset)
+    offset = float(G[d, d] + err0 @ spec.Q @ err0)
+    return BoxQp(P, G[:d, d], np.tile(spec.u_min, sched.p), np.tile(spec.u_max, sched.p), offset)
 
 
 # ---------------------------------------------------------------------------

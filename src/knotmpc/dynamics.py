@@ -345,7 +345,7 @@ def rk4_step(f, x, u, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def integrate(f, x, u, dt: float, substeps: int = 10) -> np.ndarray:
+def integrate(f, x, u, dt: float, substeps: int) -> np.ndarray:
     """Advance the plant one control period using RK4 substeps."""
     h = dt / substeps
     for _ in range(substeps):

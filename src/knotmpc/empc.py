@@ -117,8 +117,7 @@ def evaluate_cost(candidate, spec: MpcSpec, sched: KnotSchedule, x0) -> float:
     from a rollout of the discrete model: the reference for ``_CostModel``."""
     U = interpolation_matrix(sched) @ np.asarray(candidate, float).reshape(sched.p, spec.model.m)
     ex = rollout(spec.model, np.asarray(x0, float), U) - spec.x_goal
-    eu = U - spec.u_goal
-    return float(np.einsum("ti,ij,tj->", ex, spec.Q, ex) + np.einsum("ti,ij,tj->", eu, spec.R, eu))
+    return float(np.einsum("ti,ij,tj->", ex, spec.Q, ex) + np.einsum("ti,ij,tj->", U, spec.R, U))
 
 
 def _check_searchable(spec: MpcSpec) -> None:

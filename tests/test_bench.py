@@ -29,11 +29,11 @@ from knotmpc.bench import (
     make_template,
     parse_controller_token,
     preset_config,
-    qp_settings,
     rows_to_csv_text,
     run_experiment,
     write_csv,
 )
+from knotmpc.cli import main
 from knotmpc.closedloop import Controller, run_closed_loop
 from knotmpc.condense import CONTROLLER_KINDS
 from knotmpc.dynamics import NLinkArm, Pendulum
@@ -140,15 +140,42 @@ def test_config_errors():
 
 @pytest.mark.parametrize(
     "key, text",
-    [(key, "nan") for key in ("multipliers", "q_pos", "q_vel", "r_input", "u_max", "qp_eps_prim", "qp_eps_dual")]
+    [("multipliers", "nan")]
     + [(key, text) for key in ("duration", "rate") for text in ("nan", "inf")]
-    + [("q_pos", "inf"), ("multipliers", "0.5,inf"), ("multipliers", "0.5:inf")],
+    + [("multipliers", "0.5,inf"), ("multipliers", "0.5:inf")],
 )
 def test_non_finite_numbers_are_config_errors(key, text):
     # NaN passes every ``x <= 0`` check and inf overflows round(duration * rate):
     # both must be reported as a bad config, which the CLI exits 1 on
     with pytest.raises(ConfigError, match=f"{key}: "):
         config_from_mapping({"experiment": "robustness", key: text})
+
+
+# the keys of the settings that are now fixed, each with a value it once accepted
+_REMOVED_KEYS = {
+    "u_max": "2.0",
+    "q_pos": "10.0",
+    "q_vel": "0.1",
+    "r_input": "0.01",
+    "qp_eps_prim": "1e-6",
+    "qp_eps_dual": "1e-6",
+    "qp_max_iters": "20000",
+    "empc_sims": "1024",
+    "empc_parents": "64",
+}
+
+
+@pytest.mark.parametrize("key", _REMOVED_KEYS)
+def test_removed_keys_are_unknown(tmp_path, capsys, key):
+    # the weights, bounds, solver settings and EMPC population are fixed, so a
+    # config that sets one fails loudly instead of being ignored
+    with pytest.raises(ConfigError, match=f"^{key}: unknown config key$"):
+        config_from_mapping({"experiment": "robustness", key: _REMOVED_KEYS[key]})
+    path = tmp_path / "old.cfg"
+    path.write_text(f"experiment = robustness\n{key} = {_REMOVED_KEYS[key]}\n")
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    assert f"{key}: unknown config key" in capsys.readouterr().err
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_load_config_rejects_repeated_keys(tmp_path):
@@ -174,15 +201,6 @@ def test_dump_load_round_trip_of_every_field(tmp_path):
         rate=50.0,
         workers=2,
         out="all.csv",
-        u_max=1.5,
-        q_pos=3.0,
-        q_vel=0.5,
-        r_input=0.02,
-        qp_eps_prim=1e-5,
-        qp_eps_dual=2e-5,
-        qp_max_iters=500,
-        empc_sims=64,
-        empc_parents=8,
     )
     assert all(getattr(cfg, f.name) != f.default for f in fields(ExperimentConfig))
     path = tmp_path / "all.cfg"
@@ -244,15 +262,16 @@ def test_default_torque_bounds():
 
 
 def test_make_template_weights():
-    cfg = config_from_mapping(
-        {"experiment": "param_sweep", "robot": "nlink", "q_pos": "7.0", "q_vel": "0.2"}
-    )
-    plant = make_plant("nlink", 2)
-    spec = make_template(plant, cfg, 15)
+    cfg = config_from_mapping({"experiment": "param_sweep", "robot": "nlink"})
+    spec = make_template(make_plant("nlink", 2), cfg, 15)
     assert spec.T == 15
-    np.testing.assert_allclose(np.diag(spec.Q), [7.0, 7.0, 0.2, 0.2])
-    np.testing.assert_allclose(spec.R, 0.01 * np.eye(2))
-    assert spec.u_max[0] == 2.0
+    np.testing.assert_array_equal(spec.Q, np.diag([10.0, 10.0, 0.1, 0.1]))
+    np.testing.assert_array_equal(spec.R, 0.01 * np.eye(2))
+    np.testing.assert_array_equal(spec.u_max, [2.0, 2.0])
+    np.testing.assert_array_equal(spec.u_min, [-2.0, -2.0])
+    pendulum = make_template(make_plant("pendulum", 1), replace(cfg, robot="pendulum"), 15)
+    np.testing.assert_array_equal(pendulum.u_max, [25.0])
+    np.testing.assert_array_equal(pendulum.u_min, [-25.0])
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +325,6 @@ def _tiny(experiment, **kw):
         "horizons": "5,10",
         "multipliers": "0.8,1.0",
         "links": "1",
-        "empc_sims": "32",
-        "empc_parents": "4",
     }
     base.update(kw)
     return config_from_mapping(base)
@@ -420,7 +437,7 @@ from knotmpc.bench import config_from_mapping, rows_to_csv_text, run_experiment
 cfg = config_from_mapping({
     "experiment": "robustness", "robot": "pendulum_nograv", "trials": "1",
     "duration": "0.1", "T": "10", "multipliers": "0.8,1.0", "links": "1",
-    "controllers": "small,empc:2:1", "empc_sims": "32", "empc_parents": "4",
+    "controllers": "small,empc:2:1",
 })
 sys.stdout.write(rows_to_csv_text(run_experiment(cfg, out_dir=sys.argv[1]), include_timing=False))
 """
@@ -465,6 +482,5 @@ def test_swing_with_condensed_p_indefinite_at_rounding_floor_solves():
     plant = make_plant(cfg.robot, 6)
     x0, xg = _sample_endpoints(_trial_rng(cfg, 6, 12), 6)
     controller = _controller_from_token(parse_controller_token("small_param:3"), cfg, 0)
-    res = run_closed_loop(plant, controller, make_template(plant, cfg, cfg.T), x0, xg, 0.31, cfg.rate,
-                          qp_settings=qp_settings(cfg))
+    res = run_closed_loop(plant, controller, make_template(plant, cfg, cfg.T), x0, xg, 0.31, cfg.rate)
     assert res.failures == 0

@@ -49,7 +49,7 @@ def _template(plant, T=40, rate=100.0):
         model, T,
         Q=np.diag([10.0] * nj + [0.1] * nj),
         R=0.01 * np.eye(nj),
-        x_goal=np.zeros(plant.n), u_goal=np.zeros(nj),
+        x_goal=np.zeros(plant.n),
         u_min=-25.0 * np.ones(nj), u_max=25.0 * np.ones(nj),
     )
 
@@ -339,7 +339,7 @@ def test_non_finite_endpoints_rejected_before_the_first_step(monkeypatch):
 def test_arm_plant_steps_through_ode1(monkeypatch):
     # the true plant advances through the single-state derivative, 4 RK4
     # stages x 10 substeps per step; the batched ode serves only linearize
-    from knotmpc.bench import _sample_endpoints, make_plant, make_template, preset_config, qp_settings
+    from knotmpc.bench import _sample_endpoints, make_plant, make_template, preset_config
 
     cfg = preset_config("closedloop_arms")
     plant = make_plant(cfg.robot, 6)
@@ -358,8 +358,7 @@ def test_arm_plant_steps_through_ode1(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(plant, name, counting(name))
-    res = run_closed_loop(plant, Controller("small_param", p=3), template, x0, x_goal, 5 / cfg.rate, cfg.rate,
-                          qp_settings=qp_settings(cfg))
+    res = run_closed_loop(plant, Controller("small_param", p=3), template, x0, x_goal, 5 / cfg.rate, cfg.rate)
     assert calls == {"ode": 5, "ode1": 5 * 4 * PLANT_SUBSTEPS}
     assert res.states.shape == (6, plant.n) and res.failures == 0
 

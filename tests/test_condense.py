@@ -40,7 +40,6 @@ def _spec(model, T, seed=0):
         Q=np.diag(rng.uniform(0.5, 2.0, n)),
         R=np.diag(rng.uniform(0.1, 1.0, m)),
         x_goal=rng.normal(size=n) * 0.3,
-        u_goal=np.zeros(m),
         u_min=-2.0 * np.ones(m),
         u_max=2.0 * np.ones(m),
     )
@@ -174,7 +173,7 @@ def _arm_spec(links, T, seed):
     x = np.concatenate([rng.uniform(-np.pi, np.pi, links), rng.normal(size=links)])
     model = discretize(linearize(plant.ode, x, np.zeros(links)), 1.0 / cfg.rate)
     spec = make_template(plant, cfg, T)._with_model(model)
-    return replace(spec, x_goal=rng.normal(size=2 * links), u_goal=rng.normal(size=links)), x
+    return replace(spec, x_goal=rng.normal(size=2 * links)), x
 
 
 @pytest.mark.parametrize("links", [1, 2, 3])
@@ -196,9 +195,9 @@ def test_condensed_hessian_matches_two_pass_reference(links):
         P_ref = 0.5 * (P_ref + P_ref.T)
         e = v - np.tile(spec.x_goal, T)
         Qe = blockdiag_Q(e[:, None]).ravel()
-        q_ref = S.T @ Qe - R_knot @ np.tile(spec.u_goal, p)
+        q_ref = S.T @ Qe
         err0 = spec.x_goal - x0
-        offset_ref = e @ Qe + T * spec.u_goal @ spec.R @ spec.u_goal + err0 @ Q @ err0
+        offset_ref = e @ Qe + err0 @ Q @ err0
         prob = build_small_param(spec, sched, x0)
         np.testing.assert_array_equal(prob.P, P_ref)
         np.testing.assert_allclose(prob.q, q_ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(q_ref)))
@@ -282,13 +281,13 @@ def test_dense_knots_reproduce_unparameterized():
     # condensed problem, assembled here from unit-input rollouts
     model = _model(3, 2, seed=9)
     T = 8
-    spec = replace(_spec(model, T, seed=9), u_goal=np.array([0.3, -0.2]))
+    spec = _spec(model, T, seed=9)
     x0 = np.random.default_rng(1).normal(size=3)
     S, v = _unit_responses(model, x0, np.eye(T))
     Qbig = np.kron(np.eye(T), spec.Q)
     Rbig = np.kron(np.eye(T), spec.R)
     P_ref = S.T @ Qbig @ S + Rbig
-    q_ref = S.T @ Qbig @ (v - np.tile(spec.x_goal, T)) - Rbig @ np.tile(spec.u_goal, T)
+    q_ref = S.T @ Qbig @ (v - np.tile(spec.x_goal, T))
     prob = build("small", spec, x0)
     np.testing.assert_allclose(prob.P, P_ref, atol=1e-10)
     np.testing.assert_allclose(prob.q, q_ref, atol=1e-10)
@@ -340,7 +339,7 @@ def test_condensed_qp_paths_and_warm_starts_agree(data):
     u_min = rng.uniform(-2.0, 0.5, m)
     spec = replace(
         _spec(_model(n, m, seed=seed, spectral=rng.uniform(0.5, 1.1)), T, seed=seed),
-        u_goal=rng.normal(size=m), u_min=u_min, u_max=u_min + rng.uniform(0.1, 2.0, m),
+        u_min=u_min, u_max=u_min + rng.uniform(0.1, 2.0, m),
     )
     box = build_small_param(spec, KnotSchedule(T, p), rng.normal(size=n))
     sparse = QpProblem(box.P, box.q, sp.eye(p * m, format="csc"), box.lb, box.ub, box.offset)
@@ -392,8 +391,7 @@ def test_objective_constant_recovers_tracking_cost():
             e = X[k] - spec.x_goal
             c += e @ spec.Q @ e
         for k in range(6):
-            d = U[k] - spec.u_goal
-            c += d @ spec.R @ d
+            c += U[k] @ spec.R @ U[k]
         return c
 
     for kind in FORMULATIONS:
@@ -410,7 +408,7 @@ def test_objective_constant_recovers_tracking_cost():
             U = (W @ sol.z).reshape(6, 1)
         if kind.startswith("large"):
             # zero states and zero inputs
-            zero_cost = 7 * spec.x_goal @ spec.Q @ spec.x_goal + 6 * spec.u_goal @ spec.R @ spec.u_goal
+            zero_cost = 7 * spec.x_goal @ spec.Q @ spec.x_goal
         else:
             # zero inputs, states from the free response
             zero_cost = tracking_cost(np.zeros((6, 1)))
@@ -423,20 +421,19 @@ def test_objective_constant_recovers_tracking_cost():
 def test_condensed_offset_is_objective_constant(seed):
     # the builder takes the constant from its own free response; it must be
     # the tracking cost of zero knots rolled out here from scratch, with a
-    # non-diagonal Q and a nonzero u_goal
+    # non-diagonal Q and a nonzero x_goal
     rng = np.random.default_rng(seed)
     n, m, T = 4, 2, 12
     model = _model(n, m, seed=seed)
     G = rng.normal(size=(n, n))
     spec = MpcSpec(
         model, T, Q=G @ G.T, R=np.diag(rng.uniform(0.1, 1.0, m)),
-        x_goal=rng.normal(size=n), u_goal=rng.normal(size=m),
+        x_goal=rng.normal(size=n),
         u_min=-3.0 * np.ones(m), u_max=3.0 * np.ones(m),
     )
     x0 = rng.normal(size=n)
     X = rollout(spec.model, x0, np.zeros((T, m)))
     zero_cost = sum((x - spec.x_goal) @ spec.Q @ (x - spec.x_goal) for x in X)
-    zero_cost += T * spec.u_goal @ spec.R @ spec.u_goal
     for p in (1, 4, T):
         prob = build_small_param(spec, KnotSchedule(T, p), x0)
         assert prob.offset == pytest.approx(zero_cost, rel=1e-12, abs=1e-12), p
@@ -446,14 +443,14 @@ def test_condensed_offset_is_objective_constant(seed):
 def test_offset_recovers_tracking_cost(seed):
     # for every formulation and knot count: qp objective + offset == the
     # tracking cost of the rolled-out trajectory, computed here from scratch,
-    # with a non-diagonal Q and a nonzero u_goal
+    # with a non-diagonal Q and a nonzero x_goal
     rng = np.random.default_rng(seed)
     n, m, T = 4, 2, 12
     model = _model(n, m, seed=seed)
     G = rng.normal(size=(n, n))
     spec = MpcSpec(
         model, T, Q=G @ G.T, R=np.diag(rng.uniform(0.1, 1.0, m)),
-        x_goal=rng.normal(size=n), u_goal=rng.normal(size=m),
+        x_goal=rng.normal(size=n),
         u_min=-3.0 * np.ones(m), u_max=3.0 * np.ones(m),
     )
     x0 = rng.normal(size=n)
@@ -465,8 +462,7 @@ def test_offset_recovers_tracking_cost(seed):
             e = X[k] - spec.x_goal
             c += e @ spec.Q @ e
         for k in range(T):
-            d = U[k] - spec.u_goal
-            c += d @ spec.R @ d
+            c += U[k] @ spec.R @ U[k]
         return c
 
     solver = AdmmSolver()
@@ -487,7 +483,7 @@ def test_offset_recovers_tracking_cost(seed):
 
 def test_spec_broadcasts_scalars():
     model = _model(3, 2)
-    spec = MpcSpec(model, 4, np.eye(3), np.eye(2), 0.0, 0.0, -1.0, 1.0)
+    spec = MpcSpec(model, 4, np.eye(3), np.eye(2), 0.0, -1.0, 1.0)
     assert spec.x_goal.shape == (3,)
     assert spec.u_min.shape == (2,)
     np.testing.assert_array_equal(spec.u_max, [1.0, 1.0])
@@ -495,8 +491,7 @@ def test_spec_broadcasts_scalars():
 
 def test_spec_validation_errors():
     model = _model(2, 1)
-    ok = dict(Q=np.eye(2), R=np.eye(1), x_goal=np.zeros(2), u_goal=np.zeros(1),
-              u_min=-np.ones(1), u_max=np.ones(1))
+    ok = dict(Q=np.eye(2), R=np.eye(1), x_goal=np.zeros(2), u_min=-np.ones(1), u_max=np.ones(1))
     with pytest.raises(ValueError):
         MpcSpec(model, 0, **ok)
     with pytest.raises(ValueError):
@@ -513,11 +508,9 @@ def test_spec_validation_errors():
 
 def test_spec_rejects_non_finite_data():
     model = _model(2, 1)
-    ok = dict(Q=np.eye(2), R=np.eye(1), x_goal=np.zeros(2), u_goal=np.zeros(1),
-              u_min=-np.ones(1), u_max=np.ones(1))
+    ok = dict(Q=np.eye(2), R=np.eye(1), x_goal=np.zeros(2), u_min=-np.ones(1), u_max=np.ones(1))
     for bad in (np.nan, np.inf):
-        for name, val in (("x_goal", [0.0, bad]), ("u_goal", [bad]), ("Q", np.diag([1.0, bad])),
-                          ("R", [[bad]])):
+        for name, val in (("x_goal", [0.0, bad]), ("Q", np.diag([1.0, bad])), ("R", [[bad]])):
             with pytest.raises(ValueError, match=name):
                 MpcSpec(model, 5, **{**ok, name: np.array(val)})
     for name in ("u_min", "u_max"):

@@ -189,7 +189,7 @@ def test_pendulum_energy_conserved_when_undamped():
     x = np.array([1.0, 0.5])
     e0 = total_energy(p, x)
     for _ in range(100):
-        x = integrate(plant.ode, x, np.zeros(1), 0.01)
+        x = integrate(plant.ode, x, np.zeros(1), 0.01, substeps=10)
     assert total_energy(p, x) == pytest.approx(e0, rel=1e-9)
 
 
@@ -305,7 +305,7 @@ def test_chain_energy_conserved_when_undamped(path):
     x = np.array([0.4, -0.8, 1.1, 0.5, -0.2, 0.3])
     e0 = total_energy(params, x)
     for _ in range(100):
-        x = integrate(getattr(plant, path), x, np.zeros(3), 0.01)
+        x = integrate(getattr(plant, path), x, np.zeros(3), 0.01, substeps=10)
     assert total_energy(params, x) == pytest.approx(e0, rel=1e-5)
 
 
@@ -425,7 +425,7 @@ def test_closed_loop_states_identical_under_column_oracle(monkeypatch):
     # linearizing through the per-column oracle: the trajectories must agree
     # to the byte, whatever the BLAS build
     from knotmpc import closedloop
-    from knotmpc.bench import _sample_endpoints, make_plant, make_template, preset_config, qp_settings
+    from knotmpc.bench import _sample_endpoints, make_plant, make_template, preset_config
 
     cfg = preset_config("closedloop_arms")
     plant = make_plant(cfg.robot, 6)
@@ -434,9 +434,7 @@ def test_closed_loop_states_identical_under_column_oracle(monkeypatch):
     controller = closedloop.Controller("small_param", p=3)
 
     def run():
-        return closedloop.run_closed_loop(
-            plant, controller, template, x0, x_goal, 5 / cfg.rate, cfg.rate, qp_settings=qp_settings(cfg)
-        )
+        return closedloop.run_closed_loop(plant, controller, template, x0, x_goal, 5 / cfg.rate, cfg.rate)
 
     batched = run()
     monkeypatch.setattr(closedloop, "linearize", _linearize_by_columns)

@@ -32,7 +32,7 @@ def _spec(T=20, seed=0):
     model = DiscreteLinearModel(Ad, Bd, np.zeros(2), 0.02)
     return MpcSpec(
         model, T, Q=np.diag([10.0, 0.1]), R=0.01 * np.eye(1),
-        x_goal=np.array([0.5, 0.0]), u_goal=np.zeros(1),
+        x_goal=np.array([0.5, 0.0]),
         u_min=-np.array([4.0]), u_max=np.array([4.0]),
     )
 
@@ -106,8 +106,7 @@ def test_evaluate_cost_matches_manual_rollout():
         e = X[k] - SPEC.x_goal
         want += e @ SPEC.Q @ e
     for k in range(20):
-        d = U[k] - SPEC.u_goal
-        want += d @ SPEC.R @ d
+        want += U[k] @ SPEC.R @ U[k]
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -121,12 +120,12 @@ def test_population_costs_match_evaluate_cost():
 
 
 def test_condensed_scoring_matches_rollout_with_offsets():
-    # non-diagonal Q, full R and a nonzero u_goal exercise every term of the
+    # non-diagonal Q, full R and a nonzero x_goal exercise every term of the
     # condensed quadratic and of the problem's offset
     base = _spec()
     spec = MpcSpec(
         base.model, 20, Q=np.array([[10.0, 1.5], [1.5, 0.4]]), R=0.01 * np.eye(1),
-        x_goal=base.x_goal, u_goal=np.array([0.7]), u_min=base.u_min, u_max=base.u_max,
+        x_goal=base.x_goal, u_min=base.u_min, u_max=base.u_max,
     )
     cands = np.random.default_rng(5).uniform(-4.0, 4.0, size=(16, 3, 1))
     got = _CostModel(spec, SCHED, X0)(cands)
@@ -255,7 +254,7 @@ def test_full_scale_mutation_stays_in_per_channel_bounds():
     u_min, u_max = np.array([-300.0, 10.0]), np.array([500.0, 12.0])
     spec = MpcSpec(
         model, 20, Q=np.eye(2), R=0.01 * np.eye(2), x_goal=np.array([50.0, 0.0]),
-        u_goal=np.zeros(2), u_min=u_min, u_max=u_max,
+        u_min=u_min, u_max=u_max,
     )
     s = _small_settings(num_sims=512, num_parents=16)
     pop = _cold(spec, s)
@@ -300,7 +299,7 @@ from knotmpc.dynamics import DiscreteLinearModel
 from knotmpc.empc import EmpcSettings, solve_empc
 from knotmpc.param import KnotSchedule
 model = DiscreteLinearModel(np.array([[1.0, 0.02], [-0.4, 0.97]]), np.array([[0.0], [0.05]]), np.zeros(2), 0.02)
-spec = MpcSpec(model, 20, np.diag([10.0, 0.1]), 0.01 * np.eye(1), np.array([0.5, 0.0]), np.zeros(1), -4.0, 4.0)
+spec = MpcSpec(model, 20, np.diag([10.0, 0.1]), 0.01 * np.eye(1), np.array([0.5, 0.0]), -4.0, 4.0)
 settings = EmpcSettings(num_sims=256, num_parents=16, generations=3, seed=int(sys.argv[1]))
 res = solve_empc(spec, KnotSchedule(20, 3), settings, np.array([-0.3, 0.1]))
 res = solve_empc(spec, KnotSchedule(20, 3), settings, np.array([-0.2, 0.1]), prev=res.population)
