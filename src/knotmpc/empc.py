@@ -8,25 +8,28 @@ which equals their tracking cost under the discrete model; the cheapest
 ``num_parents`` survive unchanged, and the rest of the population is
 refilled by parameter-wise crossover of two random parents plus Gaussian
 mutation, clamped to the input bounds.  Each child coordinate comes from
-its second parent with probability ``_CROSSOVER_PROB`` and is mutated with
-probability ``_MUTATION_PROB``; both are fixed at 0.5.  The first knot of
-the best candidate is the input to apply.  The input box is the spec's
-only constraint, and the search never leaves it.  ``evaluate_cost`` rolls
-one candidate out; it is the reference for the condensed scores.
+its second parent, and is mutated, on a fair coin each: one random bit.
+The first knot of the best candidate is the input to apply.  The input box
+is the spec's only constraint, and the search never leaves it: a warm
+population is clamped into it before scoring, and a child coordinate can
+leave it only where mutated, so only those are clamped.  ``evaluate_cost``
+rolls one candidate out; it is the reference for the condensed scores.
 
 Randomness comes from one SFC64 stream per (seed, generation), keyed by
 ``SeedSequence(seed, spawn_key=(generation,))``.  Generation 0 draws the
-cold uniform population.  Every later generation draws, in this order and
-all at the generation barrier: the two parents of each child, one block
-of uniforms holding the crossover mask and the mutation mask of every
-child coordinate, each compared with its probability, and standard
-normals for the mutated coordinates only, in flat (child, knot, channel)
-order.  Candidate evaluation itself consumes no randomness, so the draws
-are the same no matter how the candidates are scored or batched.  The
-costs are per candidate as well, but they come from batched BLAS
-products, which can round the last bit differently for another batch
-size; ``solve_empc`` scores each population in one call, so a seed's
-result is bit-identical across processes and worker counts.
+cold uniform population.  Every later generation of n children with d
+coordinates each draws, in this order and all at the generation barrier:
+the two parents of each child; ceil(2 n d / 64) raw words of the bit
+generator, unpacked with ``np.unpackbits(..., bitorder="little")`` into
+n d crossover bits (set: from the second parent), then n d mutation bits,
+both in flat (child, knot, channel) order; and standard normals for the
+mutated coordinates only, in the same order.  Candidate evaluation itself
+consumes no randomness, so the draws are the same no matter how the
+candidates are scored or batched.  The costs are per candidate as well,
+but they come from batched BLAS products, which can round the last bit
+differently for another batch size; ``solve_empc`` scores each population
+in one call, so a seed's result is bit-identical across processes and
+worker counts.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ from .param import KnotSchedule, interpolation_matrix
 
 _SIGMA_SCALE = 0.2  # base mutation std as a fraction of the input range
 _DIST_REF = 1.0  # goal distance at which mutation noise reaches full scale
-_CROSSOVER_PROB = 0.5  # chance a child coordinate comes from its second parent
-_MUTATION_PROB = 0.5  # chance a child coordinate gets Gaussian noise
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,15 @@ def _rng(seed: int, generation: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(key))
 
 
-def _mutation_sigma(spec: MpcSpec, x0: np.ndarray) -> np.ndarray:
-    """Per-channel mutation std, shrinking as the state approaches the goal."""
+def _coordinate_rows(spec: MpcSpec, sched: KnotSchedule, x0) -> list[np.ndarray]:
+    """Mutation std, lower and upper bound of each of a candidate's p m
+    coordinates.  The std shrinks as the state approaches the goal."""
     base = _SIGMA_SCALE * (spec.u_max - spec.u_min)
     # per-coordinate rms distance, so the schedule is state-dimension free
     err = spec.x_goal - np.asarray(x0, float)
     dist = float(np.linalg.norm(err)) / np.sqrt(err.size)
-    return base * min(1.0, dist / _DIST_REF)
+    sigma = base * min(1.0, dist / _DIST_REF)
+    return [np.tile(v, sched.p) for v in (sigma, spec.u_min, spec.u_max)]
 
 
 class _CostModel:
@@ -108,7 +111,7 @@ class _CostModel:
         self.P, self.q, self.offset = prob.P, prob.q, prob.offset
 
     def __call__(self, cands: np.ndarray) -> np.ndarray:
-        Z = cands.reshape(cands.shape[0], -1)
+        Z = cands.reshape(len(cands), self.q.size)
         return np.einsum("ni,ni->n", Z @ self.P, Z) + 2.0 * (Z @ self.q) + self.offset
 
 
@@ -126,51 +129,58 @@ def _check_searchable(spec: MpcSpec) -> None:
         raise ValueError(f"EMPC needs finite input bounds, got u_min={spec.u_min}, u_max={spec.u_max}")
 
 
-def _children(
-    rng: np.random.Generator, elites: np.ndarray, n_children: int, spec: MpcSpec, settings: EmpcSettings, x0
-) -> np.ndarray:
-    """Crossover and mutation of the elites (num_parents, p, m), clamped to
-    the input bounds.  Its (n_children, p m) temporaries are freed on
-    return, before the children are scored."""
-    _, p, m = elites.shape
-    d = p * m
+def _elite_order(costs: np.ndarray, k: int) -> np.ndarray:
+    """``np.argsort(costs, kind="stable")[:k]`` without sorting every cost:
+    all costs below the k-th smallest, the ties at it in index order, then a
+    stable sort of those k.  A non-finite cut takes the full sort."""
+    cut = np.partition(costs, k - 1)[k - 1]
+    if not np.isfinite(cut):
+        return np.argsort(costs, kind="stable")[:k]
+    keep = costs < cut
+    keep[np.flatnonzero(costs == cut)[: k - np.count_nonzero(keep)]] = True
+    idx = np.flatnonzero(keep)
+    return idx[np.argsort(costs[idx], kind="stable")]
+
+
+def _children(rng: np.random.Generator, elites: np.ndarray, n_sims: int, rows) -> np.ndarray:
+    """The next flat population (n_sims, d): the flat elites (k, d), then
+    their children by crossover and mutation.  ``rows`` holds the mutation
+    std and the bounds of each coordinate (``_coordinate_rows``)."""
+    k, d = elites.shape
+    n_children = n_sims - k
+    n = n_children * d
     # every draw of the generation, in the order the module docstring gives
-    first, second = rng.integers(0, settings.num_parents, size=(n_children, 2)).T
-    masks = rng.random((2, n_children * d)) < [[_CROSSOVER_PROB], [_MUTATION_PROB]]
-    mutated = np.flatnonzero(masks[1])
-    noise = np.zeros((n_children, d))
-    noise.reshape(-1)[mutated] = rng.standard_normal(mutated.size)
-
-    # crossover: each child coordinate is read from its chosen parent by
-    # one gather on the flat elites, pick = first + take_second (second - first)
-    pick = masks[0].reshape(n_children, d).astype(np.intp)
-    pick *= (second - first)[:, None]
-    pick += first[:, None]
-    pick *= d
+    first, second = rng.integers(0, k, size=(n_children, 2)).T
+    words = rng.bit_generator.random_raw(-(-2 * n // 64))
+    bits = np.unpackbits(words.view(np.uint8), count=2 * n, bitorder="little").view(bool)
+    mutated = np.flatnonzero(bits[n:])
+    step = rng.standard_normal(mutated.size)
+    # crossover: one gather from the flat elites; every index is in range, so mode="clip" only unbuffers out
+    pick = bits[:n].reshape(n_children, d) * ((second - first) * d)[:, None]
+    pick += (first * d)[:, None]
     pick += np.arange(d)
-    children = elites.reshape(-1)[pick]
-    # mutation: the noise is exactly zero off the mutated coordinates
-    noise *= np.tile(_mutation_sigma(spec, x0), p)
-    children += noise
-    np.minimum(children, np.tile(spec.u_max, p), out=children)
-    np.maximum(children, np.tile(spec.u_min, p), out=children)
-    return children.reshape(n_children, p, m)
+    flat = np.empty((n_sims, d))  # after pick, so the heap reuses the temporaries below it instead of trimming
+    flat[:k] = elites
+    np.take(elites, pick, out=flat[k:], mode="clip")
+    # mutation: the elites lie in the box, so only mutated coordinates can leave it
+    coordinate = np.remainder(mutated, d, dtype=np.int32, casting="unsafe")  # indices stay far below 2**31
+    sigma, lo, hi = (row.take(coordinate) for row in rows)
+    out = flat[k:].reshape(-1)
+    step *= sigma
+    step += out.take(mutated)
+    out[mutated] = np.minimum(np.maximum(step, lo, out=step), hi, out=step)
+    return flat
 
 
-def _evolve(pop: Population, spec: MpcSpec, settings: EmpcSettings, x0, cost: _CostModel) -> Population:
-    """One elitist generation at a fixed state x0."""
-    order = np.argsort(pop.costs, kind="stable")
-    elite_idx = order[: settings.num_parents]
-    elites = pop.candidates[elite_idx]
-    elite_costs = pop.costs[elite_idx]
-
-    n_children = settings.num_sims - settings.num_parents
-    if n_children == 0:
-        return Population(elites.copy(), elite_costs.copy(), pop.generation + 1)
-
-    children = _children(_rng(settings.seed, pop.generation), elites, n_children, spec, settings, x0)
-    cands = np.concatenate([elites, children])
-    costs = np.concatenate([elite_costs, cost(children)])
+def _evolve(pop: Population, settings: EmpcSettings, cost: _CostModel, rows) -> Population:
+    """One elitist generation: the ``num_parents`` cheapest candidates survive
+    unchanged and their children fill the rest of the population."""
+    k, n_sims = settings.num_parents, settings.num_sims
+    elite_idx = _elite_order(pop.costs, k)
+    elites = pop.candidates.reshape(pop.costs.size, -1)[elite_idx]
+    flat = _children(_rng(settings.seed, pop.generation), elites, n_sims, rows)
+    cands = flat.reshape(n_sims, *pop.candidates.shape[1:])
+    costs = np.concatenate([pop.costs[elite_idx], cost(cands[k:])])
     return Population(cands, costs, pop.generation + 1)
 
 
@@ -184,12 +194,14 @@ def solve_empc(
     """Run ``settings.generations`` generations and pick the best candidate.
 
     Without ``prev`` the first generation is the cold uniform sample; with
-    ``prev`` the previous population is re-evaluated at the new state
-    before mating, so stale costs never drive selection.
+    ``prev`` the previous candidates are clamped into this spec's box and
+    re-evaluated at the new state before mating, so stale costs never drive
+    selection.
     """
     _check_searchable(spec)
     x0 = np.asarray(x0, float)
     cost = _CostModel(spec, sched, x0)
+    rows = _coordinate_rows(spec, sched, x0)  # mutation std, lower and upper bound
     if prev is None:
         # cold start: generation 0 draws candidates uniformly within the input bounds
         shape = (settings.num_sims, sched.p, spec.model.m)
@@ -197,10 +209,13 @@ def solve_empc(
         pop = Population(cands, cost(cands), generation=1)
         remaining = settings.generations - 1
     else:
-        pop = Population(prev.candidates, cost(prev.candidates), prev.generation)
+        # a population searched under other bounds is pulled into this box
+        flat = np.maximum(prev.candidates.reshape(-1, rows[1].size), rows[1])
+        cands = np.minimum(flat, rows[2], out=flat).reshape(prev.candidates.shape)
+        pop = Population(cands, cost(cands), prev.generation)
         remaining = settings.generations
     for _ in range(remaining):
-        pop = _evolve(pop, spec, settings, x0, cost)
+        pop = _evolve(pop, settings, cost, rows)
     best = int(np.argmin(pop.costs))
     cand = pop.candidates[best]
     return EmpcResult(cand[0].copy(), cand.copy(), float(pop.costs[best]), pop)

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 import knotmpc
-from knotmpc import empc
 from knotmpc.condense import MpcSpec, build_small_param
 from knotmpc.dynamics import DiscreteLinearModel, rollout
 from knotmpc.empc import (
     EmpcSettings,
     _CostModel,
+    _coordinate_rows,
+    _elite_order,
     _evolve,
     _rng,
     evaluate_cost,
@@ -55,7 +56,8 @@ def _cold(spec, settings):
 
 def _step(pop, spec, settings, cost=None):
     """One generation of ``pop`` at X0."""
-    return _evolve(pop, spec, settings, X0, cost or _CostModel(spec, SCHED, X0))
+    rows = _coordinate_rows(spec, SCHED, X0)
+    return _evolve(pop, settings, cost or _CostModel(spec, SCHED, X0), rows)
 
 
 def test_same_seed_reproduces_bitwise():
@@ -161,6 +163,37 @@ def test_warm_population_reused():
     assert again.population.generation == first.population.generation + 1
 
 
+def test_warm_population_from_a_wider_box_is_clamped_into_the_spec_box():
+    s = _small_settings(generations=2)
+    wide = solve_empc(SPEC, SCHED, s, X0).population  # searched within +-4
+    assert np.any(np.abs(wide.candidates) > 1.0)
+    narrow = replace(SPEC, u_min=np.array([-1.0]), u_max=np.array([1.0]))
+    res = solve_empc(narrow, SCHED, s, X0, prev=wide)
+    for arr in (res.u, res.best, res.population.candidates):
+        assert np.all(arr >= -1.0) and np.all(arr <= 1.0)
+    assert res.best_cost == pytest.approx(evaluate_cost(res.best, narrow, SCHED, X0), rel=1e-8)
+
+
+_TIE_RNG = np.random.default_rng(17)
+
+
+@pytest.mark.parametrize(
+    "costs",
+    [
+        _TIE_RNG.standard_normal(1024),
+        _TIE_RNG.integers(0, 5, 1024).astype(float),  # heavy ties, also at the cut
+        np.array([3.0, 1.0, 3.0, 3.0, 0.0, 3.0, 1.0, 3.0]),
+        np.where(_TIE_RNG.random(1024) < 0.05, np.nan, _TIE_RNG.standard_normal(1024)),  # NaNs past the cut
+        np.where(_TIE_RNG.random(1024) < 0.97, np.inf, _TIE_RNG.integers(-2, 2, 1024)),  # cut at inf
+        np.where(_TIE_RNG.random(1024) < 0.97, np.nan, -np.inf),  # cut at NaN
+    ],
+    ids=["random", "integer-ties", "small-ties", "nan-past-cut", "inf-cut", "nan-cut"],
+)
+def test_elite_cut_equals_stable_argsort(costs):
+    for k in sorted({1, 3, min(64, costs.size), costs.size // 2, costs.size}):
+        np.testing.assert_array_equal(_elite_order(costs, k), np.argsort(costs, kind="stable")[:k])
+
+
 def test_single_knot_schedule():
     sched = KnotSchedule(T=20, p=1)
     res = solve_empc(SPEC, sched, _small_settings(), X0)
@@ -199,63 +232,79 @@ def test_infinite_input_bounds_rejected():
 # one generation: draws, crossover, mutation, clamping
 
 
-def _elites_and_parents(pop, settings):
-    """The elites a generation mates and, per child, its two drawn parents
-    (the first draws of the generation's stream)."""
+def _replay(pop, settings):
+    """The elites a generation mates and the draws of its stream that pick
+    the variation: per child its two parents, then the crossover and the
+    mutation bit of each of its coordinates."""
     order = np.argsort(pop.costs, kind="stable")
-    elites = pop.candidates[order[: settings.num_parents]]
+    elites = pop.candidates[order[: settings.num_parents]].reshape(settings.num_parents, -1)
     n_children = settings.num_sims - settings.num_parents
-    parents = _rng(settings.seed, pop.generation).integers(0, settings.num_parents, size=(n_children, 2))
-    return elites.reshape(settings.num_parents, -1), parents
+    n = n_children * elites.shape[1]
+    rng = _rng(settings.seed, pop.generation)
+    parents = rng.integers(0, settings.num_parents, size=(n_children, 2))
+    words = rng.bit_generator.random_raw(-(-2 * n // 64))
+    bits = np.unpackbits(words.view(np.uint8), count=2 * n, bitorder="little").view(bool)
+    crossover, mutated = bits.reshape(2, n_children, -1)
+    return elites, parents, crossover, mutated
 
 
-@pytest.mark.parametrize("crossover_prob", [0.0, 0.5, 1.0])
-def test_unmutated_children_come_from_their_drawn_parents(crossover_prob, monkeypatch):
-    monkeypatch.setattr(empc, "_MUTATION_PROB", 0.0)
-    monkeypatch.setattr(empc, "_CROSSOVER_PROB", crossover_prob)
+def test_unmutated_children_come_from_the_parent_their_bit_names():
     s = _small_settings(num_sims=512, num_parents=16)
     pop = _cold(SPEC, s)
-    elites, parents = _elites_and_parents(pop, s)
+    elites, parents, crossover, mutated = _replay(pop, s)
     children = _step(pop, SPEC, s).candidates[16:].reshape(496, 3)
-    first, second = elites[parents[:, 0]], elites[parents[:, 1]]
-    assert np.all((children == first) | (children == second))
-    if crossover_prob == 0.0:
-        np.testing.assert_array_equal(children, first)
-    elif crossover_prob == 1.0:
-        np.testing.assert_array_equal(children, second)
-    else:
-        assert np.any(children != first) and np.any(children != second)
+    named = np.where(crossover, elites[parents[:, 1]], elites[parents[:, 0]])
+    np.testing.assert_array_equal(children[~mutated], named[~mutated])
+    # cold parents lie strictly inside the box, so every mutated one moved
+    assert np.all(children[mutated] != named[mutated])
 
 
-@pytest.mark.parametrize("mutation_prob", [0.1, 0.5, 0.9])
-def test_mutated_fraction_matches_mutation_prob(mutation_prob, monkeypatch):
-    # with crossover off every child starts as its first parent, so the
-    # changed coordinates are exactly the mutated ones (a parent drawn
-    # uniformly inside the box is never exactly at a bound)
-    monkeypatch.setattr(empc, "_MUTATION_PROB", mutation_prob)
-    monkeypatch.setattr(empc, "_CROSSOVER_PROB", 0.0)
+def test_mask_frequencies_are_fair_coins():
     s = EmpcSettings(num_sims=4096, num_parents=64, seed=3)
-    pop = _cold(SPEC, s)
-    elites, parents = _elites_and_parents(pop, s)
-    children = _step(pop, SPEC, s).candidates[64:].reshape(-1, 3)
-    changed = children != elites[parents[:, 0]]
-    n = changed.size
-    sd = np.sqrt(n * mutation_prob * (1.0 - mutation_prob))
-    assert abs(np.count_nonzero(changed) - n * mutation_prob) < 5.0 * sd
+    _, _, crossover, mutated = _replay(_cold(SPEC, s), s)
+    for mask in (crossover, mutated):
+        n = mask.size
+        assert abs(np.count_nonzero(mask) - n / 2) < 5.0 * np.sqrt(n / 4)
+
+
+_U_MIN, _U_MAX = np.array([-300.0, 10.0]), np.array([500.0, 12.0])
+
+
+def _two_channel_spec(x_goal):
+    """A two-input spec whose channels have different bounds, so a mixed-up
+    channel shows."""
+    Ad = np.array([[1.0, 0.02], [-0.4, 0.97]])
+    Bd = np.array([[0.01, 0.0], [0.05, -0.03]])
+    model = DiscreteLinearModel(Ad, Bd, np.zeros(2), 0.02)
+    return MpcSpec(model, 20, Q=np.eye(2), R=0.01 * np.eye(2), x_goal=x_goal, u_min=_U_MIN, u_max=_U_MAX)
+
+
+def test_unclamped_mutation_steps_have_std_sigma_per_channel():
+    # the goal lies at rms distance 0.1 from X0, so the mutation std is 0.1 of
+    # its full scale, 0.02 of each channel's range
+    spec, u_min, u_max = _two_channel_spec(X0 + 0.1), _U_MIN, _U_MAX
+    sigma = 0.2 * (u_max - u_min) * 0.1
+    s = EmpcSettings(num_sims=4096, num_parents=64, seed=3)
+    pop = _cold(spec, s)
+    elites, parents, crossover, mutated = _replay(pop, s)
+    children = _step(pop, spec, s).candidates[64:].reshape(4032, 3, 2)
+    named = np.where(crossover, elites[parents[:, 1]], elites[parents[:, 0]]).reshape(4032, 3, 2)
+    # a parent 6 std inside the box is clamped with probability ~1e-9, and
+    # which parent that is does not depend on the step
+    inner = (named - u_min > 6.0 * sigma) & (u_max - named > 6.0 * sigma)
+    for c in range(2):
+        steps = (children - named)[..., c][mutated.reshape(4032, 3, 2)[..., c] & inner[..., c]]
+        n = steps.size
+        assert n > 2000
+        # a sample std has standard error sigma / sqrt(2 n); allow 5 of them
+        assert abs(steps.std() / sigma[c] - 1.0) < 5.0 / np.sqrt(2 * n)
+        assert abs(steps.mean()) < 5.0 * sigma[c] / np.sqrt(n)
 
 
 def test_full_scale_mutation_stays_in_per_channel_bounds():
     # far from the goal the mutation std is its full 0.2 of each channel's
-    # range, so many children leave the box and must be clamped back; the
-    # two channels have different bounds, so a mixed-up channel shows
-    Ad = np.array([[1.0, 0.02], [-0.4, 0.97]])
-    Bd = np.array([[0.01, 0.0], [0.05, -0.03]])
-    model = DiscreteLinearModel(Ad, Bd, np.zeros(2), 0.02)
-    u_min, u_max = np.array([-300.0, 10.0]), np.array([500.0, 12.0])
-    spec = MpcSpec(
-        model, 20, Q=np.eye(2), R=0.01 * np.eye(2), x_goal=np.array([50.0, 0.0]),
-        u_min=u_min, u_max=u_max,
-    )
+    # range, so many children leave the box and must be clamped back
+    spec, u_min, u_max = _two_channel_spec(np.array([50.0, 0.0])), _U_MIN, _U_MAX
     s = _small_settings(num_sims=512, num_parents=16)
     pop = _cold(spec, s)
     for _ in range(3):

@@ -29,8 +29,13 @@ def parity(monkeypatch):
 
 
 def _records(failures=0):
-    return {name: {"hash": f"{i:016x}", "actual_cost": [1.0, None], "failures": failures}
-            for i, name in enumerate(sorted(PRESETS))}
+    return {
+        name: {
+            "hash": f"{i:016x}", "actual_cost": [1.0, None], "failures": failures,
+            "controller": ["small_param:3", "empc:3:3"], "digest": [f"{i:015x}a", f"{i:015x}b"],
+        }
+        for i, name in enumerate(sorted(PRESETS))
+    }
 
 
 @pytest.mark.parametrize(
@@ -56,5 +61,33 @@ def test_against_exits_nonzero_when_parity_breaks(parity, monkeypatch, tmp_path,
     assert sorted(report) == sorted(PRESETS)
     assert report["horizon_sweep"]["failures_before"] == 1
     assert report["closedloop_arms"] == {
-        "hash_unchanged": True, "max_rel_actual_cost": 0.0, "failures": 1, "failures_before": 1,
+        "hash_unchanged": True, "max_rel_actual_cost": 0.0, "changed_controllers": [],
+        "failures": 1, "failures_before": 1,
     }
+
+
+def _against(parity, monkeypatch, tmp_path, capsys, recorded, current):
+    monkeypatch.setattr(parity, "record", lambda name, out_dir: current[name])
+    path = tmp_path / "parent.json"
+    path.write_text(json.dumps(recorded))
+    status = parity.main(["--against", str(path)])
+    return status, json.loads(capsys.readouterr().out)
+
+
+def test_against_names_the_controllers_whose_rows_changed(parity, monkeypatch, tmp_path, capsys):
+    recorded, current = _records(), _records()
+    arms = current["closedloop_arms"]
+    arms.update(hash="changed", digest=[arms["digest"][0], "changed"])
+    status, report = _against(parity, monkeypatch, tmp_path, capsys, recorded, current)
+    assert status == 1
+    assert report["closedloop_arms"]["changed_controllers"] == ["empc:3:3"]
+    assert all(report[name]["changed_controllers"] == [] for name in PRESETS if name != "closedloop_arms")
+
+
+def test_against_a_record_without_digests_names_no_controllers(parity, monkeypatch, tmp_path, capsys):
+    recorded, current = _records(), _records()
+    for rec in recorded.values():
+        del rec["controller"], rec["digest"]
+    status, report = _against(parity, monkeypatch, tmp_path, capsys, recorded, current)
+    assert status == 0
+    assert all(report[name]["changed_controllers"] is None for name in PRESETS)

@@ -3,16 +3,19 @@
     python3 tools/parity.py > side.json                  # record this checkout
     python3 tools/parity.py --against parent.json        # compare with a record
 
-Each preset runs reduced: trials=2, workers=1, links=(1, 2), and a
-0.1 s duration except for the ``param_sweep*`` and ``solve_times*``
-presets, which keep theirs.  BLAS runs one thread.  The hash is the first
-16 hex digits of the sha256 of the preset's CSV with the timing columns
-masked.  Without ``--against`` the output is one JSON object: per preset,
-the hash, the ``actual_cost`` column (null where a row has none) and the
-summed ``failures``.  With ``--against`` it is, per preset, whether the
-hash is unchanged, the largest relative ``actual_cost`` change against
-the recorded side and the failures of both sides; the exit status is 1
-when a hash changed or failures rose, else 0.
+Each preset runs reduced: trials=2, workers=1, links=(1, 2), and a 0.1 s
+duration except for the ``param_sweep*`` and ``solve_times*`` presets,
+which keep theirs.  BLAS runs one thread.  The hash is the first 16 hex
+digits of the sha256 of the preset's CSV with the timing columns masked.
+Without ``--against`` the output is one JSON object: per preset, the
+hash, the ``actual_cost`` column (null where a row has none), each row's
+``controller`` token (kind, p and generations, as ``empc:3:3``) and
+``digest`` (the same hash of that row alone) and the summed
+``failures``.  With ``--against`` it is, per preset, whether the hash is
+unchanged, the largest relative ``actual_cost`` change against the
+recorded side, the ``changed_controllers`` whose rows' digests differ
+(null against a record without digests) and the failures of both sides;
+the exit status is 1 when a hash changed or failures rose, else 0.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import json
 import sys
 import tempfile
 from dataclasses import replace
+from itertools import zip_longest
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -43,12 +47,17 @@ def reduced_config(name: str):
     return replace(cfg, duration=0.1)
 
 
+def masked_hash(rows: list[dict]) -> str:
+    return hashlib.sha256(rows_to_csv_text(rows, include_timing=False).encode()).hexdigest()[:16]
+
+
 def record(name: str, out_dir: str) -> dict:
     rows = run_experiment(reduced_config(name), out_dir)
-    text = rows_to_csv_text(rows, include_timing=False)
     return {
-        "hash": hashlib.sha256(text.encode()).hexdigest()[:16],
+        "hash": masked_hash(rows),
         "actual_cost": [None if r["actual_cost"] == "" else r["actual_cost"] for r in rows],
+        "controller": [":".join(str(r[c]) for c in ("controller", "p", "generations") if r[c] != "") for r in rows],
+        "digest": [masked_hash([r]) for r in rows],
         "failures": sum(int(r["failures"] or 0) for r in rows),
     }
 
@@ -65,11 +74,21 @@ def max_rel_change(old: list, new: list) -> float:
     return worst
 
 
+def changed_controllers(old: dict, new: dict) -> list[str] | None:
+    """Controllers of the rows whose digest differs, paired by position;
+    None if ``old`` predates per-row digests."""
+    if "digest" not in old:
+        return None
+    rows = zip_longest(zip(old["controller"], old["digest"]), zip(new["controller"], new["digest"]))
+    return sorted({c for a, b in rows if a != b for c, _ in filter(None, (a, b))})
+
+
 def compare(old: dict, new: dict) -> dict:
     return {
         name: {
             "hash_unchanged": rec["hash"] == old[name]["hash"],
             "max_rel_actual_cost": max_rel_change(old[name]["actual_cost"], rec["actual_cost"]),
+            "changed_controllers": changed_controllers(old[name], rec),
             "failures": rec["failures"],
             "failures_before": old[name]["failures"],
         }
