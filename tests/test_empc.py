@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import knotmpc
+from knotmpc import empc
 from knotmpc.condense import MpcSpec, build_small_param
 from knotmpc.dynamics import DiscreteLinearModel, rollout
 from knotmpc.empc import (
@@ -265,6 +266,70 @@ def test_mask_frequencies_are_fair_coins():
     for mask in (crossover, mutated):
         n = mask.size
         assert abs(np.count_nonzero(mask) - n / 2) < 5.0 * np.sqrt(n / 4)
+
+
+class _SetBits:
+    """A generation's stream whose raw words carry given crossover and
+    mutation masks; the parent and normal draws are the real stream's."""
+
+    def __init__(self, rng, crossover, mutated):
+        self._rng = rng
+        self.bit_generator = self
+        self._bits = np.concatenate([crossover.ravel(), mutated.ravel()])
+
+    def integers(self, *args, **kw):
+        return self._rng.integers(*args, **kw)
+
+    def standard_normal(self, *args, **kw):
+        return self._rng.standard_normal(*args, **kw)
+
+    def random_raw(self, count):
+        packed = np.zeros(8 * count, np.uint8)
+        packed[: -(-self._bits.size // 8)] = np.packbits(self._bits, bitorder="little")
+        return packed.view(np.uint64)
+
+
+def _step_with_bits(pop, settings, crossover_prob, mutation_prob, monkeypatch):
+    """One generation whose crossover and mutation bits are set with the
+    given probabilities instead of the fair coins, and those masks."""
+    n_children = settings.num_sims - settings.num_parents
+    shape = (n_children, pop.candidates[0].size)
+    masks = np.random.default_rng(11).random((2, *shape)) < np.array([crossover_prob, mutation_prob])[:, None, None]
+    monkeypatch.setattr(empc, "_rng", lambda seed, generation: _SetBits(_rng(seed, generation), *masks))
+    return _step(pop, SPEC, settings), masks
+
+
+@pytest.mark.parametrize("crossover_prob", [0.0, 0.5, 1.0])
+def test_unmutated_children_come_from_their_drawn_parents(crossover_prob, monkeypatch):
+    s = _small_settings(num_sims=512, num_parents=16)
+    pop = _cold(SPEC, s)
+    elites, parents, _, _ = _replay(pop, s)
+    nxt, (crossover, _) = _step_with_bits(pop, s, crossover_prob, 0.0, monkeypatch)
+    children = nxt.candidates[16:].reshape(496, 3)
+    first, second = elites[parents[:, 0]], elites[parents[:, 1]]
+    np.testing.assert_array_equal(children, np.where(crossover, second, first))
+    if crossover_prob == 0.0:
+        np.testing.assert_array_equal(children, first)
+    elif crossover_prob == 1.0:
+        np.testing.assert_array_equal(children, second)
+    else:
+        assert np.any(children != first) and np.any(children != second)
+
+
+@pytest.mark.parametrize("mutation_prob", [0.1, 0.5, 0.9])
+def test_mutated_fraction_matches_mutation_prob(mutation_prob, monkeypatch):
+    # with crossover off every child starts as its first parent, so the
+    # changed coordinates are exactly the mutated ones (a parent drawn
+    # uniformly inside the box is never exactly at a bound)
+    s = EmpcSettings(num_sims=4096, num_parents=64, seed=3)
+    pop = _cold(SPEC, s)
+    elites, parents, _, _ = _replay(pop, s)
+    nxt, (_, mutated) = _step_with_bits(pop, s, 0.0, mutation_prob, monkeypatch)
+    changed = nxt.candidates[64:].reshape(-1, 3) != elites[parents[:, 0]]
+    np.testing.assert_array_equal(changed, mutated)
+    n = changed.size
+    sd = np.sqrt(n * mutation_prob * (1.0 - mutation_prob))
+    assert abs(np.count_nonzero(changed) - n * mutation_prob) < 5.0 * sd
 
 
 _U_MIN, _U_MAX = np.array([-300.0, 10.0]), np.array([500.0, 12.0])
