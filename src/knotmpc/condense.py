@@ -218,12 +218,12 @@ def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> Box
     d = G.shape[0] - 1
     R_knot = _param_input_cost(spec, sched)
     P = G[:d, :d] + R_knot
-    P = 0.5 * (P + P.T)
+    P = 0.5 * (P + P.T)  # bitwise symmetric: IEEE addition commutes
     # the constant: the free-response error terms plus the k = 0 stage,
     # neither of which depends on the knots
     err0 = spec.x_goal - x0
     offset = float(G[d, d] + err0 @ spec.Q @ err0)
-    return BoxQp(P, G[:d, d], np.tile(spec.u_min, sched.p), np.tile(spec.u_max, sched.p), offset)
+    return BoxQp._from_symmetric(P, G[:d, d], np.tile(spec.u_min, sched.p), np.tile(spec.u_max, sched.p), offset)
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,38 @@ def test_arm_plant_steps_through_ode1(monkeypatch):
     assert res.states.shape == (6, plant.n) and res.failures == 0
 
 
+def test_warm_knot_solves_factor_about_once_each(monkeypatch):
+    # the 6-link arm's knot QPs from the closedloop_arms trial-0 endpoints:
+    # a warm start's dual pins the bounds the last solve ended on, so the
+    # walk rarely has to discover them one factorization at a time
+    from knotmpc import qp
+    from knotmpc.bench import _sample_endpoints, _trial_rng, make_plant, make_template, preset_config
+
+    cfg = preset_config("closedloop_arms")
+    plant = make_plant(cfg.robot, 6)
+    template = make_template(plant, cfg, cfg.T)
+    x0, x_goal = _sample_endpoints(_trial_rng(cfg, 6, 0), plant.m)
+    factors, warm_factors = [], []
+    cho_factor, solve = qp.sla.cho_factor, qp.AdmmSolver.solve
+
+    def counting_cho_factor(*args, **kwargs):
+        factors.append(1)
+        return cho_factor(*args, **kwargs)
+
+    def counting_solve(self, prob, warm=None):
+        before = len(factors)
+        sol = solve(self, prob, warm)
+        if warm is not None:
+            warm_factors.append(len(factors) - before)
+        return sol
+
+    monkeypatch.setattr(qp.sla, "cho_factor", counting_cho_factor)
+    monkeypatch.setattr(qp.AdmmSolver, "solve", counting_solve)
+    res = run_closed_loop(plant, Controller("small_param", p=3), template, x0, x_goal, 30 / cfg.rate, cfg.rate)
+    assert res.failures == 0 and len(warm_factors) == 29
+    assert sum(warm_factors) / len(warm_factors) <= 2.5
+
+
 class _PlantGoingNonFinite(Pendulum):
     """A pendulum whose single-state derivative turns NaN after ``steps``
     control steps of 4 RK4 stages per substep."""

@@ -200,6 +200,8 @@ def test_condensed_hessian_matches_two_pass_reference(links):
         offset_ref = e @ Qe + err0 @ Q @ err0
         prob = build_small_param(spec, sched, x0)
         np.testing.assert_array_equal(prob.P, P_ref)
+        # bitwise symmetric, so the builder's BoxQp skips the symmetry check
+        np.testing.assert_array_equal(prob.P, prob.P.T)
         np.testing.assert_allclose(prob.q, q_ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(q_ref)))
         assert prob.offset == pytest.approx(offset_ref, rel=1e-12)
 

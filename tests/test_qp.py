@@ -358,6 +358,20 @@ def test_problem_validation():
         QpProblem(np.eye(2), np.zeros(2), np.zeros((0, 2)))  # no constraints: use a free box
 
 
+def test_builder_path_skips_only_the_symmetry_check():
+    P = np.array([[1.0, 0.5], [0.0, 1.0]])
+    lb, ub = -np.ones(2), np.ones(2)
+    with pytest.raises(ValueError, match="symmetric"):
+        BoxQp(P, np.zeros(2), lb, ub)
+    assert BoxQp._from_symmetric(P, np.zeros(2), lb, ub, 0.0).P is P
+    with pytest.raises(ValueError, match="finite"):
+        BoxQp._from_symmetric(np.full((2, 2), np.nan), np.zeros(2), lb, ub, 0.0)
+    with pytest.raises(ValueError, match="lb <= ub"):
+        BoxQp._from_symmetric(np.eye(2), np.zeros(2), ub, lb, 0.0)
+    with pytest.raises(ValueError, match="offset must be finite"):
+        BoxQp._from_symmetric(np.eye(2), np.zeros(2), lb, ub, np.inf)
+
+
 def test_problem_rejects_non_finite_data():
     P, q = np.eye(2), np.zeros(2)
     lb, ub = -np.ones(2), np.ones(2)
@@ -487,3 +501,51 @@ def test_walk_factors_once_per_pivot(monkeypatch):
     assert sol.status == "solved" and sol.iterations == 0
     np.testing.assert_allclose(sol.z, np.clip(target, -1.0, 1.0), atol=1e-12)
     assert len(cho_calls) == 4
+
+
+def test_warm_dual_pins_a_bound_the_gradient_would_free(monkeypatch):
+    # the optimum (1, 0) has z1 on its upper bound with multiplier 0.4.  At
+    # the warm point (1, 0.8) the gradient of z1 points into the box, yet the
+    # free Newton step would cross the bound; the warm dual pins it from the
+    # start, so one free-block factorization finishes the solve
+    P = np.array([[1.0, 0.5], [0.5, 1.0]])
+    prob = BoxQp(P, np.array([-1.2, -0.5]), -np.ones(2), np.ones(2))
+    z = np.array([1.0, 0.8])
+    assert (P @ z + prob.q)[0] > 0
+    cho_calls = _counting(monkeypatch, qp.sla, "cho_factor")
+    sol = AdmmSolver().solve(prob, warm=(z, np.array([0.4, 0.0])))
+    assert sol.status == "solved" and sol.iterations == 0
+    assert len(cho_calls) == 1
+    np.testing.assert_allclose(sol.z, [1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(sol.dual, [0.4, 0.0], atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_warm_box_solve_from_any_start_reaches_the_optimum(data):
+    # a random dual, the stale (z, dual) of other data, or a dual that pins
+    # every coordinate at the bound opposite its optimum's side: the walk
+    # alone gets there, releasing every wrong pin it was seeded with
+    d = data.draw(st.integers(1, 6))
+    kind = data.draw(st.sampled_from(["random", "stale", "wrong-sign"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    M = rng.normal(size=(d, d))
+    P = M.T @ M + np.eye(d)
+    q = 3.0 * rng.normal(size=d)
+    lb = rng.uniform(-2.0, 0.0, d)
+    ub = rng.uniform(0.0, 2.0, d)
+    z_ref, _ = _enumerate_box_optimum(P, q, lb, ub)
+    if kind == "random":
+        z = rng.uniform(lb - 1.0, ub + 1.0)
+        side = rng.integers(0, 3, d)
+        z[side == 1], z[side == 2] = lb[side == 1], ub[side == 2]
+        y = 10.0 ** rng.uniform(-3, 3) * rng.normal(size=d)
+    elif kind == "stale":
+        prev = AdmmSolver().solve(BoxQp(P, q + rng.normal(size=d), lb, ub))
+        z, y = prev.z, prev.dual
+    else:
+        z = np.where(z_ref - lb < ub - z_ref, ub, lb)
+        y = np.where(z == ub, 1.0, -1.0) * rng.uniform(0.1, 10.0, d)
+    sol = AdmmSolver().solve(BoxQp(P, q, lb, ub), warm=(z, y))
+    assert sol.status == "solved" and sol.iterations == 0
+    np.testing.assert_allclose(sol.z, z_ref, rtol=0, atol=1e-9)
