@@ -67,8 +67,8 @@ class Controller:
 class SimResult:
     states: np.ndarray  # (H+1, n)
     inputs: np.ndarray  # (H, m)
-    opt_time: np.ndarray  # per-step optimization time, s
-    mpc_time: np.ndarray  # per-step optimization plus matrix construction, s
+    opt_time: np.ndarray  # per-step QP solve or EMPC search, s
+    mpc_time: np.ndarray  # per-step problem build plus that solve or search, s
     failures: int  # solver failures (input held on those steps)
 
 
@@ -88,8 +88,11 @@ def run_closed_loop(
 
     ``controller_plant`` (defaulting to the true plant) is what the
     controller believes it is driving; only its linearization is ever
-    used.  Time spent linearizing/discretizing is excluded from both
-    timing columns, matching how the solvers are compared elsewhere.
+    used.  Every step builds the controller's QP (EMPC searches the
+    ``small_param`` one) and then solves or searches it.  The timing
+    columns mean the same for every controller: ``opt_time`` is the solve
+    or search, and ``mpc_time`` the build plus that.  Time spent
+    linearizing/discretizing is excluded from both.
     """
     H = int(round(duration * rate))
     if H < 1:
@@ -109,9 +112,9 @@ def run_closed_loop(
     states[0] = np.asarray(x0, float)
 
     sched = KnotSchedule(template.T, controller.p) if controller.p is not None else None
+    formulation = "small_param" if controller.kind == "empc" else controller.kind
     solver = AdmmSolver(qp_settings)
-    warm = None
-    population = None
+    warm = None  # the last solved QP's (z, dual), or EMPC's population
     last_u = np.zeros(m)
     failures = 0
     u0_nominal = np.zeros(m)
@@ -122,28 +125,24 @@ def run_closed_loop(
         dmodel = discretize(clin, dt)
         spec = template._with_model(dmodel)
 
+        t0 = time.perf_counter()
+        prob = build(formulation, spec, x, sched)
+        t1 = time.perf_counter()
         if controller.kind == "empc":
-            t0 = time.perf_counter()
-            res = solve_empc(spec, sched, controller.empc, x, prev=population)
-            elapsed = time.perf_counter() - t0
-            population = res.population
-            u = res.u
-            opt_time[i] = elapsed
-            mpc_time[i] = elapsed
+            res = solve_empc(prob, spec, controller.empc, x, prev=warm)
         else:
-            t0 = time.perf_counter()
-            prob = build(controller.kind, spec, x, sched)
-            t1 = time.perf_counter()
-            sol = solver.solve(prob, warm=warm)
-            t2 = time.perf_counter()
-            opt_time[i] = t2 - t1
-            mpc_time[i] = t2 - t0
-            if sol.status == "solved":
-                u = extract_first_input(sol, controller.kind, spec)
-                warm = (sol.z, sol.dual)
-            else:
-                failures += 1
-                u = last_u
+            res = solver.solve(prob, warm=warm)
+        t2 = time.perf_counter()
+        opt_time[i] = t2 - t1
+        mpc_time[i] = t2 - t0
+        if controller.kind == "empc":
+            u, warm = res.u, res.population
+        elif res.status == "solved":
+            u = extract_first_input(res, controller.kind, spec)
+            warm = (res.z, res.dual)
+        else:
+            failures += 1
+            u = last_u
 
         inputs[i] = u
         last_u = u

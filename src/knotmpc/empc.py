@@ -1,19 +1,21 @@
 """Evolutionary MPC over knot-point trajectories.
 
-``solve_empc`` is the one entry point.  Each candidate is a full set of
-knot points (p, m).  One solver call condenses the problem once
-(``build_small_param``) and runs ``settings.generations`` generations.  A
-generation scores candidates by the condensed quadratic plus its offset,
-which equals their tracking cost under the discrete model; the cheapest
-``num_parents`` survive unchanged, and the rest of the population is
-refilled by parameter-wise crossover of two random parents plus Gaussian
-mutation, clamped to the input bounds.  Each child coordinate comes from
-its second parent, and is mutated, on a fair coin each: one random bit.
-The first knot of the best candidate is the input to apply.  The input box
-is the spec's only constraint, and the search never leaves it: a warm
-population is clamped into it before scoring, and a child coordinate can
-leave it only where mutated, so only those are clamped.  ``evaluate_cost``
-rolls one candidate out; it is the reference for the condensed scores.
+``solve_empc`` is the one entry point.  It searches the problem its caller
+built: the condensed knot QP (``BoxQp``) that ``build("small_param", ...)``
+returns for the QP controllers too.  Each candidate is a full set of knot
+points (p, m), and one solver call runs ``settings.generations``
+generations.  A generation scores candidates by the problem's quadratic
+plus its offset, which equals their tracking cost under the discrete
+model; the cheapest ``num_parents`` survive unchanged, and the rest of the
+population is refilled by parameter-wise crossover of two random parents
+plus Gaussian mutation, clamped to the problem's box.  Each child
+coordinate comes from its second parent, and is mutated, on a fair coin
+each: one random bit.  The first knot of the best candidate is the input
+to apply.  The box is the problem's only constraint, and the search never
+leaves it: a warm population is clamped into it before scoring, and a
+child coordinate can leave it only where mutated, so only those are
+clamped.  ``evaluate_cost`` rolls one candidate out; it is the reference
+for the scores.
 
 Randomness comes from one SFC64 stream per (seed, generation), keyed by
 ``SeedSequence(seed, spawn_key=(generation,))``.  Generation 0 draws the
@@ -38,9 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .condense import MpcSpec, build_small_param
+from .condense import MpcSpec
+from .condense import build_small_param  # noqa: F401  uncalled; perfbench/spans.py patches this name
 from .dynamics import rollout
 from .param import KnotSchedule, interpolation_matrix
+from .qp import BoxQp
 
 _SIGMA_SCALE = 0.2  # base mutation std as a fraction of the input range
 _DIST_REF = 1.0  # goal distance at which mutation noise reaches full scale
@@ -84,49 +88,31 @@ def _rng(seed: int, generation: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(key))
 
 
-def _coordinate_rows(spec: MpcSpec, sched: KnotSchedule, x0) -> list[np.ndarray]:
+def _coordinate_rows(prob: BoxQp, spec: MpcSpec, x0) -> list[np.ndarray]:
     """Mutation std, lower and upper bound of each of a candidate's p m
     coordinates.  The std shrinks as the state approaches the goal."""
-    base = _SIGMA_SCALE * (spec.u_max - spec.u_min)
     # per-coordinate rms distance, so the schedule is state-dimension free
     err = spec.x_goal - np.asarray(x0, float)
     dist = float(np.linalg.norm(err)) / np.sqrt(err.size)
-    sigma = base * min(1.0, dist / _DIST_REF)
-    return [np.tile(v, sched.p) for v in (sigma, spec.u_min, spec.u_max)]
+    sigma = _SIGMA_SCALE * (prob.ub - prob.lb) * min(1.0, dist / _DIST_REF)
+    return [sigma, prob.lb, prob.ub]
 
 
-class _CostModel:
-    """Batch candidate scoring for one (spec, schedule, state) triple.
-
-    With a linear model the tracking cost is a fixed quadratic in the knot
-    points, so the problem is condensed once per solve and every generation
-    is scored with one small matrix product instead of a rollout.  The
-    condensing is the QP controller's: one prediction recursion and one
-    Gram product give P, q and the ``offset``, the additive constant
-    between the condensed objective and the full tracking cost.
-    """
-
-    def __init__(self, spec: MpcSpec, sched: KnotSchedule, x0):
-        prob = build_small_param(spec, sched, np.asarray(x0, float))
-        self.P, self.q, self.offset = prob.P, prob.q, prob.offset
-
-    def __call__(self, cands: np.ndarray) -> np.ndarray:
-        Z = cands.reshape(len(cands), self.q.size)
-        return np.einsum("ni,ni->n", Z @ self.P, Z) + 2.0 * (Z @ self.q) + self.offset
+def _scores(prob: BoxQp, cands: np.ndarray) -> np.ndarray:
+    """Tracking cost of each candidate: with a linear model it is the
+    condensed quadratic in the knot points plus the problem's offset, so a
+    whole population is scored with one small matrix product instead of
+    rollouts."""
+    Z = cands.reshape(len(cands), prob.q.size)
+    return np.einsum("ni,ni->n", Z @ prob.P, Z) + 2.0 * (Z @ prob.q) + prob.offset
 
 
 def evaluate_cost(candidate, spec: MpcSpec, sched: KnotSchedule, x0) -> float:
     """Full tracking cost of one knot candidate, terminal state included,
-    from a rollout of the discrete model: the reference for ``_CostModel``."""
+    from a rollout of the discrete model: the reference for ``_scores``."""
     U = interpolation_matrix(sched) @ np.asarray(candidate, float).reshape(sched.p, spec.model.m)
     ex = rollout(spec.model, np.asarray(x0, float), U) - spec.x_goal
     return float(np.einsum("ti,ij,tj->", ex, spec.Q, ex) + np.einsum("ti,ij,tj->", U, spec.R, U))
-
-
-def _check_searchable(spec: MpcSpec) -> None:
-    # candidates are sampled, mutated and clamped within [u_min, u_max]
-    if not (np.all(np.isfinite(spec.u_min)) and np.all(np.isfinite(spec.u_max))):
-        raise ValueError(f"EMPC needs finite input bounds, got u_min={spec.u_min}, u_max={spec.u_max}")
 
 
 def _elite_order(costs: np.ndarray, k: int) -> np.ndarray:
@@ -172,7 +158,7 @@ def _children(rng: np.random.Generator, elites: np.ndarray, n_sims: int, rows) -
     return flat
 
 
-def _evolve(pop: Population, settings: EmpcSettings, cost: _CostModel, rows) -> Population:
+def _evolve(pop: Population, settings: EmpcSettings, prob: BoxQp, rows) -> Population:
     """One elitist generation: the ``num_parents`` cheapest candidates survive
     unchanged and their children fill the rest of the population."""
     k, n_sims = settings.num_parents, settings.num_sims
@@ -180,42 +166,45 @@ def _evolve(pop: Population, settings: EmpcSettings, cost: _CostModel, rows) -> 
     elites = pop.candidates.reshape(pop.costs.size, -1)[elite_idx]
     flat = _children(_rng(settings.seed, pop.generation), elites, n_sims, rows)
     cands = flat.reshape(n_sims, *pop.candidates.shape[1:])
-    costs = np.concatenate([pop.costs[elite_idx], cost(cands[k:])])
+    costs = np.concatenate([pop.costs[elite_idx], _scores(prob, cands[k:])])
     return Population(cands, costs, pop.generation + 1)
 
 
 def solve_empc(
+    prob: BoxQp,
     spec: MpcSpec,
-    sched: KnotSchedule,
     settings: EmpcSettings,
     x0,
     prev: Population | None = None,
 ) -> EmpcResult:
-    """Run ``settings.generations`` generations and pick the best candidate.
+    """Search ``prob``, the condensed knot QP of ``spec`` at state ``x0``,
+    for ``settings.generations`` generations and pick the best candidate.
 
-    Without ``prev`` the first generation is the cold uniform sample; with
-    ``prev`` the previous candidates are clamped into this spec's box and
-    re-evaluated at the new state before mating, so stale costs never drive
-    selection.
+    The candidates are scored by ``prob`` and kept in its box, which must be
+    finite; ``spec`` gives the input width m and the goal that scales the
+    mutation.  Without ``prev`` the first generation is the cold uniform
+    sample; with ``prev`` the previous candidates are clamped into this box
+    and re-evaluated at the new state before mating, so stale costs never
+    drive selection.
     """
-    _check_searchable(spec)
-    x0 = np.asarray(x0, float)
-    cost = _CostModel(spec, sched, x0)
-    rows = _coordinate_rows(spec, sched, x0)  # mutation std, lower and upper bound
+    # candidates are sampled, mutated and clamped within [lb, ub]
+    if not (np.all(np.isfinite(prob.lb)) and np.all(np.isfinite(prob.ub))):
+        raise ValueError(f"EMPC needs finite input bounds, got lb={prob.lb}, ub={prob.ub}")
+    rows = _coordinate_rows(prob, spec, x0)  # mutation std, lower and upper bound
     if prev is None:
-        # cold start: generation 0 draws candidates uniformly within the input bounds
-        shape = (settings.num_sims, sched.p, spec.model.m)
-        cands = _rng(settings.seed, 0).uniform(spec.u_min, spec.u_max, size=shape)
-        pop = Population(cands, cost(cands), generation=1)
+        # cold start: generation 0 draws candidates uniformly within the box
+        flat = _rng(settings.seed, 0).uniform(prob.lb, prob.ub, size=(settings.num_sims, prob.q.size))
+        cands = flat.reshape(settings.num_sims, -1, spec.model.m)
+        pop = Population(cands, _scores(prob, cands), generation=1)
         remaining = settings.generations - 1
     else:
         # a population searched under other bounds is pulled into this box
-        flat = np.maximum(prev.candidates.reshape(-1, rows[1].size), rows[1])
-        cands = np.minimum(flat, rows[2], out=flat).reshape(prev.candidates.shape)
-        pop = Population(cands, cost(cands), prev.generation)
+        flat = np.maximum(prev.candidates.reshape(-1, prob.q.size), prob.lb)
+        cands = np.minimum(flat, prob.ub, out=flat).reshape(prev.candidates.shape)
+        pop = Population(cands, _scores(prob, cands), prev.generation)
         remaining = settings.generations
     for _ in range(remaining):
-        pop = _evolve(pop, settings, cost, rows)
+        pop = _evolve(pop, settings, prob, rows)
     best = int(np.argmin(pop.costs))
     cand = pop.candidates[best]
     return EmpcResult(cand[0].copy(), cand.copy(), float(pop.costs[best]), pop)

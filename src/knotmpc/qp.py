@@ -143,6 +143,8 @@ def _validate(prob, r: int, symmetric: bool = False) -> None:
     q = np.asarray(prob.q, float).ravel()
     object.__setattr__(prob, "q", q)
     d = q.size
+    if d == 0:
+        raise ValueError("a QP needs at least one variable")
     if prob.P.shape != (d, d):
         raise ValueError(f"P must be {d}x{d}, got {prob.P.shape}")
     if not (_all_finite(prob.P) and _all_finite(q)):

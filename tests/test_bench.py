@@ -390,6 +390,8 @@ def test_solve_time_scaling_runs_one_closed_loop_step_per_controller(tmp_path, m
         # the unmasked cells are plain floats: the step's own times
         assert float(row["opt_time_med"]) == res.opt_time[0]
         assert float(row["mpc_time_med"]) == res.mpc_time[0]
+        # EMPC's search, like a QP solve, excludes the problem build
+        assert 0.0 < res.opt_time[0] < res.mpc_time[0]
         for col in TIMING_COLUMNS - {"opt_time_med", "mpc_time_med"}:
             assert row[col] == ""
 

@@ -249,6 +249,22 @@ def test_empc_controller_smoke():
     assert np.all(np.isfinite(res.states))
 
 
+@pytest.mark.parametrize(
+    "controller",
+    [Controller("small_param", p=3), Controller("empc", p=3, empc=EmpcSettings(num_sims=64, num_parents=8))],
+    ids=["small_param", "empc"],
+)
+def test_timing_columns_split_build_from_solve_for_every_controller(controller):
+    # opt_time is the solve or search alone, mpc_time adds the problem build
+    plant = Pendulum(PendulumParams(gravity=0.0))
+    res = run_closed_loop(
+        plant, controller, _template(plant, T=30),
+        x0=np.zeros(2), x_goal=np.array([0.4, 0.0]), duration=0.1, rate=100.0,
+    )
+    assert np.all(res.opt_time > 0.0)
+    assert np.all(res.opt_time < res.mpc_time)
+
+
 def test_mismatched_controller_plant():
     plant = Pendulum(PendulumParams(gravity=0.0))
     wrong = Pendulum(apply_error_multiplier(plant.params, 1.3))

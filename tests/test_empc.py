@@ -11,15 +11,15 @@ import pytest
 
 import knotmpc
 from knotmpc import empc
-from knotmpc.condense import MpcSpec, build_small_param
+from knotmpc.condense import MpcSpec, build
 from knotmpc.dynamics import DiscreteLinearModel, rollout
 from knotmpc.empc import (
     EmpcSettings,
-    _CostModel,
     _coordinate_rows,
     _elite_order,
     _evolve,
     _rng,
+    _scores,
     evaluate_cost,
     solve_empc,
 )
@@ -50,29 +50,34 @@ def _small_settings(**kw):
     return EmpcSettings(**base)
 
 
+def _search(spec, settings, x0=X0, prev=None, sched=SCHED):
+    """``solve_empc`` as the closed loop runs it: build the knot QP, then search it."""
+    return solve_empc(build("small_param", spec, x0, sched), spec, settings, x0, prev=prev)
+
+
 def _cold(spec, settings):
     """The cold population: generation 0's uniform draw, scored."""
-    return solve_empc(spec, SCHED, replace(settings, generations=1), X0).population
+    return _search(spec, replace(settings, generations=1)).population
 
 
-def _step(pop, spec, settings, cost=None):
+def _step(pop, spec, settings):
     """One generation of ``pop`` at X0."""
-    rows = _coordinate_rows(spec, SCHED, X0)
-    return _evolve(pop, settings, cost or _CostModel(spec, SCHED, X0), rows)
+    prob = build("small_param", spec, X0, SCHED)
+    return _evolve(pop, settings, prob, _coordinate_rows(prob, spec, X0))
 
 
 def test_same_seed_reproduces_bitwise():
     s = _small_settings(generations=3)
-    a = solve_empc(SPEC, SCHED, s, X0)
-    b = solve_empc(SPEC, SCHED, s, X0)
+    a = _search(SPEC, s)
+    b = _search(SPEC, s)
     np.testing.assert_array_equal(a.best, b.best)
     np.testing.assert_array_equal(a.population.candidates, b.population.candidates)
     assert a.best_cost == b.best_cost
 
 
 def test_different_seeds_differ():
-    a = solve_empc(SPEC, SCHED, _small_settings(seed=1), X0)
-    b = solve_empc(SPEC, SCHED, _small_settings(seed=2), X0)
+    a = _search(SPEC, _small_settings(seed=1))
+    b = _search(SPEC, _small_settings(seed=2))
     assert not np.array_equal(a.population.candidates, b.population.candidates)
 
 
@@ -131,13 +136,13 @@ def test_condensed_scoring_matches_rollout_with_offsets():
         x_goal=base.x_goal, u_min=base.u_min, u_max=base.u_max,
     )
     cands = np.random.default_rng(5).uniform(-4.0, 4.0, size=(16, 3, 1))
-    got = _CostModel(spec, SCHED, X0)(cands)
+    got = _scores(build("small_param", spec, X0, SCHED), cands)
     want = [evaluate_cost(c, spec, SCHED, X0) for c in cands]
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_result_fields_consistent():
-    res = solve_empc(SPEC, SCHED, _small_settings(generations=2), X0)
+    res = _search(SPEC, _small_settings(generations=2))
     assert res.best.shape == (3, 1)
     np.testing.assert_array_equal(res.u, res.best[0])
     assert res.best_cost == pytest.approx(evaluate_cost(res.best, SPEC, SCHED, X0), rel=1e-8)
@@ -147,29 +152,29 @@ def test_result_fields_consistent():
 def test_long_search_approaches_qp_optimum():
     # with enough generations the search should land within a few percent of
     # the condensed QP solution over the same knot parameterization
-    prob = build_small_param(SPEC, SCHED, X0)
+    prob = build("small_param", SPEC, X0, SCHED)
     sol = AdmmSolver().solve(prob)
     assert sol.status == "solved"
     opt = sol.objective + prob.offset
     s = EmpcSettings(num_sims=256, num_parents=32, generations=120, seed=11)
-    res = solve_empc(SPEC, SCHED, s, X0)
+    res = solve_empc(prob, SPEC, s, X0)
     assert res.best_cost <= 1.05 * opt
 
 
 def test_warm_population_reused():
     s = _small_settings(generations=1)
-    first = solve_empc(SPEC, SCHED, s, X0)
-    again = solve_empc(SPEC, SCHED, s, X0, prev=first.population)
+    first = _search(SPEC, s)
+    again = _search(SPEC, s, prev=first.population)
     assert again.best_cost <= first.best_cost + 1e-12
     assert again.population.generation == first.population.generation + 1
 
 
 def test_warm_population_from_a_wider_box_is_clamped_into_the_spec_box():
     s = _small_settings(generations=2)
-    wide = solve_empc(SPEC, SCHED, s, X0).population  # searched within +-4
+    wide = _search(SPEC, s).population  # searched within +-4
     assert np.any(np.abs(wide.candidates) > 1.0)
     narrow = replace(SPEC, u_min=np.array([-1.0]), u_max=np.array([1.0]))
-    res = solve_empc(narrow, SCHED, s, X0, prev=wide)
+    res = _search(narrow, s, prev=wide)
     for arr in (res.u, res.best, res.population.candidates):
         assert np.all(arr >= -1.0) and np.all(arr <= 1.0)
     assert res.best_cost == pytest.approx(evaluate_cost(res.best, narrow, SCHED, X0), rel=1e-8)
@@ -197,14 +202,14 @@ def test_elite_cut_equals_stable_argsort(costs):
 
 def test_single_knot_schedule():
     sched = KnotSchedule(T=20, p=1)
-    res = solve_empc(SPEC, sched, _small_settings(), X0)
+    res = _search(SPEC, _small_settings(), sched=sched)
     assert res.best.shape == (1, 1)
     assert np.isfinite(res.best_cost)
 
 
 def test_parents_equal_population_degenerate():
     s = _small_settings(num_sims=8, num_parents=8, generations=2)
-    res = solve_empc(SPEC, SCHED, s, X0)
+    res = _search(SPEC, s)
     assert np.isfinite(res.best_cost)
 
 
@@ -218,12 +223,12 @@ def test_settings_validation():
 
 
 def test_infinite_input_bounds_rejected():
-    warm = solve_empc(SPEC, SCHED, _small_settings(), X0).population
+    warm = _search(SPEC, _small_settings()).population
     for lo, hi in ((-np.inf, 4.0), (-4.0, np.inf)):
         spec = replace(SPEC, u_min=np.array([lo]), u_max=np.array([hi]))
         for call in (
-            lambda: solve_empc(spec, SCHED, _small_settings(), X0),
-            lambda: solve_empc(spec, SCHED, _small_settings(), X0, prev=warm),
+            lambda: _search(spec, _small_settings()),
+            lambda: _search(spec, _small_settings(), prev=warm),
         ):
             with pytest.raises(ValueError, match="finite input bounds"):
                 call()
@@ -380,27 +385,27 @@ def test_full_scale_mutation_stays_in_per_channel_bounds():
         assert np.all(np.any(children == bound, axis=(0, 1)))
 
 
-class _ChunkedCost:
+class _ChunkedScores:
     """Scores candidates in fixed-size chunks, as a parallel evaluator would."""
 
-    def __init__(self, cost, size):
-        self.cost, self.size = cost, size
+    def __init__(self, size):
+        self.size = size
 
-    def __call__(self, cands):
-        return np.concatenate([self.cost(cands[i : i + self.size]) for i in range(0, len(cands), self.size)])
+    def __call__(self, prob, cands):
+        return np.concatenate([_scores(prob, cands[i : i + self.size]) for i in range(0, len(cands), self.size)])
 
 
-def test_chunked_scoring_changes_no_draw():
+def test_chunked_scoring_changes_no_draw(monkeypatch):
     # scoring consumes no randomness, so a generation scored in chunks makes
     # byte-identical candidates; the costs come from batched BLAS products,
     # which may round differently for another batch size, so they agree to
     # a few ulps
     s = _small_settings(num_sims=300, num_parents=20)
-    cost = _CostModel(SPEC, SCHED, X0)
     pop = _cold(SPEC, s)
-    whole = _step(pop, SPEC, s, cost)
+    whole = _step(pop, SPEC, s)
     for size in (1, 7, 64, 257):
-        chunked = _step(pop, SPEC, s, _ChunkedCost(cost, size))
+        monkeypatch.setattr(empc, "_scores", _ChunkedScores(size))
+        chunked = _step(pop, SPEC, s)
         np.testing.assert_array_equal(chunked.candidates, whole.candidates)
         np.testing.assert_allclose(chunked.costs, whole.costs, rtol=1e-13, atol=0)
 
@@ -408,15 +413,16 @@ def test_chunked_scoring_changes_no_draw():
 _SOLVE_IN_FRESH_PROCESS = """
 import hashlib, sys
 import numpy as np
-from knotmpc.condense import MpcSpec
+from knotmpc.condense import MpcSpec, build
 from knotmpc.dynamics import DiscreteLinearModel
 from knotmpc.empc import EmpcSettings, solve_empc
 from knotmpc.param import KnotSchedule
 model = DiscreteLinearModel(np.array([[1.0, 0.02], [-0.4, 0.97]]), np.array([[0.0], [0.05]]), np.zeros(2), 0.02)
 spec = MpcSpec(model, 20, np.diag([10.0, 0.1]), 0.01 * np.eye(1), np.array([0.5, 0.0]), -4.0, 4.0)
 settings = EmpcSettings(num_sims=256, num_parents=16, generations=3, seed=int(sys.argv[1]))
-res = solve_empc(spec, KnotSchedule(20, 3), settings, np.array([-0.3, 0.1]))
-res = solve_empc(spec, KnotSchedule(20, 3), settings, np.array([-0.2, 0.1]), prev=res.population)
+sched, x0, x1 = KnotSchedule(20, 3), np.array([-0.3, 0.1]), np.array([-0.2, 0.1])
+res = solve_empc(build("small_param", spec, x0, sched), spec, settings, x0)
+res = solve_empc(build("small_param", spec, x1, sched), spec, settings, x1, prev=res.population)
 print(hashlib.sha256(res.population.candidates.tobytes()).hexdigest(), res.best_cost.hex())
 """
 

@@ -358,6 +358,18 @@ def test_problem_validation():
         QpProblem(np.eye(2), np.zeros(2), np.zeros((0, 2)))  # no constraints: use a free box
 
 
+def test_box_qp_without_variables_rejected():
+    # validating it once let the solve fail later on an empty argmax
+    with pytest.raises(ValueError, match="at least one variable"):
+        BoxQp(np.zeros((0, 0)), np.zeros(0))
+
+
+def test_sparse_qp_without_variables_rejected():
+    # validating it once let the solve fail later on an empty reduction
+    with pytest.raises(ValueError, match="at least one variable"):
+        QpProblem(np.zeros((0, 0)), np.zeros(0), np.zeros((1, 0)), np.zeros(1), np.ones(1))
+
+
 def test_builder_path_skips_only_the_symmetry_check():
     P = np.array([[1.0, 0.5], [0.0, 1.0]])
     lb, ub = -np.ones(2), np.ones(2)
