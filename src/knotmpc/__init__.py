@@ -3,19 +3,13 @@
 Condensed QP builders for linear MPC (with and without a knot-point
 input parameterization), a compact ADMM solver, a vectorized
 evolutionary solver over the same knot decision space, closed-loop
-simulation against nonlinear pendulum and n-link arm plants, and a
-benchmark harness with CSV output.
+simulation against a nonlinear planar n-link arm plant (the pendulum is
+its one-link case, ``bench.make_plant("pendulum", 1)``), and a benchmark
+harness with CSV output.
 """
 
 from .bench import ConfigError, ExperimentConfig, PRESETS, load_config, preset_config, run_experiment
-from .closedloop import (
-    Controller,
-    MetricsReport,
-    SimResult,
-    apply_error_multiplier,
-    compute_metrics,
-    run_closed_loop,
-)
+from .closedloop import Controller, MetricsReport, SimResult, compute_metrics, run_closed_loop
 from .condense import (
     CONTROLLER_KINDS,
     FORMULATIONS,
@@ -27,8 +21,6 @@ from .dynamics import (
     DiscreteLinearModel,
     NLinkArm,
     NLinkParams,
-    Pendulum,
-    PendulumParams,
     SingularInertiaError,
     discretize,
     linearize,
@@ -55,8 +47,6 @@ __all__ = [
     "MpcSpec",
     "NLinkArm",
     "NLinkParams",
-    "Pendulum",
-    "PendulumParams",
     "Population",
     "PRESETS",
     "QpProblem",
@@ -64,7 +54,6 @@ __all__ = [
     "QpSolution",
     "SimResult",
     "SingularInertiaError",
-    "apply_error_multiplier",
     "build",
     "compute_metrics",
     "discretize",

@@ -9,17 +9,19 @@ experiment kinds:
 * ``horizon_sweep``         closed-loop cost of traditional MPC swept
                             over the horizon length
 * ``robustness``            step-response metrics under a deliberately
-                            wrong controller model (inertial multiplier)
+                            wrong controller model (``make_plant``'s
+                            inertial multiplier)
 * ``solve_time_scaling``    the cold first control step of each
                             controller as the robot grows
 * ``closedloop_comparison`` full closed-loop runs comparing convex and
                             evolutionary solvers
 
 A config chooses the robot, the horizons, the knot counts, the
-controllers and the trials.  Everything else is fixed for every
-experiment: the tracking weights and torque bounds (``make_template``),
-the solver settings (``QpSettings()``) and the EMPC population
-(``EmpcSettings``' defaults).
+controllers and the trials.  Every robot is a planar chain: the two
+pendulums are its one-link case (``make_plant``).  Everything else is
+fixed for every experiment: the tracking weights and torque bounds
+(``make_template``), the solver settings (``QpSettings()``) and the EMPC
+population (``EmpcSettings``' defaults).
 
 Config format.  One ``key = value`` per line; the keys are the fields of
 ``ExperimentConfig``, each at most once, and only ``experiment`` is
@@ -51,15 +53,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .closedloop import (
-    Controller,
-    apply_error_multiplier,
-    compute_metrics,
-    cost_ratio,
-    run_closed_loop,
-)
+from .closedloop import Controller, compute_metrics, cost_ratio, run_closed_loop
 from .condense import CONTROLLER_KINDS, MpcSpec
-from .dynamics import NLinkArm, NLinkParams, Pendulum, PendulumParams, discretize, linearize
+from .dynamics import NLinkArm, NLinkParams, discretize, linearize
 from .empc import EmpcSettings
 from .qp import QpSettings
 
@@ -334,13 +330,23 @@ def dump_config(cfg: ExperimentConfig) -> str:
 # plants, templates, sampling
 
 
-def make_plant(robot: str, links: int):
-    if robot == "pendulum":
-        return Pendulum(PendulumParams())
-    if robot == "pendulum_nograv":
-        return Pendulum(PendulumParams(gravity=0.0))
+def make_plant(robot: str, links: int, multiplier: float = 1.0) -> NLinkArm:
+    """The chain that ``robot`` names, its inertia scaled by ``multiplier``.
+
+    ``pendulum`` is the one-link chain with a 1 kg tip mass on a 1 m link,
+    damping 0.05 and gravity 9.81, and ``pendulum_nograv`` the same without
+    gravity; both ignore ``links``.  ``nlink`` is ``NLinkParams(links=links)``.
+    A multiplier other than 1 makes a deliberately wrong controller model
+    for the robustness experiment.  A pendulum scales its mass and its
+    length, so its inertia is multiplier**3 times the true one.  The
+    ``nlink`` chain scales its tip masses, which scales its whole inertia
+    matrix by the multiplier.
+    """
+    if robot in ("pendulum", "pendulum_nograv"):
+        gravity = 9.81 if robot == "pendulum" else 0.0
+        return NLinkArm(NLinkParams(links=1, mass=multiplier, length=multiplier, damping=0.05, gravity=gravity))
     if robot == "nlink":
-        return NLinkArm(NLinkParams(links=links))
+        return NLinkArm(NLinkParams(links=links, mass=multiplier))
     raise ConfigError(f"robot: unknown robot {robot!r}")
 
 
@@ -537,8 +543,7 @@ def _run_robustness(task: _Task) -> list[dict]:
     for controller in _controllers(task):
         reports = {}
         for mult in sorted(set(cfg.multipliers) | {1.0}):
-            wrong = apply_error_multiplier(plant.params, mult)
-            model_plant = type(plant)(wrong) if mult != 1.0 else None
+            model_plant = make_plant(cfg.robot, task.links, mult) if mult != 1.0 else None
             reports[mult] = _closed_loop(plant, controller, template, x0, xg, cfg, controller_plant=model_plant)
         for mult in cfg.multipliers:
             report = reports[mult]

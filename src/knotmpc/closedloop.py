@@ -10,8 +10,9 @@ of its row-stacked points in one call, and ``integrate`` steps the true
 plant through the single-state ``ode1``, because its RK4 stages are
 serial.  A plant state that goes non-finite raises ``FloatingPointError``
 at that step.  A deliberately wrong controller model (for robustness
-studies) is passed separately from the true plant, so the mismatch never
-leaks into the simulated physics.
+studies, built by ``bench.make_plant`` with a multiplier) is passed
+separately from the true plant, so the mismatch never leaks into the
+simulated physics.
 
 Metrics follow the usual servo conventions: the realized tracking cost
 (final stage padded with a zero input), rise time to the 90% level,
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .condense import CONTROLLER_KINDS, MpcSpec, build, extract_first_input
-from .dynamics import NLinkParams, PendulumParams, discretize, integrate, linearize
+from .dynamics import discretize, integrate, linearize
 from .empc import EmpcSettings, solve_empc
 from .param import KnotSchedule
 from .qp import AdmmSolver, QpSettings
@@ -152,27 +153,6 @@ def run_closed_loop(
         states[i + 1] = x
 
     return SimResult(states, inputs, opt_time, mpc_time, failures)
-
-
-# ---------------------------------------------------------------------------
-# robustness helper
-
-
-def apply_error_multiplier(params, multiplier: float):
-    """Scale a plant's inertial parameters for a deliberately wrong model.
-
-    Pendulum: mass and length are both scaled, so the modeled inertia is
-    multiplier**3 times the true one.  N-link chain: the tip masses are
-    scaled, which scales the whole inertia matrix by the multiplier.
-    The returned params are for the controller's model only.
-    """
-    if multiplier <= 0:
-        raise ValueError("multiplier must be positive")
-    if isinstance(params, PendulumParams):
-        return replace(params, mass=params.mass * multiplier, length=params.length * multiplier)
-    if isinstance(params, NLinkParams):
-        return replace(params, mass=params.mass * multiplier)
-    raise TypeError(f"unknown parameter type {type(params)!r}")
 
 
 # ---------------------------------------------------------------------------

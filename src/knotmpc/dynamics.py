@@ -1,16 +1,17 @@
 """Robot models, linearization, and discretization.
 
-Two plants are provided: a torque-driven pendulum and a planar chain of
-N revolute links with a point mass at the distal end of each link.  Both
-expose continuous dynamics ``xdot = f(x, u)`` on the state ``x = [q, qd]``
-in two forms:
+One plant family is provided: a planar chain of N revolute links with a
+point mass at the distal end of each link, its angles measured from the
+hanging position.  The torque-driven pendulum is the one-link chain.  The
+plant exposes continuous dynamics ``xdot = f(x, u)`` on the state
+``x = [q, qd]`` in two forms:
 
 - ``ode`` also takes row-stacked (k, n)/(k, m) inputs, which ``linearize``
   requires: it evaluates all of its points in one call.
 - ``ode1`` takes one state and one input, and serves the closed loop's
-  plant integration, whose RK4 stages depend on each other.  The arm's
-  ``ode1`` solves its SPD inertia matrix by Cholesky and so agrees with
-  ``ode`` to rounding; the pendulum's is its ``ode``.
+  plant integration, whose RK4 stages depend on each other.  It solves
+  the SPD inertia matrix by Cholesky and so agrees with ``ode`` to
+  rounding.
 
 The rest of the module turns those nonlinear models into the discrete
 affine models consumed by the controllers:
@@ -36,62 +37,14 @@ class SingularInertiaError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# pendulum
-
-
-@dataclass(frozen=True)
-class PendulumParams:
-    """Torque-driven pendulum, angle measured from the hanging position.
-
-    m l^2 qdd + b qd + m g l sin(q) = tau
-    """
-
-    mass: float = 1.0
-    length: float = 1.0
-    damping: float = 0.05
-    gravity: float = 9.81
-
-    def __post_init__(self):
-        if self.mass <= 0 or self.length <= 0:
-            raise ValueError("mass and length must be positive")
-        if self.damping < 0:
-            raise ValueError("damping must be non-negative")
-
-
-def pendulum_accel(params: PendulumParams, q: float, qd: float, tau: float) -> float:
-    """Angular acceleration of the pendulum."""
-    p = params
-    return (tau - p.damping * qd - p.mass * p.gravity * p.length * np.sin(q)) / (
-        p.mass * p.length**2
-    )
-
-
-class Pendulum:
-    """Pendulum plant with state [q, qd] and a single torque input."""
-
-    n = 2
-    m = 1
-
-    def __init__(self, params: PendulumParams = PendulumParams()):
-        self.params = params
-
-    def ode(self, x, u):
-        """State derivative; leading axes of ``x`` (..., 2) and ``u`` (..., 1) batch."""
-        x, u = np.asarray(x, float), np.asarray(u, float)
-        q, qd = x[..., 0], x[..., 1]
-        return np.stack([qd, pendulum_accel(self.params, q, qd, u[..., 0])], axis=-1)
-
-    ode1 = ode  # the single-state derivative the closed loop integrates
-
-
-# ---------------------------------------------------------------------------
 # planar N-link chain
 
 # The chain is modeled with absolute link angles th_i (measured from the
-# +x axis, gravity along -y) where th = cumsum(q) for joint angles q.  With
-# point masses at the link tips the kinetic energy is
+# downward vertical, along which gravity acts) where th = cumsum(q) for
+# joint angles q.  With point masses at the link tips the kinetic energy is
 #     T = 1/2 * sum_{j,k} G[j,k] l_j l_k cos(th_j - th_k) thd_j thd_k,
-# with G[j,k] = sum of the masses at or beyond link max(j,k).  Lagrange's
+# with G[j,k] = sum of the masses at or beyond link max(j,k), and the
+# potential is V = sum_j g cummass[j] l_j (1 - cos th_j).  Lagrange's
 # equations in th then reduce to
 #     M_th(th) thdd + c_th(th, thd) + dV/dth = L^{-T} (tau - b qd),
 # where L is the lower-triangular matrix of ones mapping q -> th.  Joint
@@ -101,6 +54,10 @@ class Pendulum:
 @dataclass(frozen=True)
 class NLinkParams:
     """Planar serial chain of ``links`` revolute joints, point tip masses.
+
+    At q = 0 the chain hangs straight down, at rest under any gravity.
+    With ``links=1`` it is the torque-driven pendulum
+    m l^2 qdd + b qd + m g l sin(q) = tau.  Every field must be finite.
 
     ``inertia_weights`` (G[j,k] l_j l_k) and ``gravity_weights``
     (g cummass[j] l_j, with cummass[j] the mass at or beyond link j) are
@@ -121,6 +78,8 @@ class NLinkParams:
             raise ValueError("links must be >= 1")
         object.__setattr__(self, "mass", np.broadcast_to(np.asarray(self.mass, float), (self.links,)).copy())
         object.__setattr__(self, "length", np.broadcast_to(np.asarray(self.length, float), (self.links,)).copy())
+        if not np.isfinite([*self.mass, *self.length, self.damping, self.gravity]).all():
+            raise ValueError("mass, length, damping and gravity must be finite")
         if np.any(self.mass <= 0) or np.any(self.length <= 0):
             raise ValueError("masses and lengths must be positive")
         if self.damping < 0:
@@ -150,7 +109,7 @@ def nlink_accel(params: NLinkParams, q: np.ndarray, qd: np.ndarray, tau: np.ndar
     dth = th[..., :, None] - th[..., None, :]
     M_th = params.inertia_weights * np.cos(dth)
     c_th = ((params.inertia_weights * np.sin(dth)) @ (thd**2)[..., None])[..., 0]
-    grav_th = params.gravity_weights * np.cos(th)
+    grav_th = params.gravity_weights * np.sin(th)
 
     f = tau - params.damping * qd
     # generalized force in absolute coordinates: y with sum_{k>=j} y_k = f_j
@@ -199,7 +158,7 @@ class NLinkArm:
         rhs = f.copy()
         rhs[:-1] -= f[1:]
         rhs -= (W * np.sin(dth)) @ (thd * thd)
-        rhs -= p.gravity_weights * np.cos(th)
+        rhs -= p.gravity_weights * np.sin(th)
         # W * cos(dth) is symmetric, so its transpose is the Fortran-ordered
         # array dposv overwrites
         _, thdd, info = dposv((W * np.cos(dth)).T, rhs, overwrite_a=1, overwrite_b=1)
@@ -212,24 +171,16 @@ class NLinkArm:
         return out
 
 
-def total_energy(params, state) -> float:
-    """Kinetic plus potential energy; zero at rest at the datum."""
+def total_energy(params: NLinkParams, state) -> float:
+    """Kinetic plus potential energy; zero at rest hanging straight down."""
     state = np.asarray(state, float)
-    if isinstance(params, PendulumParams):
-        q, qd = state
-        ke = 0.5 * params.mass * params.length**2 * qd**2
-        pe = params.mass * params.gravity * params.length * (1.0 - np.cos(q))
-        return float(ke + pe)
-    if isinstance(params, NLinkParams):
-        N = params.links
-        q, qd = state[:N], state[N:]
-        th = np.cumsum(q)
-        thd = np.cumsum(qd)
-        M_th = params.inertia_weights * np.cos(np.subtract.outer(th, th))
-        ke = 0.5 * thd @ M_th @ thd
-        pe = np.sum(params.gravity_weights * np.sin(th))
-        return float(ke + pe)
-    raise TypeError(f"unknown parameter type {type(params)!r}")
+    N = params.links
+    th = np.cumsum(state[:N])
+    thd = np.cumsum(state[N:])
+    M_th = params.inertia_weights * np.cos(np.subtract.outer(th, th))
+    ke = 0.5 * thd @ M_th @ thd
+    pe = np.sum(params.gravity_weights * (1.0 - np.cos(th)))
+    return float(ke + pe)
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +253,8 @@ def discretize(model: ContinuousLinearModel, dt: float) -> DiscreteLinearModel:
     The affine system is integrated exactly under a zero-order hold via the
     matrix exponential of the augmented system.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0 < dt < np.inf:  # NaN fails too
+        raise ValueError("dt must be positive and finite")
     n, m = model.n, model.m
     aug = np.zeros((n + m + 1, n + m + 1))
     aug[:n, :n] = model.A
@@ -347,6 +298,8 @@ def rk4_step(f, x, u, dt: float) -> np.ndarray:
 
 def integrate(f, x, u, dt: float, substeps: int) -> np.ndarray:
     """Advance the plant one control period using RK4 substeps."""
+    if not substeps >= 1:
+        raise ValueError("substeps must be at least 1")
     h = dt / substeps
     for _ in range(substeps):
         x = rk4_step(f, x, u, h)

@@ -36,7 +36,7 @@ from knotmpc.bench import (
 from knotmpc.cli import main
 from knotmpc.closedloop import Controller, run_closed_loop
 from knotmpc.condense import CONTROLLER_KINDS
-from knotmpc.dynamics import NLinkArm, Pendulum
+from knotmpc.dynamics import NLinkArm
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +245,13 @@ def test_all_presets_validate():
 # plants and templates
 
 def test_make_plant_kinds():
-    assert isinstance(make_plant("pendulum", 1), Pendulum)
-    assert make_plant("pendulum", 1).params.gravity > 0
+    pendulum = make_plant("pendulum", 1)
+    assert isinstance(pendulum, NLinkArm)
+    assert (pendulum.params.links, pendulum.n, pendulum.m) == (1, 2, 1)
+    assert pendulum.params.gravity > 0
     assert make_plant("pendulum_nograv", 1).params.gravity == 0.0
+    # the pendulums are one link whatever the config's links
+    assert make_plant("pendulum_nograv", 6).params.links == 1
     arm = make_plant("nlink", 4)
     assert isinstance(arm, NLinkArm)
     assert arm.m == 4

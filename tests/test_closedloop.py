@@ -14,7 +14,6 @@ from knotmpc.closedloop import (
     Controller,
     EmpcSettings,
     actual_cost,
-    apply_error_multiplier,
     compute_metrics,
     cost_ratio,
     itae,
@@ -22,16 +21,9 @@ from knotmpc.closedloop import (
     rise_time,
     run_closed_loop,
 )
+from knotmpc.bench import make_plant
 from knotmpc.condense import MpcSpec
-from knotmpc.dynamics import (
-    NLinkArm,
-    NLinkParams,
-    Pendulum,
-    PendulumParams,
-    discretize,
-    linearize,
-    nlink_accel,
-)
+from knotmpc.dynamics import NLinkArm, NLinkParams, discretize, linearize, nlink_accel
 
 # second-order system zeta=0.5, wn=2, unit step
 SECOND_ORDER_OVERSHOOT = 16.303353482158048
@@ -150,25 +142,27 @@ def test_cost_ratio_and_normalization():
 # plant perturbation
 
 def test_error_multiplier_pendulum():
-    base = PendulumParams(mass=1.0, length=1.0)
-    heavy = apply_error_multiplier(base, 1.3)
+    base = make_plant("pendulum", 1).params
+    heavy = make_plant("pendulum", 1, 1.3).params
     # mass and length both scale, so the inertia scales with the cube
-    assert heavy.mass * heavy.length**2 == pytest.approx(1.3**3)
+    assert heavy.mass[0] * heavy.length[0] ** 2 == pytest.approx(1.3**3)
     assert heavy.gravity == base.gravity
 
 
 def test_error_multiplier_nlink():
-    base = NLinkParams(links=3, mass=[1.0, 2.0, 0.5])
-    light = apply_error_multiplier(base, 0.7)
-    np.testing.assert_allclose(light.mass, [0.7, 1.4, 0.35])
+    base = make_plant("nlink", 3).params
+    light = make_plant("nlink", 3, 0.7).params
+    np.testing.assert_allclose(light.mass, 0.7 * base.mass)
     np.testing.assert_allclose(light.length, base.length)
 
 
 def test_error_multiplier_rebuilds_chain_constants():
     # replace() reruns NLinkParams.__post_init__, so the derived inertia and
     # gravity weights follow the scaled masses
+    from dataclasses import replace
+
     base = NLinkParams(links=4, gravity=9.81)
-    heavy = apply_error_multiplier(base, 2.0)
+    heavy = replace(base, mass=base.mass * 2.0)
     fresh = NLinkParams(links=4, mass=2.0, gravity=9.81)
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -178,17 +172,18 @@ def test_error_multiplier_rebuilds_chain_constants():
 
 
 def test_error_multiplier_validation():
-    with pytest.raises(ValueError):
-        apply_error_multiplier(PendulumParams(), 0.0)
-    with pytest.raises(TypeError):
-        apply_error_multiplier(object(), 1.1)
+    for multiplier in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            make_plant("pendulum", 1, multiplier)
+        with pytest.raises(ValueError):
+            make_plant("nlink", 2, multiplier)
 
 
 # ---------------------------------------------------------------------------
 # closed loop
 
 def test_trace_shapes():
-    plant = Pendulum(PendulumParams(gravity=0.0))
+    plant = make_plant("pendulum_nograv", 1)
     template = _template(plant)
     res = run_closed_loop(
         plant, Controller("small"), template,
@@ -201,7 +196,7 @@ def test_trace_shapes():
 
 
 def test_regulator_reaches_goal():
-    plant = Pendulum(PendulumParams(gravity=0.0))
+    plant = make_plant("pendulum_nograv", 1)
     template = _template(plant)
     goal = np.array([0.8, 0.0])
     res = run_closed_loop(
@@ -212,7 +207,7 @@ def test_regulator_reaches_goal():
 
 
 def test_equilibrium_stays_put():
-    plant = Pendulum(PendulumParams(gravity=0.0))
+    plant = make_plant("pendulum_nograv", 1)
     template = _template(plant)
     res = run_closed_loop(
         plant, Controller("small"), template,
@@ -222,7 +217,7 @@ def test_equilibrium_stays_put():
 
 
 def test_knot_controller_tracks_like_dense():
-    plant = Pendulum(PendulumParams(gravity=0.0))
+    plant = make_plant("pendulum_nograv", 1)
     template = _template(plant)
     goal = np.array([0.6, 0.0])
     dense = run_closed_loop(plant, Controller("small"), template,
@@ -235,7 +230,7 @@ def test_knot_controller_tracks_like_dense():
 
 
 def test_empc_controller_smoke():
-    plant = Pendulum(PendulumParams(gravity=0.0))
+    plant = make_plant("pendulum_nograv", 1)
     template = _template(plant, T=30)
     goal = np.array([0.4, 0.0])
     res = run_closed_loop(
@@ -256,7 +251,7 @@ def test_empc_controller_smoke():
 )
 def test_timing_columns_split_build_from_solve_for_every_controller(controller):
     # opt_time is the solve or search alone, mpc_time adds the problem build
-    plant = Pendulum(PendulumParams(gravity=0.0))
+    plant = make_plant("pendulum_nograv", 1)
     res = run_closed_loop(
         plant, controller, _template(plant, T=30),
         x0=np.zeros(2), x_goal=np.array([0.4, 0.0]), duration=0.1, rate=100.0,
@@ -266,8 +261,8 @@ def test_timing_columns_split_build_from_solve_for_every_controller(controller):
 
 
 def test_mismatched_controller_plant():
-    plant = Pendulum(PendulumParams(gravity=0.0))
-    wrong = Pendulum(apply_error_multiplier(plant.params, 1.3))
+    plant = make_plant("pendulum_nograv", 1)
+    wrong = make_plant("pendulum_nograv", 1, 1.3)
     template = _template(plant)
     res = run_closed_loop(
         plant, Controller("small"), template,
@@ -294,7 +289,7 @@ def test_solver_failure_path(monkeypatch):
         return replace(prob, P=prob.P - shift * np.eye(prob.q.size))
 
     monkeypatch.setattr(closedloop, "build", indefinite)
-    plant = Pendulum(PendulumParams(gravity=0.0))
+    plant = make_plant("pendulum_nograv", 1)
     template = _template(plant)
     res = run_closed_loop(
         plant, Controller("small"), template,
@@ -308,7 +303,7 @@ def test_solver_failure_path(monkeypatch):
 def test_spec_validated_once_per_run(monkeypatch):
     # each step swaps in its model without rerunning MpcSpec's checks, so
     # the number of validations does not grow with the run length
-    plant = Pendulum(PendulumParams(gravity=0.0))
+    plant = make_plant("pendulum_nograv", 1)
     template = _template(plant)
     validate = MpcSpec.__post_init__
     calls = []
@@ -328,7 +323,7 @@ def test_spec_validated_once_per_run(monkeypatch):
 
 
 def test_step_model_must_match_the_spec_dimensions():
-    template = _template(Pendulum(PendulumParams(gravity=0.0)))
+    template = _template(make_plant("pendulum_nograv", 1))
     arm = NLinkArm(NLinkParams(links=2))
     wrong = discretize(linearize(arm.ode, np.zeros(arm.n), np.zeros(arm.m)), 0.01)
     with pytest.raises(ValueError, match=r"\(n, m\)"):
@@ -344,7 +339,7 @@ def test_non_finite_endpoints_rejected_before_the_first_step(monkeypatch):
         raise AssertionError("linearized a non-finite state")
 
     monkeypatch.setattr(closedloop, "linearize", no_step)
-    plant = Pendulum(PendulumParams(gravity=0.0))
+    plant = make_plant("pendulum_nograv", 1)
     template = _template(plant)
     for x0, goal in (([np.nan, 0.0], [0.5, 0.0]), ([0.0, np.inf], [0.5, 0.0]), ([0.0, 0.0], [np.nan, 0.0])):
         with pytest.raises(ValueError, match="finite"):
@@ -411,12 +406,12 @@ def test_warm_knot_solves_factor_about_once_each(monkeypatch):
     assert sum(warm_factors) / len(warm_factors) <= 2.5
 
 
-class _PlantGoingNonFinite(Pendulum):
+class _PlantGoingNonFinite(NLinkArm):
     """A pendulum whose single-state derivative turns NaN after ``steps``
     control steps of 4 RK4 stages per substep."""
 
     def __init__(self, steps):
-        super().__init__(PendulumParams(gravity=0.0))
+        super().__init__(make_plant("pendulum_nograv", 1).params)
         self.calls = 0
         self.after = steps * 4 * PLANT_SUBSTEPS
 
@@ -463,14 +458,14 @@ def test_controller_validation():
 
 def test_zero_step_run_rejected():
     # an empty trace would only fail later, inside compute_metrics
-    plant = Pendulum(PendulumParams(gravity=0.0))
+    plant = make_plant("pendulum_nograv", 1)
     with pytest.raises(ValueError, match="at least one control step"):
         run_closed_loop(plant, Controller("small"), _template(plant), x0=np.zeros(2),
                         x_goal=np.array([0.5, 0.0]), duration=0.004, rate=100.0)
 
 
 def test_compute_metrics_quartiles():
-    plant = Pendulum(PendulumParams(gravity=0.0))
+    plant = make_plant("pendulum_nograv", 1)
     template = _template(plant)
     goal = np.array([0.5, 0.0])
     res = run_closed_loop(plant, Controller("small"), template,

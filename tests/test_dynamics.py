@@ -10,20 +10,18 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from knotmpc.bench import make_plant
 from knotmpc.dynamics import (
     ContinuousLinearModel,
     DiscreteLinearModel,
     NLinkArm,
     NLinkParams,
-    Pendulum,
-    PendulumParams,
     SingularInertiaError,
     discretize,
     integrate,
     linearize,
     nlink_accel,
     nlink_mass_matrix,
-    pendulum_accel,
     rk4_step,
     rollout,
     step,
@@ -43,6 +41,13 @@ M_TWO_LINK_BENT = np.array(
 )
 
 
+def pendulum_accel(params, q, qd, tau):
+    """The pendulum m l^2 qdd + b qd + m g l sin(q) = tau in closed form,
+    evaluated for one-link chain params: the oracle for the one-link chain."""
+    m, l = float(params.mass[0]), float(params.length[0])
+    return (tau - params.damping * qd - m * params.gravity * l * np.sin(q)) / (m * l**2)
+
+
 # ---------------------------------------------------------------------------
 # discretization
 
@@ -57,7 +62,7 @@ def test_exact_discretization_scalar_oracle():
 
 def test_exact_discretization_matches_ode_integration():
     # independent reference: integrate the affine ODE with tight tolerances
-    plant = Pendulum(PendulumParams())
+    plant = make_plant("pendulum", 1)
     clin = linearize(plant.ode, np.array([0.4, -0.2]), np.array([0.3]))
     dm = discretize(clin, 0.05)
     x0 = np.array([0.1, 0.7])
@@ -75,6 +80,10 @@ def test_discretize_rejects_bad_arguments():
         discretize(model, 0.0)
     with pytest.raises(ValueError):
         discretize(model, -0.1)
+    with pytest.raises(ValueError):
+        discretize(model, np.nan)
+    with pytest.raises(ValueError):
+        discretize(model, np.inf)
 
 
 def test_model_dimension_properties():
@@ -121,7 +130,7 @@ def _linearize_by_columns(f, x0, u0, eps=1e-6):
 
 @pytest.mark.parametrize(
     "plant",
-    [NLinkArm(NLinkParams(links=6)), NLinkArm(NLinkParams(links=3, gravity=9.81)), Pendulum(PendulumParams())],
+    [NLinkArm(NLinkParams(links=6)), NLinkArm(NLinkParams(links=3, gravity=9.81)), make_plant("pendulum", 1)],
     ids=["arm6", "arm3_gravity", "pendulum"],
 )
 def test_linearize_equals_column_oracle(plant):
@@ -148,12 +157,12 @@ def test_linearize_calls_f_once_with_row_stacked_points():
 
 
 def test_linearize_pendulum_matches_analytic_jacobian():
-    p = PendulumParams(mass=1.3, length=0.7, damping=0.12, gravity=9.81)
-    plant = Pendulum(p)
+    p = NLinkParams(links=1, mass=1.3, length=0.7, damping=0.12, gravity=9.81)
+    plant = NLinkArm(p)
     q0, qd0, tau0 = 0.6, -0.4, 0.25
     clin = linearize(plant.ode, np.array([q0, qd0]), np.array([tau0]))
-    ml2 = p.mass * p.length**2
-    A_ref = np.array([[0.0, 1.0], [-p.gravity / p.length * np.cos(q0), -p.damping / ml2]])
+    ml2 = p.mass[0] * p.length[0] ** 2
+    A_ref = np.array([[0.0, 1.0], [-p.gravity / p.length[0] * np.cos(q0), -p.damping / ml2]])
     B_ref = np.array([[0.0], [1.0 / ml2]])
     np.testing.assert_allclose(clin.A, A_ref, atol=1e-6)
     np.testing.assert_allclose(clin.B, B_ref, atol=1e-6)
@@ -165,27 +174,27 @@ def test_linearize_pendulum_matches_analytic_jacobian():
 
 
 # ---------------------------------------------------------------------------
-# pendulum
+# the pendulum: the one-link chain
 
 def test_pendulum_accel_analytic():
-    p = PendulumParams(mass=2.0, length=0.5, damping=0.1, gravity=9.81)
-    got = pendulum_accel(p, 0.3, -1.2, 0.7)
+    p = NLinkParams(links=1, mass=2.0, length=0.5, damping=0.1, gravity=9.81)
+    got = nlink_accel(p, np.array([0.3]), np.array([-1.2]), np.array([0.7]))[0]
     want = (0.7 - 0.1 * -1.2 - 2.0 * 9.81 * 0.5 * np.sin(0.3)) / (2.0 * 0.25)
     assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_pendulum_params_validation():
     with pytest.raises(ValueError):
-        PendulumParams(mass=0.0)
+        NLinkParams(links=1, mass=0.0)
     with pytest.raises(ValueError):
-        PendulumParams(length=-1.0)
+        NLinkParams(links=1, length=-1.0)
     with pytest.raises(ValueError):
-        PendulumParams(damping=-0.1)
+        NLinkParams(links=1, damping=-0.1)
 
 
 def test_pendulum_energy_conserved_when_undamped():
-    p = PendulumParams(damping=0.0)
-    plant = Pendulum(p)
+    p = NLinkParams(links=1, length=1.0, damping=0.0, gravity=9.81)
+    plant = NLinkArm(p)
     x = np.array([1.0, 0.5])
     e0 = total_energy(p, x)
     for _ in range(100):
@@ -194,10 +203,56 @@ def test_pendulum_energy_conserved_when_undamped():
 
 
 def test_energy_zero_at_rest_datum():
-    assert total_energy(PendulumParams(), np.zeros(2)) == 0.0
+    assert total_energy(make_plant("pendulum", 1).params, np.zeros(2)) == 0.0
     assert total_energy(NLinkParams(links=3), np.zeros(6)) == 0.0
-    with pytest.raises(TypeError):
-        total_energy(object(), np.zeros(2))
+    assert total_energy(NLinkParams(links=3, gravity=9.81), np.zeros(6)) == 0.0
+
+
+@pytest.mark.parametrize("path", ["ode", "ode1"])
+@pytest.mark.parametrize("links", [1, 2, 6, 13])
+def test_chain_hanging_at_rest_has_zero_acceleration(links, path):
+    plant = NLinkArm(NLinkParams(links=links, gravity=9.81))
+    xdot = getattr(plant, path)(np.zeros(2 * links), np.zeros(links))
+    assert np.all(xdot == 0.0)
+
+
+def test_displaced_pendulum_accelerates_back():
+    plant = NLinkArm(NLinkParams(links=1, gravity=9.81))
+    for path in (plant.ode, plant.ode1):
+        assert path(np.array([0.1, 0.0]), np.zeros(1))[1] < 0.0
+        assert path(np.array([-0.1, 0.0]), np.zeros(1))[1] > 0.0
+
+
+def _pendulum_states(seed, count=200):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.uniform(-np.pi, np.pi, count), rng.normal(size=count)])
+    return X, rng.normal(scale=10.0, size=(count, 1))
+
+
+def _closed_form(plant, X, U):
+    return np.column_stack([X[:, 1], pendulum_accel(plant.params, X[:, 0], X[:, 1], U[:, 0])])
+
+
+@pytest.mark.parametrize("robot", ["pendulum", "pendulum_nograv"])
+def test_pendulum_plants_equal_the_closed_form_bit_for_bit(robot):
+    # the one-link chain's 1x1 solve divides by m l^2 = 1, and its
+    # Cholesky by sqrt(1) twice, so both paths give the closed form's bits
+    plant = make_plant(robot, 1)
+    X, U = _pendulum_states(0)
+    want = _closed_form(plant, X, U)
+    assert plant.ode(X, U).tobytes() == want.tobytes()
+    assert np.array([plant.ode1(x, u) for x, u in zip(X, U)]).tobytes() == want.tobytes()
+
+
+def test_scaled_pendulum_models_equal_the_closed_form_through_ode():
+    # a wrong model is only ever linearized, through the batched ode, whose
+    # 1x1 solve is one exact division; the Cholesky path's two divisions by
+    # sqrt(m l^2) need not be, so ode1 is not pinned here; the multipliers
+    # are the robustness_pendulum preset's
+    for i in range(11):
+        plant = make_plant("pendulum", 1, round(0.5 + 0.1 * i, 10))
+        X, U = _pendulum_states(i)
+        assert plant.ode(X, U).tobytes() == _closed_form(plant, X, U).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +316,11 @@ def test_accel_consistent_with_mass_matrix():
 
 
 def test_single_link_equals_pendulum():
-    # chain angles are measured from +x with gravity along -y, pendulum from
-    # the hanging position: q_pend = th_chain + pi/2
-    pp = PendulumParams(mass=1.4, length=0.6, damping=0.08, gravity=9.81)
+    # chain angles are measured from the hanging position, as the pendulum's
     cp = NLinkParams(links=1, mass=1.4, length=0.6, damping=0.08, gravity=9.81)
     for q, qd, tau in [(0.3, -0.5, 0.7), (-1.2, 0.9, -0.4), (2.5, 0.0, 0.0)]:
-        a_pend = pendulum_accel(pp, q, qd, tau)
-        a_chain = nlink_accel(cp, np.array([q - np.pi / 2]), np.array([qd]), np.array([tau]))[0]
+        a_pend = pendulum_accel(cp, q, qd, tau)
+        a_chain = nlink_accel(cp, np.array([q]), np.array([qd]), np.array([tau]))[0]
         assert a_chain == pytest.approx(a_pend, rel=1e-12, abs=1e-12)
 
 
@@ -289,7 +342,7 @@ def test_nlink_accel_batch_equals_single_calls(links):
 
 def test_ode_accepts_row_stacked_states():
     rng = np.random.default_rng(5)
-    for plant in (NLinkArm(NLinkParams(links=3)), Pendulum(PendulumParams())):
+    for plant in (NLinkArm(NLinkParams(links=3)), make_plant("pendulum", 1)):
         X = rng.normal(size=(7, plant.n))
         U = rng.normal(size=(7, plant.m))
         want = np.array([plant.ode(X[i], U[i]) for i in range(7)])
@@ -348,11 +401,6 @@ def test_ode1_rejects_an_inertia_matrix_that_is_not_positive_definite():
         NLinkArm(params).ode1(np.zeros(6), np.zeros(3))
 
 
-def test_pendulum_ode1_is_its_ode():
-    plant = Pendulum(PendulumParams())
-    assert plant.ode1 == plant.ode
-
-
 def test_nlink_params_broadcasting_and_validation():
     p = NLinkParams(links=3, mass=2.0, length=0.5)
     np.testing.assert_array_equal(p.mass, [2.0, 2.0, 2.0])
@@ -365,6 +413,16 @@ def test_nlink_params_broadcasting_and_validation():
         NLinkParams(links=2, mass=[1.0, -1.0])
     with pytest.raises(ValueError):
         NLinkParams(links=1, damping=-0.5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("mass", np.nan), ("mass", np.inf), ("length", np.inf), ("length", np.nan),
+     ("damping", np.nan), ("damping", np.inf), ("gravity", np.nan), ("gravity", -np.inf)],
+)
+def test_nlink_params_reject_non_finite_fields(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        NLinkParams(links=2, **{field: value})
 
 
 def test_nlink_arm_dimensions():
@@ -406,7 +464,7 @@ def test_rk4_fourth_order_convergence():
 
 
 def test_integrate_is_substep_composition():
-    plant = Pendulum(PendulumParams())
+    plant = make_plant("pendulum", 1)
     x = np.array([0.5, -0.3])
     u = np.array([0.8])
     via_integrate = integrate(plant.ode, x, u, 0.02, substeps=4)
@@ -414,6 +472,13 @@ def test_integrate_is_substep_composition():
     for _ in range(4):
         xx = rk4_step(plant.ode, xx, u, 0.005)
     np.testing.assert_allclose(via_integrate, xx, atol=1e-15)
+
+
+def test_integrate_rejects_fewer_than_one_substep():
+    plant = make_plant("pendulum", 1)
+    for substeps in (0, -1):
+        with pytest.raises(ValueError, match="substeps"):
+            integrate(plant.ode1, np.array([0.5, -0.3]), np.array([0.8]), 0.02, substeps)
 
 
 # ---------------------------------------------------------------------------
