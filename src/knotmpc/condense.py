@@ -10,8 +10,13 @@ are two constraint structures, one builder and one solver path each:
   the dynamics enter as equality constraints and the knots as a box (a
   big, sparse ``QpProblem``).
 * ``build_small_param`` -- the states are condensed out through the
-  prediction matrices, leaving a ``BoxQp`` over the knots: one
-  recursion for [S | v], one Gram product for P, q and the offset.
+  prediction matrices, leaving a ``BoxQp`` over the knots.  One Gram
+  matrix G gives P, q and the offset, by one of two routes.  Below
+  ``_DOUBLING_MIN_SPACING`` steps between knots (so for ``small``) G is
+  one product of the recursion's [S | v].  From it on G is summed over the
+  segments between knots, each a Stein sum taken by Smith's doubling (SIAM
+  J. Appl. Math. 16, 1968) over Van Loan's augmented matrix (IEEE TAC 23,
+  1978), so its cost grows with log T instead of T.
 
 ``build`` maps the four formulation names onto them: ``large_param`` and
 ``small_param`` take a knot schedule, and the per-step kinds ``large`` and
@@ -118,6 +123,11 @@ def _check_symmetric(M, name):
 # ---------------------------------------------------------------------------
 # prediction matrices (state condensation)
 
+# The knot spacing, in steps, from which build_small_param sums segments by
+# doubling instead of running the per-step recursion.  Doubling was faster
+# from spacing 2.0 at 6 links and from 2.6-2.75 at 13 links (T = 50, 100).
+_DOUBLING_MIN_SPACING = 2.5
+
 
 @functools.lru_cache(maxsize=32)
 def _schedule_weights(sched: KnotSchedule) -> tuple[np.ndarray, ...]:
@@ -128,6 +138,58 @@ def _schedule_weights(sched: KnotSchedule) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+@functools.lru_cache(maxsize=32)
+def _segments(sched: KnotSchedule, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths of the segments between knots, each from the first whole step
+    at or after its knot, and the rows [f; g; h] (2m + 1, pm + 1) of their
+    first states in ``_segment_gram``: that step's row of W, the slope
+    -+1/spacing on the two knots and the affine flag."""
+    W = _schedule_weights(sched)[0]
+    (T, p), slope, i = W.shape, 1.0 / (sched.spacing or 1.0), np.arange(sched.p - 1)
+    starts = np.flatnonzero(np.diff(np.minimum((W != 0).argmax(axis=1), max(p - 2, 0)), prepend=-1))
+    coef = np.zeros((starts.size, 2, p))
+    coef[:, 0], coef[i, 1, i], coef[i, 1, i + 1] = W[starts], -slope, slope
+    rows = np.zeros((starts.size, 2 * m + 1, p * m + 1))
+    rows[:, :-1, :-1], rows[:, -1, -1] = np.kron(coef, np.eye(m)), 1.0
+    lengths = np.diff(starts, append=T)
+    lengths.flags.writeable = rows.flags.writeable = False
+    return lengths, rows
+
+
+def _stein_sum(F: np.ndarray, M: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """F^L and Sigma_L = sum of (F^l)' M F^l over l = 1..L by halving L:
+    Sigma_2a = Sigma_a + (F^a)' Sigma_a F^a, Sigma_1+b = F' (M + Sigma_b) F."""
+    if L == 1:
+        return F, F.T @ M @ F
+    Fa, Sa = _stein_sum(F, M, L // 2)
+    Fa, Sa = Fa @ Fa, Sa + Fa.T @ Sa @ Fa
+    return (F @ Fa, F.T @ (M + Sa) @ F) if L % 2 else (Fa, Sa)
+
+
+def _segment_gram(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> np.ndarray:
+    """G = [S | e]' (I kron Q) [S | e] summed over the segments between knots.
+
+    Each column follows xi+ = F xi on xi = [s; f; g; h] (state, input, its
+    slope, affine flag), F = [[Ad, Bd, 0, wd], [0, I, I, 0], [0, 0, I, 0],
+    [0, 0, 0, 1]], costing xi' M xi with M = C'QC, C = [I 0 0 -x_goal].  A
+    segment of L steps from columns Xi adds Xi' Sigma_L Xi, and the next
+    starts from the state rows of F^L Xi; equal lengths share one sum.
+    """
+    (n, m), model = spec.model.Bd.shape, spec.model
+    lengths, rows = _segments(sched, m)
+    F = np.eye(n + 2 * m + 1)
+    F[:n, :n], F[:n, n : n + m], F[:n, -1], F[n : n + m, n + m : -1] = model.Ad, model.Bd, model.wd, np.eye(m)
+    C = np.hstack([np.eye(n), np.zeros((n, 2 * m)), -spec.x_goal[:, None]])
+    sums = {L: _stein_sum(F, C.T @ spec.Q @ C, L) for L in set(lengths.tolist())}
+    Xi, G = np.zeros((F.shape[0], rows.shape[-1])), 0.0
+    Xi[:n, -1] = x0
+    for L, fgh in zip(lengths.tolist(), rows):
+        Xi[n:] = fgh
+        G = G + Xi.T @ (sums[L][1] @ Xi)
+        Xi[:n] = sums[L][0][:n] @ Xi
+    return G
 
 
 def _param_prediction(model: DiscreteLinearModel, sched: KnotSchedule, x0: np.ndarray) -> np.ndarray:
@@ -205,16 +267,21 @@ def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> Box
     The states are eliminated through the prediction x = S U + v, leaving
     a ``BoxQp``: a dense QP whose only constraint is the knot box.  With
     e = v - x_goal the state cost is (U; 1)' G (U; 1) for the Gram matrix
-    G = [S | e]' (I kron Q) [S | e], so one product gives the state terms
-    of P (G[:d, :d]), of q (G[:d, d]) and of the offset (G[d, d]).
+    G = [S | e]' (I kron Q) [S | e], so G gives the state terms of P
+    (G[:d, :d]), of q (G[:d, d]) and of the offset (G[d, d]): one product of
+    the recursion's [S | e] below ``_DOUBLING_MIN_SPACING`` steps between
+    knots, and from it on ``_segment_gram``'s sum by doubling.
     """
     T, n = spec.T, spec.model.n
     if sched.T != T:
         raise ValueError("knot schedule horizon does not match the spec")
     x0 = np.asarray(x0, float)
-    Se = _param_prediction(spec.model, sched, x0)
-    Se[:, :, -1] -= spec.x_goal
-    G = Se.reshape(T * n, -1).T @ (spec.Q @ Se).reshape(T * n, -1)
+    if (sched.spacing or T) < _DOUBLING_MIN_SPACING:  # one knot spans T steps
+        Se = _param_prediction(spec.model, sched, x0)
+        Se[:, :, -1] -= spec.x_goal
+        G = Se.reshape(T * n, -1).T @ (spec.Q @ Se).reshape(T * n, -1)
+    else:
+        G = _segment_gram(spec, sched, x0)
     d = G.shape[0] - 1
     R_knot = _param_input_cost(spec, sched)
     P = G[:d, :d] + R_knot

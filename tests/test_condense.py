@@ -8,12 +8,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotmpc import condense
 from knotmpc.condense import (
     FORMULATIONS,
     MpcSpec,
     _param_input_cost,
     _param_prediction,
     _schedule_weights,
+    _segments,
     build,
     build_large_param,
     build_small_param,
@@ -176,34 +178,104 @@ def _arm_spec(links, T, seed):
     return replace(spec, x_goal=rng.normal(size=2 * links)), x
 
 
+def _two_pass_reference(spec, sched, x0):
+    """P, q and the offset of the condensed QP in the two-pass form
+    S' blockdiag(Q) S + kron(W'W, R) on the kron-loop S."""
+    T, n, Q = spec.T, spec.model.n, spec.Q
+    W = interpolation_matrix(sched)
+    S, v = _kron_loop_prediction(spec.model, W, x0)
+    blockdiag_Q = lambda M: np.vstack([Q @ M[k * n : (k + 1) * n] for k in range(T)])  # noqa: E731
+    R_knot = np.kron(W.T @ W, spec.R)
+    P_ref = S.T @ blockdiag_Q(S) + R_knot
+    P_ref = 0.5 * (P_ref + P_ref.T)
+    e = v - np.tile(spec.x_goal, T)
+    Qe = blockdiag_Q(e[:, None]).ravel()
+    q_ref = S.T @ Qe
+    err0 = spec.x_goal - x0
+    offset_ref = e @ Qe + err0 @ Q @ err0
+    return P_ref, q_ref, offset_ref
+
+
 @pytest.mark.parametrize("links", [1, 2, 3])
-def test_condensed_hessian_matches_two_pass_reference(links):
-    # P from the one Gram product of [S | e] is bit-identical to the two-pass
-    # form S' blockdiag(Q) S + kron(W'W, R) on the kron-loop S; q and the
-    # offset take their terms from the extra column, so they match to
-    # rounding
+def test_condensed_hessian_matches_two_pass_reference(links, monkeypatch):
+    # P from the one Gram product of the recursion's [S | e] is bit-identical
+    # to the two-pass form S' blockdiag(Q) S + kron(W'W, R) on the kron-loop
+    # S; q and the offset take their terms from the extra column, so they
+    # match to rounding.  p = 1 and p = 3 are doubled by default, so the
+    # recursion route is forced here for every p.
+    monkeypatch.setattr(condense, "_DOUBLING_MIN_SPACING", np.inf)
     T = 30
     spec, x0 = _arm_spec(links, T, seed=links)
-    n, Q = 2 * links, spec.Q
     for p in (1, 3, T):
         sched = KnotSchedule(T, p)
-        W = interpolation_matrix(sched)
-        S, v = _kron_loop_prediction(spec.model, W, x0)
-        blockdiag_Q = lambda M: np.vstack([Q @ M[k * n : (k + 1) * n] for k in range(T)])  # noqa: E731
-        R_knot = np.kron(W.T @ W, spec.R)
-        P_ref = S.T @ blockdiag_Q(S) + R_knot
-        P_ref = 0.5 * (P_ref + P_ref.T)
-        e = v - np.tile(spec.x_goal, T)
-        Qe = blockdiag_Q(e[:, None]).ravel()
-        q_ref = S.T @ Qe
-        err0 = spec.x_goal - x0
-        offset_ref = e @ Qe + err0 @ Q @ err0
+        P_ref, q_ref, offset_ref = _two_pass_reference(spec, sched, x0)
         prob = build_small_param(spec, sched, x0)
         np.testing.assert_array_equal(prob.P, P_ref)
         # bitwise symmetric, so the builder's BoxQp skips the symmetry check
         np.testing.assert_array_equal(prob.P, prob.P.T)
         np.testing.assert_allclose(prob.q, q_ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(q_ref)))
         assert prob.offset == pytest.approx(offset_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("links", [1, 3])
+def test_small_build_stays_on_the_recursion(links):
+    # p = T is below the doubling crossover, so ``small`` keeps the one
+    # recursion and its P is bit-identical to the two-pass reference
+    T = 30
+    spec, x0 = _arm_spec(links, T, seed=links)
+    P_ref, q_ref, offset_ref = _two_pass_reference(spec, KnotSchedule(T, T), x0)
+    prob = build("small", spec, x0)
+    np.testing.assert_array_equal(prob.P, P_ref)
+    np.testing.assert_allclose(prob.q, q_ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(q_ref)))
+    assert prob.offset == pytest.approx(offset_ref, rel=1e-12)
+
+
+def _max_rel(got, want):
+    return np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("spectral", [0.9, 1.05], ids=["stable", "unstable"])
+@pytest.mark.parametrize("p, T", [(p, T) for T in (7, 50, 101) for p in (1, 2, 3, 5, 16) if p <= T])
+def test_segment_sums_match_the_recursion(p, T, spectral, monkeypatch):
+    # the doubled Gram, seen through P, q and the offset, agrees with the
+    # recursion-plus-Gram build: one segment (p = 1), integer and
+    # non-integer spacing, knots on a step and segments of unequal length
+    model = _model(4, 2, seed=T + p, spectral=spectral)
+    spec = _spec(model, T, seed=p)
+    sched = KnotSchedule(T, p)
+    x0 = np.random.default_rng(p).normal(size=4)
+    builds = {}
+    for route, crossover in (("recursion", np.inf), ("doubling", 0.0)):
+        monkeypatch.setattr(condense, "_DOUBLING_MIN_SPACING", crossover)
+        builds[route] = build_small_param(spec, sched, x0)
+    want, got = builds["recursion"], builds["doubling"]
+    assert _max_rel(got.P, want.P) <= 1e-12
+    assert _max_rel(got.q, want.q) <= 1e-12
+    assert got.offset == pytest.approx(want.offset, rel=1e-12)
+    np.testing.assert_array_equal(got.P, got.P.T)
+
+
+@pytest.mark.parametrize("Tp", [(1, 1), (7, 1), (7, 3), (11, 4), (30, 3), (50, 16), (101, 16), (30, 30)])
+def test_segments_follow_the_interpolation(Tp):
+    # each segment's first input plus l slopes is row start + l of W, the
+    # lengths cover the horizon, and the cached arrays are shared read-only
+    sched, m = KnotSchedule(*Tp), 2
+    lengths, rows = _segments(sched, m)
+    W = interpolation_matrix(sched)
+    assert lengths.sum() == sched.T and lengths.size == max(sched.p - 1, 1)
+    starts = np.cumsum(lengths) - lengths
+    for start, L, fgh in zip(starts, lengths, rows):
+        f, g = fgh[:m, :-1:m], fgh[m : 2 * m, :-1:m]  # knot weights of input 0
+        np.testing.assert_allclose(f[0] + np.arange(L)[:, None] * g[0], W[start : start + L], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(fgh[:-1, :-1], np.kron(np.stack([f[0], g[0]]), np.eye(m)))
+        np.testing.assert_array_equal(fgh[-1], np.eye(sched.p * m + 1)[-1])
+    # a segment starts at the first whole step at or after its knot
+    if sched.p > 1:
+        np.testing.assert_array_equal(starts, np.ceil(np.arange(sched.p - 1) * sched.spacing - 1e-9))
+    assert all(a is b for a, b in zip(_segments(KnotSchedule(*Tp), m), (lengths, rows)))
+    for a in (lengths, rows):
+        with pytest.raises(ValueError):
+            a[0] = 1
 
 
 @pytest.mark.parametrize("Tp", [(1, 1), (11, 4), (30, 3), (30, 30)])
