@@ -1,8 +1,8 @@
 """Paired perfbench runs of two revisions, with a same-session null set.
 
-    python3 tools/pairs.py --parent REV --change REV --slug SLUG [--pairs 6]
+    python3 tools/pairs.py --parent REV --change REV --slug SLUG [--pairs 10]
         [--seconds 40] [--traced-seconds 20] [--workload W ...] [--seed0 S]
-        [--attach NAME=FILE ...] [--scratch DIR]
+        [--scratch DIR]
 
 Exports both revisions with ``git archive`` into a scratch directory and
 runs ``perfbench/run.py`` of each export, one run at a time.  For every
@@ -25,9 +25,6 @@ the median difference is in the metric's better direction (from
 ``BENCHMARK.json``) and beyond the bar, and the change is better in at
 least nine of ten pairs; "loss" when the median difference is beyond the
 bar the other way; else "noise".  Without null pairs it is "no null".
-``--attach`` adds saved records of other tools (for example
-``tools/fixed_work.py`` or ``tools/parity.py`` output) under NAME: the
-whole file if it is JSON, else its last line.
 """
 
 from __future__ import annotations
@@ -47,19 +44,16 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("knot_arm6", "empc_arm6")
 
 
-def metric_directions(root: Path = ROOT) -> dict[str, str]:
+def metric_directions() -> dict[str, str]:
     """Metric name -> "lower" or "higher", from BENCHMARK.json."""
-    bench = json.loads((root / "BENCHMARK.json").read_text())
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
 
 
 def cpu_jiffies() -> dict[str, int]:
     """User and steal jiffies of the aggregate ``cpu`` line of /proc/stat."""
-    try:
-        fields = Path("/proc/stat").read_text().splitlines()[0].split()
-    except OSError:
-        return {"user": 0, "steal": 0}
-    return {"user": int(fields[1]), "steal": int(fields[8]) if len(fields) > 8 else 0}
+    fields = Path("/proc/stat").read_text().splitlines()[0].split()
+    return {"user": int(fields[1]), "steal": int(fields[8])}
 
 
 def export(rev: str, scratch: Path) -> tuple[str, Path]:
@@ -102,10 +96,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
-        v = values[0]
-        return v, v, v
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q2, q3
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def _value(run: dict, metric: str) -> float | None:
@@ -174,35 +166,10 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
     return out
 
 
-def _attachment(path: str):
-    text = Path(path).read_text()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return json.loads(text.strip().splitlines()[-1])
-
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="git revision of the parent side")
-    ap.add_argument("--change", required=True, help="git revision of the changed side")
-    ap.add_argument("--slug", required=True, help="the output is BENCH_<slug>.json at the repo root")
-    ap.add_argument("--pairs", type=int, default=6)
-    ap.add_argument("--seconds", type=float, default=40.0, help="--seconds of the untraced runs")
-    ap.add_argument("--traced-seconds", type=float, default=20.0, help="--seconds of the traced runs; 0 skips them")
-    ap.add_argument("--workload", action="append", choices=WORKLOADS, help="repeatable; default both")
-    ap.add_argument("--seed0", type=int, default=2801)
-    ap.add_argument("--attach", action="append", default=[], metavar="NAME=FILE")
-    ap.add_argument("--scratch", help="directory for the exports; default a temporary one")
-    args = ap.parse_args(argv)
-    attachments = {name: _attachment(path) for name, path in (a.split("=", 1) for a in args.attach)}
-
-    scratch = Path(args.scratch or tempfile.mkdtemp(prefix="pairs-"))
-    scratch.mkdir(parents=True, exist_ok=True)
-    (parent_rev, parent_tree), (change_rev, change_tree) = export(args.parent, scratch), export(args.change, scratch)
-    trees = {"parent": parent_tree, "parent_b": parent_tree, "change": change_tree}
+def run_all(args, trees: dict[str, Path]) -> list[dict]:
+    """Every run of the schedule, per workload, untraced and then traced,
+    as raw records; each is logged to stderr as it finishes."""
     modes = [(0, args.seconds)] + ([(1, args.traced_seconds)] if args.traced_seconds > 0 else [])
-
     runs = []
     for workload in args.workload or WORKLOADS:
         for trace, seconds in modes:
@@ -215,7 +182,26 @@ def main(argv=None) -> int:
                     runs.append(rec)
                     print(json.dumps({key: rec[key] for key in ("workload", "trace", "seed", "kind", "side",
                                                                  "exit", "jiffies")}), file=sys.stderr, flush=True)
+    return runs
 
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent side")
+    ap.add_argument("--change", required=True, help="git revision of the changed side")
+    ap.add_argument("--slug", required=True, help="the output is BENCH_<slug>.json at the repo root")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=40.0, help="--seconds of the untraced runs")
+    ap.add_argument("--traced-seconds", type=float, default=20.0, help="--seconds of the traced runs; 0 skips them")
+    ap.add_argument("--workload", action="append", choices=WORKLOADS, help="repeatable; default both")
+    ap.add_argument("--seed0", type=int, default=2801)
+    ap.add_argument("--scratch", help="directory for the exports; default a temporary one, removed at the end")
+    args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        scratch = Path(args.scratch or tmp)
+        scratch.mkdir(parents=True, exist_ok=True)
+        (parent_rev, parent_tree), (change_rev, change_tree) = export(args.parent, scratch), export(args.change, scratch)
+        runs = run_all(args, {"parent": parent_tree, "parent_b": parent_tree, "change": change_tree})
     summary = summarize(runs, metric_directions())
     doc = {
         "slug": args.slug,
@@ -233,13 +219,12 @@ def main(argv=None) -> int:
                        "better in >= 9/10 of pairs; loss if beyond the bar the other way; else noise",
         },
         "summary": summary,
-        **attachments,
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.slug}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
-    for workload, modes_ in summary.items():
-        for mode, metrics in modes_.items():
+    for workload, modes in summary.items():
+        for mode, metrics in modes.items():
             for metric, s in metrics.items():
                 spread = "none" if s["null_spread"] is None else f"{s['null_spread']:.4g}"
                 print(f"{workload:10s} {mode:9s} {metric:24s} {s['parent_median']:12.6g} -> {s['change_median']:12.6g}"
