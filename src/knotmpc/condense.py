@@ -10,13 +10,7 @@ are two constraint structures, one builder and one solver path each:
   the dynamics enter as equality constraints and the knots as a box (a
   big, sparse ``QpProblem``).
 * ``build_small_param`` -- the states are condensed out through the
-  prediction matrices, leaving a ``BoxQp`` over the knots.  One Gram
-  matrix G gives P, q and the offset, by one of two routes.  Below
-  ``_DOUBLING_MIN_SPACING`` steps between knots (so for ``small``) G is
-  one product of the recursion's [S | v].  From it on G is summed over the
-  segments between knots, each a Stein sum taken by Smith's doubling (SIAM
-  J. Appl. Math. 16, 1968) over Van Loan's augmented matrix (IEEE TAC 23,
-  1978), so its cost grows with log T instead of T.
+  prediction matrices, leaving a ``BoxQp`` over the knots (two routes).
 
 ``build`` maps the four formulation names onto them: ``large_param`` and
 ``small_param`` take a knot schedule, and the per-step kinds ``large`` and
@@ -46,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dynamics import DiscreteLinearModel
-from .param import KnotSchedule, interpolation_matrix
+from .param import _SNAP, KnotSchedule, interpolation_matrix
 from .qp import BoxQp, QpProblem, QpSolution
 
 # Controller kinds, each with the integer arguments its token takes after
@@ -123,9 +117,9 @@ def _check_symmetric(M, name):
 # ---------------------------------------------------------------------------
 # prediction matrices (state condensation)
 
-# The knot spacing, in steps, from which build_small_param sums segments by
-# doubling instead of running the per-step recursion.  Doubling was faster
-# from spacing 2.0 at 6 links and from 2.6-2.75 at 13 links (T = 50, 100).
+# Knots at least this many steps apart take build_small_param's doubled route.
+# At T = 100 the routes tie near spacing 2.0 (6 links), 2.5-2.75 (13) and 3.2
+# (1-2 links, where both builds take under 1 ms); 2.5 favours the larger arms.
 _DOUBLING_MIN_SPACING = 2.5
 
 
@@ -142,18 +136,14 @@ def _schedule_weights(sched: KnotSchedule) -> tuple[np.ndarray, ...]:
 
 @functools.lru_cache(maxsize=32)
 def _segments(sched: KnotSchedule, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lengths of the segments between knots, each from the first whole step
-    at or after its knot, and the rows [f; g; h] (2m + 1, pm + 1) of their
-    first states in ``_segment_gram``: that step's row of W, the slope
-    -+1/spacing on the two knots and the affine flag."""
-    W = _schedule_weights(sched)[0]
-    (T, p), slope, i = W.shape, 1.0 / (sched.spacing or 1.0), np.arange(sched.p - 1)
-    starts = np.flatnonzero(np.diff(np.minimum((W != 0).argmax(axis=1), max(p - 2, 0)), prepend=-1))
-    coef = np.zeros((starts.size, 2, p))
-    coef[:, 0], coef[i, 1, i], coef[i, 1, i + 1] = W[starts], -slope, slope
-    rows = np.zeros((starts.size, 2 * m + 1, p * m + 1))
-    rows[:, :-1, :-1], rows[:, -1, -1] = np.kron(coef, np.eye(m)), 1.0
-    lengths = np.diff(starts, append=T)
+    """Per segment between knots, from the first whole step at or after its
+    knot: its length and the rows [f; g] (2m, pm) of its first state in
+    ``_segment_gram`` (that step's row of W and the slope -+1/spacing)."""
+    T, p, spacing = sched.T, sched.p, sched.spacing or sched.T
+    starts = np.ceil(np.arange(max(p - 1, 1)) * spacing - _SNAP).astype(int)
+    coef, i = np.zeros((starts.size, 2, p)), np.arange(p - 1)
+    coef[:, 0], coef[i, 1, i], coef[i, 1, i + 1] = _schedule_weights(sched)[0][starts], -1 / spacing, 1 / spacing
+    rows, lengths = np.kron(coef, np.eye(m)), np.diff(starts, append=T)
     lengths.flags.writeable = rows.flags.writeable = False
     return lengths, rows
 
@@ -169,24 +159,21 @@ def _stein_sum(F: np.ndarray, M: np.ndarray, L: int) -> tuple[np.ndarray, np.nda
 
 
 def _segment_gram(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> np.ndarray:
-    """G = [S | e]' (I kron Q) [S | e] summed over the segments between knots.
-
-    Each column follows xi+ = F xi on xi = [s; f; g; h] (state, input, its
-    slope, affine flag), F = [[Ad, Bd, 0, wd], [0, I, I, 0], [0, 0, I, 0],
-    [0, 0, 0, 1]], costing xi' M xi with M = C'QC, C = [I 0 0 -x_goal].  A
-    segment of L steps from columns Xi adds Xi' Sigma_L Xi, and the next
-    starts from the state rows of F^L Xi; equal lengths share one sum.
-    """
+    """``build_small_param``'s G summed over the segments between knots.  A
+    column follows xi+ = F xi on xi = [s; f; g; h] (state, input, slope,
+    affine flag), F = [[Ad, Bd, 0, wd], [0, I, I, 0], [0, 0, I, 0], [0, 0, 0, 1]],
+    at stage cost xi' C'QC xi, C = [I 0 0 -x_goal].  A segment of L steps from
+    Xi adds Xi' Sigma_L Xi and starts the next from the state rows of F^L Xi."""
     (n, m), model = spec.model.Bd.shape, spec.model
     lengths, rows = _segments(sched, m)
     F = np.eye(n + 2 * m + 1)
     F[:n, :n], F[:n, n : n + m], F[:n, -1], F[n : n + m, n + m : -1] = model.Ad, model.Bd, model.wd, np.eye(m)
     C = np.hstack([np.eye(n), np.zeros((n, 2 * m)), -spec.x_goal[:, None]])
     sums = {L: _stein_sum(F, C.T @ spec.Q @ C, L) for L in set(lengths.tolist())}
-    Xi, G = np.zeros((F.shape[0], rows.shape[-1])), 0.0
-    Xi[:n, -1] = x0
-    for L, fgh in zip(lengths.tolist(), rows):
-        Xi[n:] = fgh
+    Xi, G = np.zeros((F.shape[0], rows.shape[-1] + 1)), 0.0
+    Xi[:n, -1], Xi[-1, -1] = x0, 1.0
+    for L, fg in zip(lengths.tolist(), rows):
+        Xi[n:-1, :-1] = fg
         G = G + Xi.T @ (sums[L][1] @ Xi)
         Xi[:n] = sums[L][0][:n] @ Xi
     return G
@@ -268,9 +255,11 @@ def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> Box
     a ``BoxQp``: a dense QP whose only constraint is the knot box.  With
     e = v - x_goal the state cost is (U; 1)' G (U; 1) for the Gram matrix
     G = [S | e]' (I kron Q) [S | e], so G gives the state terms of P
-    (G[:d, :d]), of q (G[:d, d]) and of the offset (G[d, d]): one product of
-    the recursion's [S | e] below ``_DOUBLING_MIN_SPACING`` steps between
-    knots, and from it on ``_segment_gram``'s sum by doubling.
+    (G[:d, :d]), of q (G[:d, d]) and of the offset (G[d, d]).  Knots closer
+    than ``_DOUBLING_MIN_SPACING`` steps (and ``small``) take G as one product
+    of the recursion's [S | e]; farther ones sum it over the segments between
+    knots in ``_segment_gram``, each a Stein sum by Smith's doubling (SIAM J.
+    Appl. Math. 16, 1968) over Van Loan's augmented matrix (IEEE TAC 23, 1978).
     """
     T, n = spec.T, spec.model.n
     if sched.T != T:

@@ -264,11 +264,11 @@ def test_segments_follow_the_interpolation(Tp):
     W = interpolation_matrix(sched)
     assert lengths.sum() == sched.T and lengths.size == max(sched.p - 1, 1)
     starts = np.cumsum(lengths) - lengths
-    for start, L, fgh in zip(starts, lengths, rows):
-        f, g = fgh[:m, :-1:m], fgh[m : 2 * m, :-1:m]  # knot weights of input 0
+    assert rows.shape == (lengths.size, 2 * m, sched.p * m)
+    for start, L, fg in zip(starts, lengths, rows):
+        f, g = fg[:m, ::m], fg[m:, ::m]  # knot weights of input 0
         np.testing.assert_allclose(f[0] + np.arange(L)[:, None] * g[0], W[start : start + L], rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(fgh[:-1, :-1], np.kron(np.stack([f[0], g[0]]), np.eye(m)))
-        np.testing.assert_array_equal(fgh[-1], np.eye(sched.p * m + 1)[-1])
+        np.testing.assert_array_equal(fg, np.kron(np.stack([f[0], g[0]]), np.eye(m)))
     # a segment starts at the first whole step at or after its knot
     if sched.p > 1:
         np.testing.assert_array_equal(starts, np.ceil(np.arange(sched.p - 1) * sched.spacing - 1e-9))

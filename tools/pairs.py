@@ -1,30 +1,39 @@
 """Paired perfbench runs of two revisions, with a same-session null set.
 
     python3 tools/pairs.py --parent REV --change REV --slug SLUG [--pairs 10]
-        [--seconds 40] [--traced-seconds 20] [--workload W ...] [--seed0 S]
-        [--scratch DIR]
+        [--workload W ...] [--seed0 S] [--scratch DIR]
 
 Exports both revisions with ``git archive`` into a scratch directory and
-runs ``perfbench/run.py`` of each export, one run at a time.  For every
-workload, untraced (``--trace 0``) and then traced (``--trace 1``), pair
-k runs both sides on seed ``seed0 + k``, the parent first for even k and
-the change first for odd k.  After every odd pair a null pair runs the
-parent twice on that pair's seed, so the null set measures how far two runs
-of the same code differ in this session.
+runs ``perfbench/run.py`` of each export, one run at a time, for
+``BENCHMARK.json``'s ``run_seconds``.  For every workload that file lists
+(``--workload`` picks some of them), untraced (``--trace 0``) and then
+traced (``--trace 1``), pair k runs both sides on seed ``seed0 + k``, the
+parent first for even k and the change first for odd k.  After every odd
+pair a null pair runs the parent twice on that pair's seed, so the null set
+measures how far two runs of the same code differ in this session.
 
 Beside each raw result line the record holds the user and steal jiffies of
 ``/proc/stat``'s ``cpu`` line, read before and after the run; a run with
 much steal was disturbed by the host.  The output ``BENCH_<slug>.json``
-holds the raw records and, per workload, trace mode and metric: each side's
-median and interquartile range, the median of the pair differences
-(change - parent) and its share of the parent median, how many pairs were
-better, worse or equal, the null pairs' differences and their spread (the
-largest absolute one), and a verdict.  The bar is the larger of the null's
-spread and the parent's interquartile range.  The verdict is "gain" when
-the median difference is in the metric's better direction (from
-``BENCHMARK.json``) and beyond the bar, and the change is better in at
-least nine of ten pairs; "loss" when the median difference is beyond the
-bar the other way; else "noise".  Without null pairs it is "no null".
+holds the raw records and, per workload and trace mode, each side's summed
+``failed`` operations and its runs that gave no result line or a failed
+check, and per metric: each side's median and interquartile range, the
+median of the pair differences (change - parent) and its share of the
+parent median, how many pairs were better, worse or equal, the null pairs'
+differences and their spread (the largest absolute one), a verdict and,
+for the end-to-end metrics, a bound check.
+
+The bar is the larger of the null's spread and the parent's interquartile
+range.  The verdict is "gain" when the median difference is in the
+metric's better direction (from ``BENCHMARK.json``) and beyond the bar,
+the change is better in at least nine of ten pairs run (a pair missing a
+result on either side counts against it) and it failed no more operations
+and no more runs than the parent; "loss" when the median difference is
+beyond the bar the other way; else "noise".  Without null pairs it is "no
+null".  The bound check takes the metric's ``BENCHMARK.json`` bound as a
+share of the parent median: "broken" when the median difference is worse
+by more than that, else "unresolved" when the bar is wider than it, else
+"holds".
 """
 
 from __future__ import annotations
@@ -41,13 +50,18 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("knot_arm6", "empc_arm6")
 
 
-def metric_directions() -> dict[str, str]:
-    """Metric name -> "lower" or "higher", from BENCHMARK.json."""
+def benchmark() -> dict:
+    """BENCHMARK.json's run length, workload names and, per metric, its
+    better direction ("lower" or "higher") and bound (None per layer)."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    return {
+        "run_seconds": bench["run_seconds"],
+        "workloads": [w["name"] for w in bench["workloads"]],
+        "metrics": {m["name"]: {"better": m["better"], "bound": m.get("bound")}
+                    for m in bench["end_to_end"] + bench["per_layer"]},
+    }
 
 
 def cpu_jiffies() -> dict[str, int]:
@@ -106,11 +120,29 @@ def _value(run: dict, metric: str) -> float | None:
     return None if entry is None else entry["value"]
 
 
-def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
-    """Per workload, trace mode and metric: the statistics of the module
-    docstring over the raw records ``runs``.  A record has ``workload``,
-    ``trace``, ``pair``, ``kind`` ("pair" or "null"), ``side`` ("parent",
-    "change" or "parent_b") and the perfbench ``result``."""
+def _outcomes(runs: list[dict]) -> dict[str, int]:
+    """Summed ``failed`` operations, and runs that gave no result line or a
+    failed output check, of some runs of one side."""
+    results = [r.get("result") for r in runs]
+    return {"failed": sum(res["failed"] for res in results if res),
+            "bad_runs": sum(not res or not res.get("correct", False) for res in results)}
+
+
+def _bound_check(med: float, sign: float, bar: float, parent_median: float, bound: float | None) -> str | None:
+    if bound is None:
+        return None
+    allowed = bound * abs(parent_median)
+    if -sign * med > allowed:
+        return "broken"
+    return "unresolved" if bar > allowed else "holds"
+
+
+def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per workload and trace mode: the statistics of the module docstring
+    over the raw records ``runs``.  A record has ``workload``, ``trace``,
+    ``pair``, ``kind`` ("pair" or "null"), ``side`` ("parent", "change" or
+    "parent_b") and the perfbench ``result``; ``metrics`` maps a metric name
+    to its ``better`` direction and ``bound``, as ``benchmark()`` does."""
     groups: dict[tuple[str, int], list[dict]] = {}
     for r in runs:
         groups.setdefault((r["workload"], r["trace"]), []).append(r)
@@ -119,8 +151,12 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
         sides = {(r["kind"], r["pair"], r["side"]): r for r in group}
         pair_ids = sorted({r["pair"] for r in group if r["kind"] == "pair"})
         null_ids = sorted({r["pair"] for r in group if r["kind"] == "null"})
-        metrics = {}
-        for metric, better in directions.items():
+        outcomes = {side: _outcomes([r for r in group if r["kind"] == "pair" and r["side"] == side])
+                    for side in ("parent", "change")}
+        # the change may fail no more operations, and lose no more runs, than the parent
+        held = all(outcomes["change"][k] <= outcomes["parent"][k] for k in ("failed", "bad_runs"))
+        summaries = {}
+        for metric, spec in metrics.items():
             diffs, parent, change = [], [], []
             for k in pair_ids:
                 a, b = (_value(sides.get(("pair", k, s), {}), metric) for s in ("parent", "change"))
@@ -135,21 +171,22 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
                 a, b = (_value(sides.get(("null", k, s), {}), metric) for s in ("parent", "parent_b"))
                 if a is not None and b is not None:
                     nulls.append(b - a)
-            sign = -1.0 if better == "lower" else 1.0
+            sign = -1.0 if spec["better"] == "lower" else 1.0
             med = statistics.median(diffs)
             spread = max((abs(d) for d in nulls), default=None)
             pq, cq = _quartiles(parent), _quartiles(change)
+            bar = max(spread or 0.0, pq[2] - pq[0])
             better_pairs = sum(sign * d > 0 for d in diffs)
             if spread is None:
                 verdict = "no null"
-            elif sign * med > max(spread, pq[2] - pq[0]) and better_pairs >= 0.9 * len(diffs):
+            elif sign * med > bar and better_pairs >= 0.9 * len(pair_ids) and held:
                 verdict = "gain"
-            elif -sign * med > max(spread, pq[2] - pq[0]):
+            elif -sign * med > bar:
                 verdict = "loss"
             else:
                 verdict = "noise"
-            metrics[metric] = {
-                "better": better,
+            summaries[metric] = {
+                "better": spec["better"],
                 "pairs": len(diffs),
                 "parent_median": pq[1], "parent_iqr": pq[2] - pq[0],
                 "change_median": cq[1], "change_iqr": cq[2] - cq[0],
@@ -161,18 +198,20 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict:
                 "null_diffs": nulls,
                 "null_spread": spread,
                 "verdict": verdict,
+                "bound": spec["bound"],
+                "bound_check": _bound_check(med, sign, bar, pq[1], spec["bound"]),
             }
-        out.setdefault(workload, {})["traced" if trace else "untraced"] = metrics
+        out.setdefault(workload, {})["traced" if trace else "untraced"] = {
+            "pairs_run": len(pair_ids), "outcomes": outcomes, "metrics": summaries}
     return out
 
 
-def run_all(args, trees: dict[str, Path]) -> list[dict]:
+def run_all(args, trees: dict[str, Path], seconds: float, workloads: list[str]) -> list[dict]:
     """Every run of the schedule, per workload, untraced and then traced,
     as raw records; each is logged to stderr as it finishes."""
-    modes = [(0, args.seconds)] + ([(1, args.traced_seconds)] if args.traced_seconds > 0 else [])
     runs = []
-    for workload in args.workload or WORKLOADS:
-        for trace, seconds in modes:
+    for workload in workloads:
+        for trace in (0, 1):
             for k, kind, order in schedule(args.pairs):
                 seed = args.seed0 + k
                 for side in order:
@@ -186,23 +225,25 @@ def run_all(args, trees: dict[str, Path]) -> list[dict]:
 
 
 def main(argv=None) -> int:
+    bench = benchmark()
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
     ap.add_argument("--change", required=True, help="git revision of the changed side")
     ap.add_argument("--slug", required=True, help="the output is BENCH_<slug>.json at the repo root")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=40.0, help="--seconds of the untraced runs")
-    ap.add_argument("--traced-seconds", type=float, default=20.0, help="--seconds of the traced runs; 0 skips them")
-    ap.add_argument("--workload", action="append", choices=WORKLOADS, help="repeatable; default both")
+    ap.add_argument("--workload", action="append", choices=bench["workloads"],
+                    help="repeatable; default every workload of BENCHMARK.json")
     ap.add_argument("--seed0", type=int, default=2801)
     ap.add_argument("--scratch", help="directory for the exports; default a temporary one, removed at the end")
     args = ap.parse_args(argv)
+    workloads = [w for w in bench["workloads"] if not args.workload or w in args.workload]
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         scratch = Path(args.scratch or tmp)
         scratch.mkdir(parents=True, exist_ok=True)
         (parent_rev, parent_tree), (change_rev, change_tree) = export(args.parent, scratch), export(args.change, scratch)
-        runs = run_all(args, {"parent": parent_tree, "parent_b": parent_tree, "change": change_tree})
-    summary = summarize(runs, metric_directions())
+        trees = {"parent": parent_tree, "parent_b": parent_tree, "change": change_tree}
+        runs = run_all(args, trees, bench["run_seconds"], workloads)
+    summary = summarize(runs, bench["metrics"])
     doc = {
         "slug": args.slug,
         "parent": {"git_rev": parent_rev},
@@ -210,13 +251,16 @@ def main(argv=None) -> int:
         "machine": next((r["env"] for r in runs if r.get("env")), None),
         "protocol": {
             "command": "python3 perfbench/run.py --workload W --seed S --seconds X --trace T, in a git archive "
-                       "export of each side",
-            "pairs": args.pairs, "seed0": args.seed0, "seconds": args.seconds,
-            "traced_seconds": args.traced_seconds,
+                       "export of each side, X = BENCHMARK.json run_seconds",
+            "pairs": args.pairs, "seed0": args.seed0, "seconds": bench["run_seconds"],
             "order": "pair k on seed seed0 + k; parent first for even k; a parent-parent null pair after odd k",
             "verdict": "bar = max(null spread (largest absolute null difference), parent IQR); gain if the "
-                       "median pair difference is beyond the bar in the better direction and the change is "
-                       "better in >= 9/10 of pairs; loss if beyond the bar the other way; else noise",
+                       "median pair difference is beyond the bar in the better direction, the change is "
+                       "better in >= 9/10 of the pairs run and fails no more operations or runs than the "
+                       "parent; loss if beyond the bar the other way; else noise",
+            "bound_check": "bound = BENCHMARK.json bound x parent median; broken if the median pair difference "
+                           "is worse by more than the bound, else unresolved if the bar is wider than it, "
+                           "else holds",
         },
         "summary": summary,
         "runs": runs,
@@ -224,12 +268,16 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.slug}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     for workload, modes in summary.items():
-        for mode, metrics in modes.items():
-            for metric, s in metrics.items():
+        for mode, group in modes.items():
+            print(f"{workload:10s} {mode:9s} failed {group['outcomes']['parent']['failed']} -> "
+                  f"{group['outcomes']['change']['failed']}, runs without a passing result "
+                  f"{group['outcomes']['parent']['bad_runs']} -> {group['outcomes']['change']['bad_runs']}")
+            for metric, s in group["metrics"].items():
                 spread = "none" if s["null_spread"] is None else f"{s['null_spread']:.4g}"
+                bound = "" if s["bound_check"] is None else f"  bound {s['bound_check']}"
                 print(f"{workload:10s} {mode:9s} {metric:24s} {s['parent_median']:12.6g} -> {s['change_median']:12.6g}"
-                      f"  diff {s['median_diff']:+.4g}  better {s['better_pairs']}/{s['pairs']}"
-                      f"  null spread {spread}  {s['verdict']}")
+                      f"  diff {s['median_diff']:+.4g}  better {s['better_pairs']}/{group['pairs_run']}"
+                      f"  null spread {spread}  {s['verdict']}{bound}")
     print(f"wrote {out}")
     return 0 if all(r["exit"] == 0 for r in runs) else 1
 
