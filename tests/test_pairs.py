@@ -176,6 +176,9 @@ def test_the_bound_check_holds_breaks_or_cannot_tell(pairs):
     # a parent IQR wider than the bound cannot tell either
     s = _summary(pairs, _records([1.0, 1.0, 3.0, 3.0], change=[1.0, 1.0, 3.0, 3.0], nulls=[(2.0, 2.0)]))
     assert (s["parent_iqr"], s["bound_check"]) == (2.0, "unresolved")
+    # ... unless every run of the change reads better than every run of the parent
+    s = _summary(pairs, _records([1.0, 1.0, 3.0, 3.0], change=[0.5, 0.5, 0.9, 0.9], nulls=[(2.0, 2.0)]))
+    assert (s["parent_iqr"], s["bound_check"]) == (2.0, "holds")
     # a metric without a bound is not checked
     runs = _records(PARENT, CHANGE, NULLS)
     summary = pairs.summarize(runs, {"op_ms.p90": {"better": "lower", "bound": None}})

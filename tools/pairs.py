@@ -32,7 +32,8 @@ and no more runs than the parent; "loss" when the median difference is
 beyond the bar the other way; else "noise".  Without null pairs it is "no
 null".  The bound check takes the metric's ``BENCHMARK.json`` bound as a
 share of the parent median: "broken" when the median difference is worse
-by more than that, else "unresolved" when the bar is wider than it, else
+by more than that, else "unresolved" when the bar is wider than it and
+some run of the change reads no better than some run of the parent, else
 "holds".
 """
 
@@ -128,13 +129,17 @@ def _outcomes(runs: list[dict]) -> dict[str, int]:
             "bad_runs": sum(not res or not res.get("correct", False) for res in results)}
 
 
-def _bound_check(med: float, sign: float, bar: float, parent_median: float, bound: float | None) -> str | None:
+def _bound_check(med: float, sign: float, bar: float, parent: list[float], change: list[float],
+                 bound: float | None) -> str | None:
     if bound is None:
         return None
-    allowed = bound * abs(parent_median)
+    allowed = bound * abs(statistics.median(parent))
     if -sign * med > allowed:
         return "broken"
-    return "unresolved" if bar > allowed else "holds"
+    # a spread wider than the bound cannot tell, unless every run of the
+    # change reads better than every run of the parent
+    separated = min(sign * c for c in change) > max(sign * a for a in parent)
+    return "unresolved" if bar > allowed and not separated else "holds"
 
 
 def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
@@ -199,7 +204,7 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
                 "null_spread": spread,
                 "verdict": verdict,
                 "bound": spec["bound"],
-                "bound_check": _bound_check(med, sign, bar, pq[1], spec["bound"]),
+                "bound_check": _bound_check(med, sign, bar, parent, change, spec["bound"]),
             }
         out.setdefault(workload, {})["traced" if trace else "untraced"] = {
             "pairs_run": len(pair_ids), "outcomes": outcomes, "metrics": summaries}
@@ -259,8 +264,8 @@ def main(argv=None) -> int:
                        "better in >= 9/10 of the pairs run and fails no more operations or runs than the "
                        "parent; loss if beyond the bar the other way; else noise",
             "bound_check": "bound = BENCHMARK.json bound x parent median; broken if the median pair difference "
-                           "is worse by more than the bound, else unresolved if the bar is wider than it, "
-                           "else holds",
+                           "is worse by more than the bound, else unresolved if the bar is wider than it and "
+                           "not every change run reads better than every parent run, else holds",
         },
         "summary": summary,
         "runs": runs,
