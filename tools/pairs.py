@@ -1,4 +1,4 @@
-"""Paired perfbench runs of two revisions, with a same-session null set.
+"""Paired perfbench runs of two revisions, with a null set run alongside.
 
     python3 tools/pairs.py --parent REV --change REV --slug SLUG [--pairs 10]
         [--workload W ...] [--seed0 S] [--scratch DIR]
@@ -10,7 +10,7 @@ runs ``perfbench/run.py`` of each export, one run at a time, for
 traced (``--trace 1``), pair k runs both sides on seed ``seed0 + k``, the
 parent first for even k and the change first for odd k.  After every odd
 pair a null pair runs the parent twice on that pair's seed, so the null set
-measures how far two runs of the same code differ in this session.
+measures how far two runs of the same code differ on this machine meanwhile.
 
 Beside each raw result line the record holds the user and steal jiffies of
 ``/proc/stat``'s ``cpu`` line, read before and after the run; a run with
