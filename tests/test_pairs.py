@@ -1,4 +1,5 @@
-"""tools/pairs.py: the run order and the paired statistics on hand-made records."""
+"""tools/pairs.py: the run order, the paired statistics, the fixed-work comparison
+and the exit status on hand-made records."""
 
 import importlib.util
 import json
@@ -183,3 +184,110 @@ def test_the_bound_check_holds_breaks_or_cannot_tell(pairs):
     runs = _records(PARENT, CHANGE, NULLS)
     summary = pairs.summarize(runs, {"op_ms.p90": {"better": "lower", "bound": None}})
     assert summary["knot_arm6"]["untraced"]["metrics"]["op_ms.p90"]["bound_check"] is None
+
+
+def test_one_outlier_null_does_not_set_the_bar(pairs):
+    # the clear gain above with a third null pair that the host disturbed:
+    # its difference of 3.0 is set aside and the next largest, 0.1, is the bar
+    s = _summary(pairs, _records(PARENT, CHANGE, NULLS + [(2.0, 5.0)]))
+    assert s["null_diffs"] == pytest.approx([0.1, -0.05, 3.0])
+    assert (s["null_spread"], s["verdict"], s["bound_check"]) == (pytest.approx(0.1), "gain", "holds")
+
+
+def test_null_differences_of_one_sign_still_set_the_bar(pairs):
+    # the second run of the parent reads 0.4 slower every time, an order
+    # effect larger than the change's move of 0.3
+    s = _summary(pairs, _records(PARENT, CHANGE, [(2.0, 2.4), (1.9, 2.3), (2.1, 2.5)]))
+    assert (s["null_spread"], s["verdict"]) == (pytest.approx(0.4), "noise")
+
+
+WORKLOADS = ("knot_arm6", "empc_arm6")
+
+
+def _table(pairs, cost=1.0, failed=0):
+    return {w: {str(s): {"failed": failed, "attempted": 1000, "track_cost": cost + s / 1000} for s in pairs.FIXED_SEEDS}
+            for w in WORKLOADS}
+
+
+def test_fixed_work_gives_relative_moves_and_flags_failures(pairs):
+    old = _table(pairs)
+    new = _table(pairs)
+    new["knot_arm6"]["209"]["track_cost"] = old["knot_arm6"]["209"]["track_cost"] * (1 + 2e-7)
+    result = pairs.compare_fixed_work(old, new)
+    knot = result["workloads"]["knot_arm6"]
+    assert knot["seeds"]["209"]["track_cost_rel"] == pytest.approx(2e-7, rel=1e-6)
+    assert knot["seeds"]["7"] == {"track_cost_rel": 0.0, "failed_before": 0, "failed": 0}
+    assert knot["median_track_cost_rel"] == 0.0
+    assert not result["failures_rose"]
+
+    # every 401-410 cost up by 1e-3 of its own value moves the median by 1e-3
+    for s in pairs.MEDIAN_SEEDS:
+        new["empc_arm6"][str(s)]["track_cost"] *= 1.001
+    new["empc_arm6"]["405"]["failed"] = 1
+    result = pairs.compare_fixed_work(old, new)
+    assert result["workloads"]["empc_arm6"]["median_track_cost_rel"] == pytest.approx(1e-3, rel=1e-9)
+    assert result["failures_rose"]
+
+
+def test_a_fixed_work_seed_that_loses_its_cost_counts_as_failing(pairs):
+    old = _table(pairs)
+    new = _table(pairs)
+    new["knot_arm6"]["7"]["track_cost"] = None
+    result = pairs.compare_fixed_work(old, new)
+    assert result["workloads"]["knot_arm6"]["seeds"]["7"]["track_cost_rel"] is None
+    assert result["workloads"]["knot_arm6"]["median_track_cost_rel"] == 0.0
+    assert result["failures_rose"]
+
+
+def _main(pairs, monkeypatch, tmp_path, failed=0, result=True, parity_edit=lambda p: None):
+    """``pairs.main`` over one pair of ``knot_arm6`` with stubbed exports,
+    runs and parity report: the change's fixed-work runs fail ``failed``
+    operations, or give no result line when ``result`` is false, and
+    ``parity_edit`` edits the change's report of one preset.  Returns the
+    exit status and the written record."""
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(pairs, "benchmark", lambda: {"run_seconds": 40, "workloads": ["knot_arm6"], "metrics": METRICS})
+    monkeypatch.setattr(pairs, "export", lambda rev, scratch: (rev, tmp_path / rev))
+
+    def run_once(tree, workload, seed, seconds, trace):
+        fixed_change = seconds == 0 and tree.name == "change"
+        res = {"correct": True, "attempted": 1000, "failed": failed if fixed_change else 0,
+               "metrics": {"track_cost": {"value": 0.7, "unit": "ratio"}}}
+        return {"exit": 0, "env": None, "jiffies": {}, "result": res if result or not fixed_change else None}
+
+    report = {name: {"hash_unchanged": True, "max_rel_actual_cost": 0.0, "changed_controllers": [],
+                     "failures": 1, "failures_before": 1} for name in ("closedloop_arms", "horizon_sweep")}
+    parity_edit(report["horizon_sweep"])
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    monkeypatch.setattr(pairs, "parity", lambda trees, scratch: report)
+    status = pairs.main(["--parent", "parent", "--change", "change", "--slug", "t", "--pairs", "1"])
+    return status, json.loads((tmp_path / "BENCH_t.json").read_text())
+
+
+@pytest.mark.parametrize("failed, status", [(0, 0), (2, 1)], ids=["same", "failures-rose"])
+def test_exits_nonzero_when_fixed_work_failures_rise(pairs, monkeypatch, tmp_path, failed, status):
+    got, doc = _main(pairs, monkeypatch, tmp_path, failed=failed)
+    assert got == status
+    assert doc["fixed_work"]["compare"]["failures_rose"] == bool(status)
+    assert list(doc["fixed_work"]["parent"]["knot_arm6"]) == [str(s) for s in pairs.FIXED_SEEDS]
+
+
+@pytest.mark.parametrize(
+    "edit, status",
+    [
+        (lambda p: p.update(hash_unchanged=False, max_rel_actual_cost=2e-11, changed_controllers=["small:0"]), 0),
+        (lambda p: p.update(failures=2), 1),
+    ],
+    ids=["hash-changed", "failures-rose"],
+)
+def test_parity_failures_that_rise_fail_the_record_and_a_changed_hash_alone_does_not(
+        pairs, monkeypatch, tmp_path, edit, status):
+    got, doc = _main(pairs, monkeypatch, tmp_path, parity_edit=edit)
+    assert got == status
+    assert doc["parity"]["closedloop_arms"]["hash_unchanged"]
+
+
+def test_a_fixed_work_run_without_a_result_fails_the_record(pairs, monkeypatch, tmp_path):
+    status, doc = _main(pairs, monkeypatch, tmp_path, result=False)
+    assert status == 1 and doc["fixed_work"]["compare"] is None
+    assert doc["fixed_work"]["change"]["knot_arm6"]["7"] is None

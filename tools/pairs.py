@@ -1,4 +1,4 @@
-"""Paired perfbench runs of two revisions, with a null set run alongside.
+"""A change's evidence record: paired perfbench runs, fixed work and parity.
 
     python3 tools/pairs.py --parent REV --change REV --slug SLUG [--pairs 10]
         [--workload W ...] [--seed0 S] [--scratch DIR]
@@ -20,21 +20,40 @@ holds the raw records and, per workload and trace mode, each side's summed
 check, and per metric: each side's median and interquartile range, the
 median of the pair differences (change - parent) and its share of the
 parent median, how many pairs were better, worse or equal, the null pairs'
-differences and their spread (the largest absolute one), a verdict and,
-for the end-to-end metrics, a bound check.
+differences and their spread, a verdict and, for the end-to-end metrics, a
+bound check.
 
-The bar is the larger of the null's spread and the parent's interquartile
-range.  The verdict is "gain" when the median difference is in the
-metric's better direction (from ``BENCHMARK.json``) and beyond the bar,
-the change is better in at least nine of ten pairs run (a pair missing a
-result on either side counts against it) and it failed no more operations
-and no more runs than the parent; "loss" when the median difference is
-beyond the bar the other way; else "noise".  Without null pairs it is "no
-null".  The bound check takes the metric's ``BENCHMARK.json`` bound as a
-share of the parent median: "broken" when the median difference is worse
-by more than that, else "unresolved" when the bar is wider than it and
-some run of the change reads no better than some run of the parent, else
-"holds".
+The null spread is the largest absolute null difference once the single
+largest is set aside (with fewer than three null pairs, the largest), so
+one run the host disturbed cannot set it, while null differences that keep
+one sign, an order effect, still do.  The bar is the larger of the spread
+and the parent's interquartile range.  The verdict is "gain" when the
+median difference is in the metric's better direction (from
+``BENCHMARK.json``) and beyond the bar, the change is better in at least
+nine of ten pairs run (a pair missing a result on either side counts
+against it) and it failed no more operations and no more runs than the
+parent; "loss" when the median difference is beyond the bar the other way;
+else "noise".  Without null pairs it is "no null".  The bound check takes
+the metric's ``BENCHMARK.json`` bound as a share of the parent median:
+"broken" when the median difference is worse by more than that, else
+"unresolved" when the bar is wider than it and some run of the change
+reads no better than some run of the parent, else "holds".
+
+Each export then runs the fixed-work table: ``perfbench/run.py --seconds 0
+--trace 0`` for every workload run, on seeds 7, 209, 3509 and 401-410.  At
+zero seconds a run does exactly its workload's own episodes, so
+``failed``, ``attempted`` and ``track_cost`` compare across revisions
+whatever their speed; 209 and 3509 are the seeds a rounding change moves
+first.  The comparison gives each seed's relative ``track_cost`` move and
+its ``failed`` on both sides, and the move of the 401-410 median.  Last,
+the parent export's ``tools/parity.py`` records the masked-CSV hashes, and
+the change export's ``tools/parity.py --against`` that record compares.
+
+The exit status is 1 when a run gave no result or a paired run exited
+non-zero, or when failures rose: ``failed`` on a fixed-work seed, a seed
+that lost its ``track_cost``, or a parity preset's failures.  A changed
+parity hash is recorded but leaves the status 0, because a change that
+moves rounding may move it.
 """
 
 from __future__ import annotations
@@ -51,6 +70,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MEDIAN_SEEDS = tuple(range(401, 411))
+FIXED_SEEDS = (7, 209, 3509, *MEDIAN_SEEDS)
 
 
 def benchmark() -> dict:
@@ -178,7 +199,7 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
                     nulls.append(b - a)
             sign = -1.0 if spec["better"] == "lower" else 1.0
             med = statistics.median(diffs)
-            spread = max((abs(d) for d in nulls), default=None)
+            spread = sorted(map(abs, nulls))[-2 if len(nulls) >= 3 else -1] if nulls else None
             pq, cq = _quartiles(parent), _quartiles(change)
             bar = max(spread or 0.0, pq[2] - pq[0])
             better_pairs = sum(sign * d > 0 for d in diffs)
@@ -209,6 +230,65 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
         out.setdefault(workload, {})["traced" if trace else "untraced"] = {
             "pairs_run": len(pair_ids), "outcomes": outcomes, "metrics": summaries}
     return out
+
+
+def fixed_work(tree: Path, workloads: list[str]) -> dict:
+    """Per workload and seed, ``failed``, ``attempted`` and ``track_cost``
+    (None when not reported) of one fixed-work run of the export ``tree``,
+    or None when the run gave no result line."""
+    table = {}
+    for workload in workloads:
+        for seed in FIXED_SEEDS:
+            result = run_once(tree, workload, seed, 0, 0)["result"]
+            table.setdefault(workload, {})[str(seed)] = result and {
+                "failed": result["failed"], "attempted": result["attempted"],
+                "track_cost": result["metrics"].get("track_cost", {}).get("value")}
+            print(json.dumps({"fixed_work": str(tree), "workload": workload, "seed": seed}),
+                  file=sys.stderr, flush=True)
+    return table
+
+
+def _median_cost(runs: dict) -> float | None:
+    costs = [runs[str(s)]["track_cost"] for s in MEDIAN_SEEDS]
+    return None if None in costs else statistics.median(costs)
+
+
+def _rel(old: float | None, new: float | None) -> float | None:
+    if old is None or new is None:
+        return None
+    return 0.0 if new == old else (new - old) / abs(old)
+
+
+def compare_fixed_work(old: dict, new: dict) -> dict:
+    """Per workload and seed, the relative track_cost move and failed on both
+    sides, plus the move of the 401-410 median; ``failures_rose`` is true if
+    any seed failed more often or lost its track_cost."""
+    moves, rose = {}, False
+    for w, runs in new.items():
+        seeds = {}
+        for seed, r in runs.items():
+            o = old[w][seed]
+            seeds[seed] = {"track_cost_rel": _rel(o["track_cost"], r["track_cost"]),
+                           "failed_before": o["failed"], "failed": r["failed"]}
+            rose |= r["failed"] > o["failed"] or (r["track_cost"] is None and o["track_cost"] is not None)
+        moves[w] = {"seeds": seeds, "median_track_cost_rel": _rel(_median_cost(old[w]), _median_cost(runs))}
+    return {"workloads": moves, "failures_rose": rose}
+
+
+def parity(trees: dict[str, Path], scratch: Path) -> dict | None:
+    """The change export's ``tools/parity.py --against`` the parent export's
+    record: per preset, whether the hash is unchanged, the largest relative
+    ``actual_cost`` move, the changed controllers and both sides' failures.
+    None when either run gave no JSON."""
+    record = scratch / "parity_parent.json"
+    record.write_text(subprocess.run([sys.executable, "tools/parity.py"], cwd=trees["parent"],
+                                     capture_output=True, text=True).stdout)
+    out = subprocess.run([sys.executable, "tools/parity.py", "--against", str(record)], cwd=trees["change"],
+                         capture_output=True, text=True)
+    try:
+        return json.loads(out.stdout)
+    except json.JSONDecodeError:
+        return None
 
 
 def run_all(args, trees: dict[str, Path], seconds: float, workloads: list[str]) -> list[dict]:
@@ -248,7 +328,11 @@ def main(argv=None) -> int:
         (parent_rev, parent_tree), (change_rev, change_tree) = export(args.parent, scratch), export(args.change, scratch)
         trees = {"parent": parent_tree, "parent_b": parent_tree, "change": change_tree}
         runs = run_all(args, trees, bench["run_seconds"], workloads)
+        fixed = {side: fixed_work(trees[side], workloads) for side in ("parent", "change")}
+        parity_report = parity(trees, scratch)
     summary = summarize(runs, bench["metrics"])
+    complete = all(e is not None for table in fixed.values() for seeds in table.values() for e in seeds.values())
+    fixed["compare"] = compare_fixed_work(fixed["parent"], fixed["change"]) if complete else None
     doc = {
         "slug": args.slug,
         "parent": {"git_rev": parent_rev},
@@ -259,15 +343,21 @@ def main(argv=None) -> int:
                        "export of each side, X = BENCHMARK.json run_seconds",
             "pairs": args.pairs, "seed0": args.seed0, "seconds": bench["run_seconds"],
             "order": "pair k on seed seed0 + k; parent first for even k; a parent-parent null pair after odd k",
-            "verdict": "bar = max(null spread (largest absolute null difference), parent IQR); gain if the "
+            "verdict": "bar = max(null spread (largest absolute null difference once the largest is set "
+                       "aside; the largest with < 3 null pairs), parent IQR); gain if the "
                        "median pair difference is beyond the bar in the better direction, the change is "
                        "better in >= 9/10 of the pairs run and fails no more operations or runs than the "
                        "parent; loss if beyond the bar the other way; else noise",
             "bound_check": "bound = BENCHMARK.json bound x parent median; broken if the median pair difference "
                            "is worse by more than the bound, else unresolved if the bar is wider than it and "
                            "not every change run reads better than every parent run, else holds",
+            "fixed_work": "python3 perfbench/run.py --workload W --seed S --seconds 0 --trace 0 in each "
+                          "export, S in 7, 209, 3509, 401-410",
+            "parity": "the change export's python3 tools/parity.py --against the parent export's record",
         },
         "summary": summary,
+        "fixed_work": fixed,
+        "parity": parity_report,
         "runs": runs,
     }
     out = ROOT / f"BENCH_{args.slug}.json"
@@ -283,8 +373,22 @@ def main(argv=None) -> int:
                 print(f"{workload:10s} {mode:9s} {metric:24s} {s['parent_median']:12.6g} -> {s['change_median']:12.6g}"
                       f"  diff {s['median_diff']:+.4g}  better {s['better_pairs']}/{group['pairs_run']}"
                       f"  null spread {spread}  {s['verdict']}{bound}")
+    for workload, moves in (fixed["compare"] or {}).get("workloads", {}).items():
+        for seed, m in moves["seeds"].items():
+            print(f"{workload:10s} fixed work seed {seed:>4}: track_cost rel {m['track_cost_rel']!r}, "
+                  f"failed {m['failed_before']} -> {m['failed']}")
+        print(f"{workload:10s} fixed work median over 401-410: track_cost rel {moves['median_track_cost_rel']!r}")
+    for preset, p in (parity_report or {}).items():
+        print(f"parity {preset:22s} hash {'unchanged' if p['hash_unchanged'] else 'changed'}, "
+              f"actual_cost rel {p['max_rel_actual_cost']!r}, failures {p['failures_before']} -> {p['failures']}")
     print(f"wrote {out}")
-    return 0 if all(r["exit"] == 0 for r in runs) else 1
+    if any(r["exit"] != 0 or r["result"] is None for r in runs) or not fixed["compare"] or parity_report is None:
+        print("a run gave no result")
+        return 1
+    if fixed["compare"]["failures_rose"] or any(p["failures"] > p["failures_before"] for p in parity_report.values()):
+        print("failures rose")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -10,15 +10,12 @@ digits of the sha256 of the preset's CSV with the timing columns masked.
 Without ``--against`` the output is one JSON object: per preset, the
 hash, the ``actual_cost`` column (null where a row has none), each row's
 ``controller`` token (kind, p and generations, as ``empc:3:3``) and
-``digest`` (the same hash of that row alone), the summed ``failures``
-and the ``seconds`` of wall time the reduced run took.  With
-``--against`` it is, per preset, whether the hash is unchanged, the
-largest relative ``actual_cost`` change against the recorded side, the
-``changed_controllers`` whose rows' digests differ (null against a record
-without digests) and the failures of both sides; the exit status is 1
-when a hash changed or failures rose, else 0.  The wall times go to
-stderr instead, as a table of both sides' seconds and their ratio for
-each preset that both records time; they never change the exit status.
+``digest`` (the same hash of that row alone) and the summed
+``failures``.  With ``--against`` it is, per preset, whether the hash is
+unchanged, the largest relative ``actual_cost`` change against the
+recorded side, the ``changed_controllers`` whose rows' digests differ
+(null against a record without digests) and the failures of both sides;
+the exit status is 1 when a hash changed or failures rose, else 0.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ import hashlib
 import json
 import sys
 import tempfile
-import time
 from dataclasses import replace
 from itertools import zip_longest
 from pathlib import Path
@@ -56,16 +52,13 @@ def masked_hash(rows: list[dict]) -> str:
 
 
 def record(name: str, out_dir: str) -> dict:
-    start = time.perf_counter()
     rows = run_experiment(reduced_config(name), out_dir)
-    seconds = time.perf_counter() - start
     return {
         "hash": masked_hash(rows),
         "actual_cost": [None if r["actual_cost"] == "" else r["actual_cost"] for r in rows],
         "controller": [":".join(str(r[c]) for c in ("controller", "p", "generations") if r[c] != "") for r in rows],
         "digest": [masked_hash([r]) for r in rows],
         "failures": sum(int(r["failures"] or 0) for r in rows),
-        "seconds": round(seconds, 3),
     }
 
 
@@ -103,19 +96,6 @@ def compare(old: dict, new: dict) -> dict:
     }
 
 
-def seconds_table(old: dict, new: dict) -> str:
-    """Wall time per preset on both sides and new/old, for the presets
-    whose records both carry ``seconds``; empty if none does."""
-    timed = [name for name, rec in new.items() if "seconds" in rec and "seconds" in old.get(name, {})]
-    if not timed:
-        return ""
-    lines = [f"{'preset':<22}{'before s':>10}{'after s':>10}{'ratio':>8}"]
-    for name in timed:
-        before, after = old[name]["seconds"], new[name]["seconds"]
-        lines.append(f"{name:<22}{before:10.2f}{after:10.2f}{after / before:8.2f}")
-    return "\n".join(lines) + "\n"
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--against", metavar="FILE", help="a JSON record of another side to compare with")
@@ -128,7 +108,6 @@ def main(argv=None) -> int:
     old = json.loads(Path(args.against).read_text())
     result = compare(old, records)
     print(json.dumps(result, indent=1))
-    sys.stderr.write(seconds_table(old, records))
     parity = all(r["hash_unchanged"] and r["failures"] <= r["failures_before"] for r in result.values())
     return 0 if parity else 1
 
