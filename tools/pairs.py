@@ -243,7 +243,7 @@ def fixed_work(tree: Path, workloads: list[str]) -> dict:
             table.setdefault(workload, {})[str(seed)] = result and {
                 "failed": result["failed"], "attempted": result["attempted"],
                 "track_cost": result["metrics"].get("track_cost", {}).get("value")}
-            print(json.dumps({"fixed_work": str(tree), "workload": workload, "seed": seed}),
+            print(json.dumps({"fixed_work": tree.name, "workload": workload, "seed": seed}),
                   file=sys.stderr, flush=True)
     return table
 
@@ -343,9 +343,9 @@ def main(argv=None) -> int:
                        "export of each side, X = BENCHMARK.json run_seconds",
             "pairs": args.pairs, "seed0": args.seed0, "seconds": bench["run_seconds"],
             "order": "pair k on seed seed0 + k; parent first for even k; a parent-parent null pair after odd k",
-            "verdict": "bar = max(null spread (largest absolute null difference once the largest is set "
-                       "aside; the largest with < 3 null pairs), parent IQR); gain if the "
-                       "median pair difference is beyond the bar in the better direction, the change is "
+            "verdict": "bar = max(null spread (the second largest absolute null difference; the largest "
+                       "with < 3 null pairs), parent IQR); gain if the median pair difference is beyond "
+                       "the bar in the better direction, the change is "
                        "better in >= 9/10 of the pairs run and fails no more operations or runs than the "
                        "parent; loss if beyond the bar the other way; else noise",
             "bound_check": "bound = BENCHMARK.json bound x parent median; broken if the median pair difference "
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
               f"actual_cost rel {p['max_rel_actual_cost']!r}, failures {p['failures_before']} -> {p['failures']}")
     print(f"wrote {out}")
     if any(r["exit"] != 0 or r["result"] is None for r in runs) or not fixed["compare"] or parity_report is None:
-        print("a run gave no result")
+        print("a run gave no result or failed a check")
         return 1
     if fixed["compare"]["failures_rose"] or any(p["failures"] > p["failures_before"] for p in parity_report.values()):
         print("failures rose")
