@@ -10,13 +10,7 @@ harness with CSV output.
 
 from .bench import ConfigError, ExperimentConfig, PRESETS, load_config, preset_config, run_experiment
 from .closedloop import Controller, MetricsReport, SimResult, compute_metrics, run_closed_loop
-from .condense import (
-    CONTROLLER_KINDS,
-    FORMULATIONS,
-    MpcSpec,
-    build,
-    extract_first_input,
-)
+from .condense import CONTROLLER_KINDS, FORMULATIONS, MpcSpec, build
 from .dynamics import (
     DiscreteLinearModel,
     NLinkArm,
@@ -57,7 +51,6 @@ __all__ = [
     "build",
     "compute_metrics",
     "discretize",
-    "extract_first_input",
     "linearize",
     "load_config",
     "preset_config",

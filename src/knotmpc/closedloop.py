@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .condense import CONTROLLER_KINDS, MpcSpec, build, extract_first_input
+from .condense import CONTROLLER_KINDS, MpcSpec, build
 from .dynamics import discretize, integrate, linearize
 from .empc import EmpcSettings, solve_empc
 from .param import KnotSchedule
@@ -139,7 +139,7 @@ def run_closed_loop(
         if controller.kind == "empc":
             u, warm = res.u, res.population
         elif res.status == "solved":
-            u = extract_first_input(res, controller.kind, spec)
+            u = res.z[:m].copy()  # every formulation's z starts with the knots
             warm = (res.z, res.dual)
         else:
             failures += 1

@@ -6,16 +6,17 @@ Traditional MPC, with one free input per step, is the case p = T, where
 W is the identity.  The only constraints are the input bounds, so there
 are two constraint structures, one builder and one solver path each:
 
-* ``build_large_param`` -- states and knots are all decision variables,
-  the dynamics enter as equality constraints and the knots as a box (a
-  big, sparse ``QpProblem``).
+* ``build_large_param`` -- the knots and the states x_1..x_T are decision
+  variables, the dynamics enter as equality constraints and the knots as a
+  box (a big, sparse ``QpProblem``).
 * ``build_small_param`` -- the states are condensed out through the
   prediction matrices, leaving a ``BoxQp`` over the knots (two routes).
 
 ``build`` maps the four formulation names onto them: ``large_param`` and
 ``small_param`` take a knot schedule, and the per-step kinds ``large`` and
 ``small`` run the same builders with p = T.  W, its nonzero pattern and
-W'W are computed once per schedule.
+W'W are computed once per schedule.  Every formulation's decision vector
+starts with the knots, so its first m entries are the input to apply.
 
 All of them minimize the same tracking objective
 
@@ -25,9 +26,10 @@ All of them minimize the same tracking objective
 so their minimizers agree (the parameterized ones on the restricted
 input family), even though the two structures drop different additive
 constants from the quadratic form.  Each builder records its constant as
-the problem's ``offset``, so ``objective + offset`` is the tracking cost: the
-large form's is the goal term (T+1) x_goal'Q x_goal, the condensed form's
-is the free-response error plus the k = 0 stage.
+the problem's ``offset``, so ``objective + offset`` is the tracking cost.
+Both include the k = 0 stage, which no decision reaches; the large form adds
+the goal term T x_goal'Q x_goal of its states, the condensed form the
+free-response error.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import scipy.sparse as sp
 
 from .dynamics import DiscreteLinearModel
 from .param import _SNAP, KnotSchedule, interpolation_matrix
-from .qp import BoxQp, QpProblem, QpSolution
+from .qp import BoxQp, QpProblem
 
 # Controller kinds, each with the integer arguments its token takes after
 # the name ("small_param:3", "empc:3:1"): the four QP formulations built
@@ -216,35 +218,34 @@ def _param_input_cost(spec: MpcSpec, sched: KnotSchedule) -> np.ndarray:
 
 
 def build_large_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> QpProblem:
-    """Sparse formulation over [x_0..x_T, knots, 1].
+    """Sparse formulation over [knots U, x_1..x_T].
 
-    The dynamics enter as equality constraints and the knots as a box.
+    The dynamics x_{k+1} - Ad x_k - Bd (W U)_k = wd enter as equality rows,
+    with the known Ad x0 on the first stage's right-hand side, and the knots
+    as a box, so each state column touches the rows of two consecutive stages.
     """
     model, T = spec.model, spec.T
     if sched.T != T:
         raise ValueError("knot schedule horizon does not match the spec")
-    n = model.n
-    n_inputs = sched.p * model.m
+    n, n_inputs = model.n, sched.p * model.m
     x0 = np.asarray(x0, float)
     W, _, _, WtW = _schedule_weights(sched)
 
-    Qbig = sp.kron(sp.eye(T + 1), spec.Q)
     Rblk = sp.kron(sp.csc_matrix(WtW), spec.R, format="csc")  # kron(W'W, R), see _param_input_cost
-    P = sp.block_diag([Qbig, Rblk, sp.csc_matrix((1, 1))], format="csc")
-    z_goal = np.concatenate([np.tile(spec.x_goal, T + 1), np.zeros(n_inputs), [1.0]])
-    q = -(P @ z_goal)
+    P = sp.block_diag([Rblk, sp.kron(sp.eye(T), spec.Q)], format="csc")
+    q = -(P @ np.concatenate([np.zeros(n_inputs), np.tile(spec.x_goal, T)]))
 
-    dyn_x = sp.kron(sp.eye(T, T + 1), model.Ad) - sp.kron(sp.eye(T, T + 1, k=1), sp.eye(n))
-    w_col = sp.csc_matrix(np.tile(model.wd, T).reshape(-1, 1))
-    pin_x0 = sp.hstack([-sp.eye(n), sp.csc_matrix((n, n * T + n_inputs + 1))])
-    dynamics = sp.hstack([dyn_x, sp.kron(sp.csc_matrix(W), model.Bd), w_col])
-    pin_one = sp.csc_matrix(([1.0], ([0], [n * (T + 1) + n_inputs])), shape=(1, n * (T + 1) + n_inputs + 1))
-    bounds_u = sp.hstack([sp.csc_matrix((n_inputs, n * (T + 1))), sp.eye(n_inputs), sp.csc_matrix((n_inputs, 1))])
-
-    A = sp.vstack([pin_x0, dynamics, pin_one, bounds_u], format="csc")
-    lb = np.concatenate([-x0, np.zeros(n * T), [1.0], np.tile(spec.u_min, sched.p)])
-    ub = np.concatenate([-x0, np.zeros(n * T), [1.0], np.tile(spec.u_max, sched.p)])
-    offset = float((T + 1) * spec.x_goal @ spec.Q @ spec.x_goal)
+    dyn_x = sp.eye(n * T) - sp.kron(sp.eye(T, k=-1), model.Ad)
+    dynamics = sp.hstack([-sp.kron(sp.csc_matrix(W), model.Bd), dyn_x])
+    bounds_u = sp.hstack([sp.eye(n_inputs), sp.csc_matrix((n_inputs, n * T))])
+    A = sp.vstack([dynamics, bounds_u], format="csc")
+    rhs = np.tile(model.wd, T)
+    rhs[:n] += model.Ad @ x0
+    lb = np.concatenate([rhs, np.tile(spec.u_min, sched.p)])
+    ub = np.concatenate([rhs, np.tile(spec.u_max, sched.p)])
+    # the constant: the goal term of x_1..x_T plus the k = 0 stage
+    err0 = spec.x_goal - x0
+    offset = float(T * spec.x_goal @ spec.Q @ spec.x_goal + err0 @ spec.Q @ err0)
     return QpProblem(P, q, A, lb, ub, offset)
 
 
@@ -292,6 +293,8 @@ def build(kind: str, spec: MpcSpec, x0, sched: KnotSchedule | None = None) -> Qp
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")
     if kind in ("large", "small"):
+        if sched is not None:
+            raise ValueError(f"{kind} takes no knot schedule, got p={sched.p}")
         # traditional MPC: every step is a knot, so W is the identity
         sched = KnotSchedule(spec.T, spec.T)
     elif kind not in ("large_param", "small_param"):
@@ -301,20 +304,3 @@ def build(kind: str, spec: MpcSpec, x0, sched: KnotSchedule | None = None) -> Qp
     builder = build_large_param if kind.startswith("large") else build_small_param
     return builder(spec, sched, x0)
 
-
-def extract_first_input(sol: QpSolution, kind: str, spec: MpcSpec) -> np.ndarray:
-    """First applied input from a solved problem of the given formulation.
-
-    For the parameterized forms this is the first knot, which by
-    construction equals the input applied at the first step.
-    """
-    if sol.status != "solved":
-        raise ValueError(f"cannot extract an input from a {sol.status!r} solution")
-    z = sol.z
-    n, m, T = spec.model.n, spec.model.m, spec.T
-    if kind in ("large", "large_param"):
-        off = n * (T + 1)
-        return z[off : off + m].copy()
-    if kind in ("small", "small_param"):
-        return z[:m].copy()
-    raise ValueError(f"unknown formulation {kind!r}")

@@ -19,12 +19,11 @@ from knotmpc.condense import (
     build,
     build_large_param,
     build_small_param,
-    extract_first_input,
 )
 from knotmpc.bench import make_plant, make_template, preset_config
 from knotmpc.dynamics import DiscreteLinearModel, discretize, linearize, rollout
 from knotmpc.param import KnotSchedule, interpolation_matrix
-from knotmpc.qp import AdmmSolver, BoxQp, QpProblem, QpSolution
+from knotmpc.qp import AdmmSolver, BoxQp, QpProblem
 
 
 def _model(n=2, m=1, seed=0, spectral=0.9):
@@ -302,10 +301,7 @@ def test_large_param_cost_matches_dense_kron(p):
     L = rng.normal(size=(m, m))
     spec = replace(_spec(_model(4, m, seed=p), T), R=L @ L.T + 0.1 * np.eye(m))
     W = interpolation_matrix(KnotSchedule(T=T, p=p))
-    want = sp.block_diag(
-        [sp.kron(sp.eye(T + 1), spec.Q), sp.csc_matrix(np.kron(W.T @ W, spec.R)), sp.csc_matrix((1, 1))],
-        format="csc",
-    )
+    want = sp.block_diag([sp.csc_matrix(np.kron(W.T @ W, spec.R)), sp.kron(sp.eye(T), spec.Q)], format="csc")
     got = build_large_param(spec, KnotSchedule(T=T, p=p), np.zeros(4)).P
     np.testing.assert_array_equal(got.indptr, want.indptr)
     np.testing.assert_array_equal(got.indices, want.indices)
@@ -320,13 +316,13 @@ def test_problem_dimensions():
     spec = _spec(model, 5)
     x0 = np.zeros(2)
     large = build("large", spec, x0)
-    assert large.P.shape[0] == 18  # n(T+1) + Tm + 1
-    assert large.A.shape == (18, 18)
+    assert large.P.shape[0] == 15  # Tm + nT
+    assert large.A.shape == (15, 15)  # dynamics and input rows
     small = build("small", spec, x0)
     assert small.P.shape[0] == 5  # Tm
     sched = KnotSchedule(T=5, p=3)
     lp = build_large_param(spec, sched, x0)
-    assert lp.P.shape[0] == 16  # n(T+1) + pm + 1
+    assert lp.P.shape[0] == 13  # pm + nT
     sp_ = build_small_param(spec, sched, x0)
     assert sp_.P.shape[0] == 3  # pm
     assert sp_.lb.shape == sp_.ub.shape == (3,)
@@ -341,13 +337,33 @@ def test_large_row_structure():
     model = _model(2, 1)
     spec = _spec(model, 5)
     prob = build("large", spec, np.ones(2))
-    assert prob.A.shape[0] == 2 + 10 + 1 + 5  # pin, dynamics, unit, input bounds
-    # pin, dynamics, and offset rows are equalities; input rows are boxes
+    assert prob.A.shape[0] == 10 + 5  # dynamics, input bounds
+    # dynamics rows are equalities; input rows are boxes on the first Tm variables
     lb, ub = np.asarray(prob.lb), np.asarray(prob.ub)
-    np.testing.assert_array_equal(lb[:13], ub[:13])
-    A = prob.A.toarray() if hasattr(prob.A, "toarray") else np.asarray(prob.A)
-    assert np.count_nonzero(A[12]) == 1 and A[12, 17] != 0  # offset var pinned to one
-    np.testing.assert_array_equal(np.count_nonzero(A[13:], axis=1), np.ones(5, int))
+    np.testing.assert_array_equal(lb[:10], ub[:10])
+    A = prob.A.toarray()
+    np.testing.assert_array_equal(A[10:], np.eye(5, 15))
+
+
+def test_large_is_banded_by_stage():
+    # every column of the sparse form reaches the dynamics rows of at most two
+    # consecutive stages and at most one box row, and x0 enters only through
+    # the first stage's right-hand side, with a nonzero wd in every stage
+    model = _model(3, 2, seed=5)
+    assert np.all(model.wd != 0)
+    T, n = 7, model.n
+    spec = _spec(model, T, seed=5)
+    x0 = np.random.default_rng(5).normal(size=n)
+    prob = build("large", spec, x0)
+    A = prob.A.toarray()
+    n_dyn = n * T
+    for col in A.T:
+        stages = np.unique(np.flatnonzero(col[:n_dyn]) // n)
+        assert stages.size <= 2 and np.all(np.diff(stages) == 1)
+        assert np.count_nonzero(col[n_dyn:]) <= 1
+    rhs = np.concatenate([model.Ad @ x0 + model.wd, np.tile(model.wd, T - 1)])
+    np.testing.assert_array_equal(prob.lb[:n_dyn], rhs)
+    np.testing.assert_array_equal(prob.ub[:n_dyn], rhs)
 
 
 def test_dense_knots_reproduce_unparameterized():
@@ -378,6 +394,9 @@ def test_build_dispatcher():
         build("medium", spec, np.zeros(2))
     with pytest.raises(ValueError):
         build("small_param", spec, np.zeros(2))  # schedule required
+    for kind in ("large", "small"):
+        with pytest.raises(ValueError, match="takes no knot schedule"):
+            build(kind, spec, np.zeros(2), sched)  # one knot per step, not p = 3
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +414,7 @@ def test_first_input_agrees_across_formulations():
             prob = build(kind, spec, x0, sched if "param" in kind else None)
             sol = solver.solve(prob)
             assert sol.status == "solved"
-            u[kind] = extract_first_input(sol, kind, spec)
+            u[kind] = sol.z[:2]  # every formulation's z starts with the knots
         for kind in FORMULATIONS[1:]:
             np.testing.assert_allclose(u[kind], u["large"], atol=1e-6)
 
@@ -427,26 +446,6 @@ def test_condensed_qp_paths_and_warm_starts_agree(data):
         np.testing.assert_allclose(again.z, cold.z, rtol=0, atol=1e-8)
 
 
-def test_extract_first_input_layout():
-    model = _model(2, 1)
-    spec = _spec(model, 5)
-    z_small = np.arange(5.0)
-    sol_small = QpSolution(z_small, "solved", 0, 0.0, np.zeros_like(z_small))
-    np.testing.assert_array_equal(extract_first_input(sol_small, "small", spec), [0.0])
-    z_large = np.arange(18.0)
-    sol_large = QpSolution(z_large, "solved", 0, 0.0, np.zeros_like(z_large))
-    # inputs start right after the n(T+1) stacked states
-    np.testing.assert_array_equal(extract_first_input(sol_large, "large", spec), [12.0])
-
-
-def test_extract_first_input_rejects_failed_solve():
-    model = _model(2, 1)
-    spec = _spec(model, 5)
-    bad = QpSolution(np.zeros(5), "max_iters", 10, 0.0, np.zeros(5))
-    with pytest.raises(ValueError):
-        extract_first_input(bad, "small", spec)
-
-
 def test_objective_constant_recovers_tracking_cost():
     # for every formulation: qp objective + constant == the tracking cost of
     # the rolled-out trajectory, computed here from scratch; the constant
@@ -472,17 +471,12 @@ def test_objective_constant_recovers_tracking_cost():
         prob = build(kind, spec, x0, sched if "param" in kind else None)
         sol = solver.solve(prob)
         assert sol.status == "solved"
-        if kind == "large":
-            U = sol.z[14:20].reshape(6, 1)
-        elif kind == "large_param":
-            U = (W @ sol.z[14:17]).reshape(6, 1)
-        elif kind == "small":
-            U = sol.z.reshape(6, 1)
-        else:
-            U = (W @ sol.z).reshape(6, 1)
+        U = sol.z[:6] if kind in ("large", "small") else W @ sol.z[:3]
+        U = U.reshape(6, 1)
         if kind.startswith("large"):
-            # zero states and zero inputs
-            zero_cost = 7 * spec.x_goal @ spec.Q @ spec.x_goal
+            # zero states x_1..x_T and zero inputs, plus the fixed k = 0 stage
+            err0 = spec.x_goal - x0
+            zero_cost = 6 * spec.x_goal @ spec.Q @ spec.x_goal + err0 @ spec.Q @ err0
         else:
             # zero inputs, states from the free response
             zero_cost = tracking_cost(np.zeros((6, 1)))
@@ -546,8 +540,7 @@ def test_offset_recovers_tracking_cost(seed):
             prob = build(kind, spec, x0, sched if "param" in kind else None)
             sol = solver.solve(prob)
             assert sol.status == "solved"
-            knots = sol.z[n * (T + 1) : n * (T + 1) + p * m] if kind.startswith("large") else sol.z
-            U = interpolation_matrix(sched) @ knots.reshape(p, m)
+            U = interpolation_matrix(sched) @ sol.z[: p * m].reshape(p, m)
             total = sol.objective + prob.offset
             assert total == pytest.approx(tracking_cost(U), rel=1e-8, abs=1e-8), (kind, p)
 
