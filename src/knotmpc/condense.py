@@ -288,7 +288,8 @@ def build_small_param(spec: MpcSpec, sched: KnotSchedule, x0: np.ndarray) -> Box
 
 
 def build(kind: str, spec: MpcSpec, x0, sched: KnotSchedule | None = None) -> QpProblem | BoxQp:
-    """Build the QP of a formulation; the per-step kinds use one knot per step."""
+    """Build the QP of a formulation; the per-step kinds take no schedule and
+    use one knot per step."""
     x0 = np.asarray(x0, float)
     if not np.all(np.isfinite(x0)):
         raise ValueError("x0 must be finite")

@@ -479,11 +479,12 @@ def test_seed_changes_rows(tmp_path):
 
 def test_swing_with_condensed_p_indefinite_at_rounding_floor_solves():
     # closedloop_arms at seed 209, 6 links, trial 12: around steps 29-30 the
-    # knot QP's condensed P has a largest eigenvalue of 2e16-4e16 and a
-    # smallest near zero or below (down to -1.1), so the Cholesky of a
-    # scaled free block fails.  The box walk shifts such a block by its
-    # rounding floor once, so these steps solve instead of running ADMM to
-    # its iteration cap and holding the previous input.
+    # knot QP's condensed P has a largest eigenvalue of 2e16-4e16 and is
+    # indefinite by rounding (smallest eigenvalue -1.36 at step 30).  Since
+    # the knot build sums segments by doubling, no scaled free block of these
+    # 31 steps fails Cholesky, so the rounding-floor shift is not taken here
+    # (test_qp covers it).  This guards that such a P still gives solved
+    # steps, none holding its previous input, until P is PSD by construction.
     cfg = replace(preset_config("closedloop_arms"), seed=209)
     plant = make_plant(cfg.robot, 6)
     x0, xg = _sample_endpoints(_trial_rng(cfg, 6, 12), 6)

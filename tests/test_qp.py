@@ -476,6 +476,33 @@ def test_indefinite_box_qp_reports_failure():
     assert sol.iterations == 50  # the ADMM fallback ran
 
 
+def test_rounding_floor_shift_solves_a_singular_free_block(monkeypatch):
+    # a rank-one P with q in its range: the QP is bounded, its optima form a
+    # line v'z = -1 inside the box, and the free block is singular, so its
+    # Cholesky fails at the rounding floor.  The walk's shifted retry factors
+    # it, and the result passes the KKT gates
+    v = np.array([1.0, 2.0])
+    prob = BoxQp(np.outer(v, v), v, -10.0 * np.ones(2), 10.0 * np.ones(2))
+    failed = []
+    cho_factor = qp.sla.cho_factor
+
+    def counting(*args, **kwargs):
+        try:
+            return cho_factor(*args, **kwargs)
+        except qp.sla.LinAlgError:
+            failed.append(args[0].shape)
+            raise
+
+    monkeypatch.setattr(qp.sla, "cho_factor", counting)
+    sol = AdmmSolver().solve(prob)
+    assert sol.status == "solved"
+    assert failed == [(2, 2)]
+    assert v @ sol.z == pytest.approx(-1.0, abs=1e-6)
+    assert np.all(sol.z >= prob.lb) and np.all(sol.z <= prob.ub)
+    np.testing.assert_allclose(2.0 * prob.P @ sol.z + 2.0 * prob.q + sol.dual, 0.0, atol=1e-6)
+    np.testing.assert_allclose(sol.dual, 0.0, atol=1e-9)  # interior: no bound is active
+
+
 @pytest.mark.parametrize("where", ["P", "q"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_polish_box_rejects_non_finite_scaled_data(where, bad):
