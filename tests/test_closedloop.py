@@ -476,3 +476,44 @@ def test_compute_metrics_quartiles():
     assert rep.actual_cost > 0
     assert rep.failures == 0
     assert np.isfinite(rep.rise_time)
+
+
+def _load_checks():
+    """perfbench/checks.py, the benchmark's KKT check from outside the solver."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("token", ["large", "large_param:3"])
+@pytest.mark.parametrize("links", [1, 2])
+def test_sparse_solutions_pass_the_outside_kkt_check(token, links, monkeypatch):
+    # every solve the sparse path calls "solved" satisfies the unscaled KKT
+    # conditions as perfbench recomputes them from the problem data
+    from knotmpc.bench import _sample_endpoints, _trial_rng, make_template, parse_controller_token, preset_config
+    from knotmpc.qp import AdmmSolver, QpProblem, QpSettings
+
+    checks = _load_checks()
+    solves = []
+    solve = AdmmSolver.solve
+
+    def recording(self, prob, warm=None):
+        sol = solve(self, prob, warm)
+        solves.append((prob, sol))
+        return sol
+
+    monkeypatch.setattr(AdmmSolver, "solve", recording)
+    cfg = preset_config("closedloop_arms")
+    plant = make_plant(cfg.robot, links)
+    x0, xg = _sample_endpoints(_trial_rng(cfg, links, 0), links)
+    run_closed_loop(plant, parse_controller_token(token), make_template(plant, cfg, cfg.T), x0, xg, 0.2, cfg.rate)
+    solved = [(prob, sol) for prob, sol in solves if sol.status == "solved"]
+    assert solved and all(isinstance(prob, QpProblem) for prob, _ in solves)
+    s = QpSettings()
+    for prob, sol in solved:
+        assert checks.kkt_problems(prob, sol.z, sol.dual, s.eps_prim, s.eps_dual) == []
