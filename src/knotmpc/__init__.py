@@ -9,8 +9,8 @@ harness with CSV output.
 """
 
 from .bench import ConfigError, ExperimentConfig, PRESETS, load_config, preset_config, run_experiment
-from .closedloop import Controller, MetricsReport, SimResult, compute_metrics, run_closed_loop
-from .condense import CONTROLLER_KINDS, FORMULATIONS, MpcSpec, build
+from .closedloop import CONTROLLER_KINDS, Controller, MetricsReport, SimResult, compute_metrics, run_closed_loop
+from .condense import FORMULATIONS, MpcSpec, build
 from .dynamics import (
     DiscreteLinearModel,
     NLinkArm,
@@ -19,7 +19,7 @@ from .dynamics import (
     discretize,
     linearize,
 )
-from .empc import EmpcResult, EmpcSettings, Population, solve_empc
+from .empc import EmpcResult, Population, solve_empc
 from .param import KnotSchedule
 from .qp import AdmmSolver, BoxQp, QpProblem, QpSettings, QpSolution
 
@@ -33,7 +33,6 @@ __all__ = [
     "Controller",
     "DiscreteLinearModel",
     "EmpcResult",
-    "EmpcSettings",
     "ExperimentConfig",
     "FORMULATIONS",
     "KnotSchedule",

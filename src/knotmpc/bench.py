@@ -21,7 +21,7 @@ controllers and the trials.  Every robot is a planar chain: the two
 pendulums are its one-link case (``make_plant``).  Everything else is
 fixed for every experiment: the tracking weights and torque bounds
 (``make_template``), the solver settings (``QpSettings()``) and the EMPC
-population (``EmpcSettings``' defaults).
+population size (``empc``'s ``_NUM_SIMS`` and ``_NUM_PARENTS``).
 
 Config format.  One ``key = value`` per line; the keys are the fields of
 ``ExperimentConfig``, each at most once, and only ``experiment`` is
@@ -53,10 +53,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .closedloop import Controller, compute_metrics, cost_ratio, run_closed_loop
-from .condense import CONTROLLER_KINDS, MpcSpec
+from .closedloop import CONTROLLER_KINDS, Controller, compute_metrics, cost_ratio, run_closed_loop
+from .condense import MpcSpec
 from .dynamics import NLinkArm, NLinkParams, discretize, linearize
-from .empc import EmpcSettings
 from .qp import QpSettings
 
 EXPERIMENTS = (
@@ -195,7 +194,7 @@ _DEFAULT_CONTROLLERS = {
 
 def parse_controller_token(token: str) -> Controller:
     """Parse a controller token into a ``Controller``: a kind of
-    ``condense.CONTROLLER_KINDS`` followed by its positive integer
+    ``closedloop.CONTROLLER_KINDS`` followed by its positive integer
     arguments, ``large`` | ``small`` | ``large_param:p`` |
     ``small_param:p`` | ``empc:p:generations``.
     """
@@ -206,11 +205,10 @@ def parse_controller_token(token: str) -> Controller:
     if len(args) != len(names):
         raise ConfigError(f"controllers: {token!r} must look like {':'.join([kind, *names])}")
     values = {name: _parse_int(arg, "controllers") for name, arg in zip(names, args)}
-    if any(v < 1 for v in values.values()):
-        raise ConfigError(f"controllers: {' and '.join(names)} must be positive in {token!r}")
-    if kind == "empc":
-        return Controller(kind, p=values["p"], empc=EmpcSettings(generations=values["generations"]))
-    return Controller(kind, **values)
+    try:
+        return Controller(kind, **values)
+    except ValueError as e:
+        raise ConfigError(f"controllers: {e} in {token!r}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +414,7 @@ def _sample_endpoints(rng: np.random.Generator, nj: int, step: float | None = No
 
 def _controller_from_token(controller: Controller, cfg: ExperimentConfig, seed: int) -> Controller:
     """The parsed controller with its EMPC search seeded by ``seed``."""
-    if controller.kind != "empc":
-        return controller
-    return replace(controller, empc=replace(controller.empc, seed=seed))
+    return replace(controller, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +455,7 @@ def _row(task: _Task, controller: Controller, T: int, x0, xg, report=None, **ext
         T=T,
         p=controller.p if controller.p is not None else "",
         controller=controller.kind,
-        generations=controller.empc.generations if controller.kind == "empc" else "",
+        generations=controller.generations if controller.generations is not None else "",
         trial=task.trial,
         seed=cfg.seed,
         start=_fmt_vec(x0),

@@ -26,42 +26,53 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .condense import CONTROLLER_KINDS, MpcSpec, build
+from .condense import MpcSpec, build
 from .dynamics import discretize, integrate, linearize
-from .empc import EmpcSettings, solve_empc
+from .empc import solve_empc
 from .param import KnotSchedule
 from .qp import AdmmSolver, QpSettings
 
 PLANT_SUBSTEPS = 10  # RK4 substeps of the true plant per control period
 
+# Controller kinds, each with the integer arguments its token takes after
+# the name ("small_param:3", "empc:3:1"): the four QP formulations of
+# ``condense.build``, and the evolutionary search over the same knot space.
+CONTROLLER_KINDS = {
+    "large": (),
+    "small": (),
+    "large_param": ("p",),
+    "small_param": ("p",),
+    "empc": ("p", "generations"),
+}
+_ARGUMENTS = tuple(dict.fromkeys(name for names in CONTROLLER_KINDS.values() for name in names))
+
 
 @dataclass(frozen=True)
 class Controller:
-    """Which solver runs inside the loop.
+    """Which solver runs inside the loop: a controller token and its seed.
 
-    kind is one of ``condense.CONTROLLER_KINDS``; the kinds whose tokens
-    take a knot count need p >= 1 and the others take none, and only empc
-    carries population settings.
+    kind is one of ``CONTROLLER_KINDS`` and takes exactly the arguments its
+    token names, each >= 1: the knot count p and EMPC's generations per
+    step.  ``seed`` seeds EMPC's search; the QP kinds draw nothing.
     """
 
     kind: str
     p: int | None = None
-    empc: EmpcSettings | None = None
+    generations: int | None = None
+    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in CONTROLLER_KINDS:
             raise ValueError(f"unknown controller kind {self.kind!r}")
-        takes_p = "p" in CONTROLLER_KINDS[self.kind]
-        if takes_p and self.p is None:
-            raise ValueError(f"{self.kind} needs a knot count p")
-        if not takes_p and self.p is not None:
-            raise ValueError(f"{self.kind} takes no knot count, got p={self.p}")
-        if self.p is not None and self.p < 1:
-            raise ValueError(f"knot count p must be >= 1, got {self.p}")
-        if self.kind != "empc" and self.empc is not None:
-            raise ValueError(f"{self.kind} takes no EMPC settings")
-        if self.kind == "empc" and self.empc is None:
-            object.__setattr__(self, "empc", EmpcSettings())
+        for name in _ARGUMENTS:
+            value = getattr(self, name)
+            if name not in CONTROLLER_KINDS[self.kind]:
+                if value is not None:
+                    raise ValueError(f"{self.kind} takes no {name}, got {name}={value}")
+            elif value is None:
+                raise ValueError(f"{self.kind} needs {name}")
+            elif value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -130,7 +141,7 @@ def run_closed_loop(
         prob = build(formulation, spec, x, sched)
         t1 = time.perf_counter()
         if controller.kind == "empc":
-            res = solve_empc(prob, spec, controller.empc, x, prev=warm)
+            res = solve_empc(prob, spec, x, controller.generations, controller.seed, prev=warm)
         else:
             res = solver.solve(prob, warm=warm)
         t2 = time.perf_counter()

@@ -45,17 +45,7 @@ from .dynamics import DiscreteLinearModel
 from .param import _SNAP, KnotSchedule, interpolation_matrix
 from .qp import BoxQp, QpProblem
 
-# Controller kinds, each with the integer arguments its token takes after
-# the name ("small_param:3", "empc:3:1"): the four QP formulations built
-# here, and the evolutionary search over the same knot space (empc.py).
-CONTROLLER_KINDS = {
-    "large": (),
-    "small": (),
-    "large_param": ("p",),
-    "small_param": ("p",),
-    "empc": ("p", "generations"),
-}
-FORMULATIONS = tuple(kind for kind in CONTROLLER_KINDS if kind != "empc")
+FORMULATIONS = ("large", "small", "large_param", "small_param")  # the names ``build`` takes
 
 
 @dataclass(frozen=True)

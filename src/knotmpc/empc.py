@@ -3,11 +3,11 @@
 ``solve_empc`` is the one entry point.  It searches the problem its caller
 built: the condensed knot QP (``BoxQp``) that ``build("small_param", ...)``
 returns for the QP controllers too.  Each candidate is a full set of knot
-points (p, m), and one solver call runs ``settings.generations``
-generations.  A generation scores candidates by the problem's quadratic
-plus its offset, which equals their tracking cost under the discrete
-model; the cheapest ``num_parents`` survive unchanged, and the rest of the
-population is refilled by parameter-wise crossover of two random parents
+points (p, m), and one solver call runs the caller's number of
+generations over a population of ``_NUM_SIMS`` candidates.  A generation
+scores candidates by the problem's quadratic plus its offset, which equals
+their tracking cost under the discrete model; the cheapest ``_NUM_PARENTS``
+survive unchanged, and the rest of the population is refilled by parameter-wise crossover of two random parents
 plus Gaussian mutation, clamped to the problem's box.  Each child
 coordinate comes from its second parent, and is mutated, on a fair coin
 each: one random bit.  The first knot of the best candidate is the input
@@ -48,22 +48,8 @@ from .qp import BoxQp
 
 _SIGMA_SCALE = 0.2  # base mutation std as a fraction of the input range
 _DIST_REF = 1.0  # goal distance at which mutation noise reaches full scale
-
-
-@dataclass(frozen=True)
-class EmpcSettings:
-    """Population shape, search length and seed."""
-
-    num_sims: int = 1024
-    num_parents: int = 64
-    generations: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_sims < 1 or not 1 <= self.num_parents <= self.num_sims:
-            raise ValueError("need 1 <= num_parents <= num_sims")
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
+_NUM_SIMS = 1024  # candidates per generation
+_NUM_PARENTS = 64  # elites that survive each generation and parent the rest
 
 
 @dataclass
@@ -158,27 +144,24 @@ def _children(rng: np.random.Generator, elites: np.ndarray, n_sims: int, rows) -
     return flat
 
 
-def _evolve(pop: Population, settings: EmpcSettings, prob: BoxQp, rows) -> Population:
-    """One elitist generation: the ``num_parents`` cheapest candidates survive
-    unchanged and their children fill the rest of the population."""
-    k, n_sims = settings.num_parents, settings.num_sims
+def _evolve(pop: Population, seed: int, prob: BoxQp, rows) -> Population:
+    """One elitist generation: the ``_NUM_PARENTS`` cheapest candidates
+    survive unchanged and their children fill the rest of the population."""
+    k, n_sims = _NUM_PARENTS, _NUM_SIMS
     elite_idx = _elite_order(pop.costs, k)
     elites = pop.candidates.reshape(pop.costs.size, -1)[elite_idx]
-    flat = _children(_rng(settings.seed, pop.generation), elites, n_sims, rows)
+    flat = _children(_rng(seed, pop.generation), elites, n_sims, rows)
     cands = flat.reshape(n_sims, *pop.candidates.shape[1:])
     costs = np.concatenate([pop.costs[elite_idx], _scores(prob, cands[k:])])
     return Population(cands, costs, pop.generation + 1)
 
 
 def solve_empc(
-    prob: BoxQp,
-    spec: MpcSpec,
-    settings: EmpcSettings,
-    x0,
-    prev: Population | None = None,
+    prob: BoxQp, spec: MpcSpec, x0, generations: int, seed: int, prev: Population | None = None
 ) -> EmpcResult:
     """Search ``prob``, the condensed knot QP of ``spec`` at state ``x0``,
-    for ``settings.generations`` generations and pick the best candidate.
+    for ``generations`` generations drawn from ``seed``'s streams and pick
+    the best candidate.
 
     The candidates are scored by ``prob`` and kept in its box, which must be
     finite; ``spec`` gives the input width m and the goal that scales the
@@ -187,24 +170,26 @@ def solve_empc(
     and re-evaluated at the new state before mating, so stale costs never
     drive selection.
     """
+    if generations < 1:
+        raise ValueError(f"generations must be >= 1, got {generations}")
     # candidates are sampled, mutated and clamped within [lb, ub]
     if not (np.all(np.isfinite(prob.lb)) and np.all(np.isfinite(prob.ub))):
         raise ValueError(f"EMPC needs finite input bounds, got lb={prob.lb}, ub={prob.ub}")
     rows = _coordinate_rows(prob, spec, x0)  # mutation std, lower and upper bound
     if prev is None:
         # cold start: generation 0 draws candidates uniformly within the box
-        flat = _rng(settings.seed, 0).uniform(prob.lb, prob.ub, size=(settings.num_sims, prob.q.size))
-        cands = flat.reshape(settings.num_sims, -1, spec.model.m)
+        flat = _rng(seed, 0).uniform(prob.lb, prob.ub, size=(_NUM_SIMS, prob.q.size))
+        cands = flat.reshape(_NUM_SIMS, -1, spec.model.m)
         pop = Population(cands, _scores(prob, cands), generation=1)
-        remaining = settings.generations - 1
+        remaining = generations - 1
     else:
         # a population searched under other bounds is pulled into this box
         flat = np.maximum(prev.candidates.reshape(-1, prob.q.size), prob.lb)
         cands = np.minimum(flat, prob.ub, out=flat).reshape(prev.candidates.shape)
         pop = Population(cands, _scores(prob, cands), prev.generation)
-        remaining = settings.generations
+        remaining = generations
     for _ in range(remaining):
-        pop = _evolve(pop, settings, prob, rows)
+        pop = _evolve(pop, seed, prob, rows)
     best = int(np.argmin(pop.costs))
     cand = pop.candidates[best]
     return EmpcResult(cand[0].copy(), cand.copy(), float(pop.costs[best]), pop)

@@ -34,8 +34,7 @@ from knotmpc.bench import (
     write_csv,
 )
 from knotmpc.cli import main
-from knotmpc.closedloop import Controller, run_closed_loop
-from knotmpc.condense import CONTROLLER_KINDS
+from knotmpc.closedloop import CONTROLLER_KINDS, Controller, run_closed_loop
 from knotmpc.dynamics import NLinkArm
 
 
@@ -45,11 +44,11 @@ from knotmpc.dynamics import NLinkArm
 def test_token_grammar():
     c = parse_controller_token("large")
     assert c == Controller("large")
-    assert (c.kind, c.p, c.empc) == ("large", None, None)
+    assert (c.kind, c.p, c.generations) == ("large", None, None)
     c = parse_controller_token("small_param:4")
     assert (c.kind, c.p) == ("small_param", 4)
     c = parse_controller_token("empc:3:5")
-    assert (c.kind, c.p, c.empc.generations) == ("empc", 3, 5)
+    assert (c.kind, c.p, c.generations) == ("empc", 3, 5)
 
 
 def test_token_errors():

@@ -12,7 +12,6 @@ import pytest
 from knotmpc.closedloop import (
     PLANT_SUBSTEPS,
     Controller,
-    EmpcSettings,
     actual_cost,
     compute_metrics,
     cost_ratio,
@@ -235,7 +234,7 @@ def test_empc_controller_smoke():
     goal = np.array([0.4, 0.0])
     res = run_closed_loop(
         plant,
-        Controller("empc", p=3, empc=EmpcSettings(num_sims=64, num_parents=8, generations=2)),
+        Controller("empc", p=3, generations=2),
         template, x0=np.zeros(2), x_goal=goal, duration=0.5, rate=100.0,
     )
     assert res.states.shape == (51, 2)
@@ -246,7 +245,7 @@ def test_empc_controller_smoke():
 
 @pytest.mark.parametrize(
     "controller",
-    [Controller("small_param", p=3), Controller("empc", p=3, empc=EmpcSettings(num_sims=64, num_parents=8))],
+    [Controller("small_param", p=3), Controller("empc", p=3, generations=1)],
     ids=["small_param", "empc"],
 )
 def test_timing_columns_split_build_from_solve_for_every_controller(controller):
@@ -422,7 +421,7 @@ class _PlantGoingNonFinite(NLinkArm):
 
 @pytest.mark.parametrize(
     "controller",
-    [Controller("small_param", p=4), Controller("empc", p=3, empc=EmpcSettings(num_sims=64, num_parents=8, generations=2))],
+    [Controller("small_param", p=4), Controller("empc", p=3, generations=2)],
     ids=["small_param", "empc"],
 )
 def test_non_finite_plant_state_raises_at_its_step(controller):
@@ -441,19 +440,21 @@ def test_controller_validation():
     with pytest.raises(ValueError):
         Controller("small_param")  # needs p
     with pytest.raises(ValueError):
-        Controller("empc")  # needs p
+        Controller("empc", generations=1)  # needs p
     for kwargs in (
         {"kind": "small", "p": 3},  # the per-step kinds take no knot count
         {"kind": "large", "p": 50},
         {"kind": "small_param", "p": 0},
-        {"kind": "empc", "p": -1},
-        {"kind": "small", "empc": EmpcSettings()},  # only empc searches
-        {"kind": "small_param", "p": 3, "empc": EmpcSettings()},
+        {"kind": "empc", "p": -1, "generations": 1},
+        {"kind": "empc", "p": 2},  # needs generations
+        {"kind": "empc", "p": 2, "generations": 0},
+        {"kind": "small", "generations": 1},  # only empc searches
+        {"kind": "small_param", "p": 3, "generations": 1},
     ):
         with pytest.raises(ValueError):
             Controller(**kwargs)
-    c = Controller("empc", p=2)
-    assert c.empc is not None  # defaults filled in
+    c = Controller("empc", p=2, generations=3, seed=7)
+    assert (c.p, c.generations, c.seed) == (2, 3, 7)
 
 
 def test_zero_step_run_rejected():

@@ -14,7 +14,6 @@ from knotmpc import empc
 from knotmpc.condense import MpcSpec, build
 from knotmpc.dynamics import DiscreteLinearModel, rollout
 from knotmpc.empc import (
-    EmpcSettings,
     _coordinate_rows,
     _elite_order,
     _evolve,
@@ -44,60 +43,61 @@ SCHED = KnotSchedule(T=20, p=3)
 X0 = np.array([-0.3, 0.1])
 
 
-def _small_settings(**kw):
-    base = dict(num_sims=64, num_parents=8, seed=7)
-    base.update(kw)
-    return EmpcSettings(**base)
+SEED = 7
 
 
-def _search(spec, settings, x0=X0, prev=None, sched=SCHED):
+def _population(monkeypatch, sims, parents):
+    """Search with ``sims`` candidates and ``parents`` elites instead of
+    ``empc``'s constants, where a test's point needs another size."""
+    monkeypatch.setattr(empc, "_NUM_SIMS", sims)
+    monkeypatch.setattr(empc, "_NUM_PARENTS", parents)
+
+
+def _search(spec, generations=1, seed=SEED, x0=X0, prev=None, sched=SCHED):
     """``solve_empc`` as the closed loop runs it: build the knot QP, then search it."""
-    return solve_empc(build("small_param", spec, x0, sched), spec, settings, x0, prev=prev)
+    return solve_empc(build("small_param", spec, x0, sched), spec, x0, generations, seed, prev=prev)
 
 
-def _cold(spec, settings):
+def _cold(spec, seed=SEED):
     """The cold population: generation 0's uniform draw, scored."""
-    return _search(spec, replace(settings, generations=1)).population
+    return _search(spec, seed=seed).population
 
 
-def _step(pop, spec, settings):
+def _step(pop, spec, seed=SEED):
     """One generation of ``pop`` at X0."""
     prob = build("small_param", spec, X0, SCHED)
-    return _evolve(pop, settings, prob, _coordinate_rows(prob, spec, X0))
+    return _evolve(pop, seed, prob, _coordinate_rows(prob, spec, X0))
 
 
 def test_same_seed_reproduces_bitwise():
-    s = _small_settings(generations=3)
-    a = _search(SPEC, s)
-    b = _search(SPEC, s)
+    a = _search(SPEC, generations=3)
+    b = _search(SPEC, generations=3)
     np.testing.assert_array_equal(a.best, b.best)
     np.testing.assert_array_equal(a.population.candidates, b.population.candidates)
     assert a.best_cost == b.best_cost
 
 
 def test_different_seeds_differ():
-    a = _search(SPEC, _small_settings(seed=1))
-    b = _search(SPEC, _small_settings(seed=2))
+    a = _search(SPEC, seed=1)
+    b = _search(SPEC, seed=2)
     assert not np.array_equal(a.population.candidates, b.population.candidates)
 
 
 def test_candidates_respect_input_bounds():
-    s = _small_settings(generations=4)
-    pop = _cold(SPEC, s)
-    assert pop.candidates.shape == (64, 3, 1)
+    pop = _cold(SPEC)
+    assert pop.candidates.shape == (1024, 3, 1)
     assert np.all(pop.candidates >= SPEC.u_min) and np.all(pop.candidates <= SPEC.u_max)
     for _ in range(3):
-        pop = _step(pop, SPEC, s)
+        pop = _step(pop, SPEC)
         assert np.all(pop.candidates >= SPEC.u_min)
         assert np.all(pop.candidates <= SPEC.u_max)
 
 
 def test_elitism_never_regresses():
-    s = _small_settings()
-    pop = _cold(SPEC, s)
+    pop = _cold(SPEC)
     best = np.min(pop.costs)
     for _ in range(5):
-        pop = _step(pop, SPEC, s)
+        pop = _step(pop, SPEC)
         new_best = np.min(pop.costs)
         assert new_best <= best + 1e-12
         best = new_best
@@ -120,7 +120,7 @@ def test_evaluate_cost_matches_manual_rollout():
 
 def test_population_costs_match_evaluate_cost():
     # the batch scorer and the single-candidate path must agree
-    pop = _cold(SPEC, _small_settings())
+    pop = _cold(SPEC)
     for i in (0, 17, 63):
         assert pop.costs[i] == pytest.approx(
             evaluate_cost(pop.candidates[i], SPEC, SCHED, X0), rel=1e-8, abs=1e-8
@@ -142,7 +142,7 @@ def test_condensed_scoring_matches_rollout_with_offsets():
 
 
 def test_result_fields_consistent():
-    res = _search(SPEC, _small_settings(generations=2))
+    res = _search(SPEC, generations=2)
     assert res.best.shape == (3, 1)
     np.testing.assert_array_equal(res.u, res.best[0])
     assert res.best_cost == pytest.approx(evaluate_cost(res.best, SPEC, SCHED, X0), rel=1e-8)
@@ -156,25 +156,22 @@ def test_long_search_approaches_qp_optimum():
     sol = AdmmSolver().solve(prob)
     assert sol.status == "solved"
     opt = sol.objective + prob.offset
-    s = EmpcSettings(num_sims=256, num_parents=32, generations=120, seed=11)
-    res = solve_empc(prob, SPEC, s, X0)
+    res = solve_empc(prob, SPEC, X0, 120, 11)
     assert res.best_cost <= 1.05 * opt
 
 
 def test_warm_population_reused():
-    s = _small_settings(generations=1)
-    first = _search(SPEC, s)
-    again = _search(SPEC, s, prev=first.population)
+    first = _search(SPEC)
+    again = _search(SPEC, prev=first.population)
     assert again.best_cost <= first.best_cost + 1e-12
     assert again.population.generation == first.population.generation + 1
 
 
 def test_warm_population_from_a_wider_box_is_clamped_into_the_spec_box():
-    s = _small_settings(generations=2)
-    wide = _search(SPEC, s).population  # searched within +-4
+    wide = _search(SPEC, generations=2).population  # searched within +-4
     assert np.any(np.abs(wide.candidates) > 1.0)
     narrow = replace(SPEC, u_min=np.array([-1.0]), u_max=np.array([1.0]))
-    res = _search(narrow, s, prev=wide)
+    res = _search(narrow, generations=2, prev=wide)
     for arr in (res.u, res.best, res.population.candidates):
         assert np.all(arr >= -1.0) and np.all(arr <= 1.0)
     assert res.best_cost == pytest.approx(evaluate_cost(res.best, narrow, SCHED, X0), rel=1e-8)
@@ -202,33 +199,30 @@ def test_elite_cut_equals_stable_argsort(costs):
 
 def test_single_knot_schedule():
     sched = KnotSchedule(T=20, p=1)
-    res = _search(SPEC, _small_settings(), sched=sched)
+    res = _search(SPEC, sched=sched)
     assert res.best.shape == (1, 1)
     assert np.isfinite(res.best_cost)
 
 
-def test_parents_equal_population_degenerate():
-    s = _small_settings(num_sims=8, num_parents=8, generations=2)
-    res = _search(SPEC, s)
+def test_parents_equal_population_degenerate(monkeypatch):
+    _population(monkeypatch, sims=8, parents=8)
+    res = _search(SPEC, generations=2)
     assert np.isfinite(res.best_cost)
 
 
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        EmpcSettings(num_sims=0)
-    with pytest.raises(ValueError):
-        EmpcSettings(num_parents=100, num_sims=50)
-    with pytest.raises(ValueError):
-        EmpcSettings(generations=0)
+    for generations in (0, -1):
+        with pytest.raises(ValueError, match="generations must be >= 1"):
+            _search(SPEC, generations=generations)
 
 
 def test_infinite_input_bounds_rejected():
-    warm = _search(SPEC, _small_settings()).population
+    warm = _search(SPEC).population
     for lo, hi in ((-np.inf, 4.0), (-4.0, np.inf)):
         spec = replace(SPEC, u_min=np.array([lo]), u_max=np.array([hi]))
         for call in (
-            lambda: _search(spec, _small_settings()),
-            lambda: _search(spec, _small_settings(), prev=warm),
+            lambda: _search(spec),
+            lambda: _search(spec, prev=warm),
         ):
             with pytest.raises(ValueError, match="finite input bounds"):
                 call()
@@ -238,16 +232,17 @@ def test_infinite_input_bounds_rejected():
 # one generation: draws, crossover, mutation, clamping
 
 
-def _replay(pop, settings):
+def _replay(pop, seed=SEED):
     """The elites a generation mates and the draws of its stream that pick
     the variation: per child its two parents, then the crossover and the
     mutation bit of each of its coordinates."""
+    k = empc._NUM_PARENTS
     order = np.argsort(pop.costs, kind="stable")
-    elites = pop.candidates[order[: settings.num_parents]].reshape(settings.num_parents, -1)
-    n_children = settings.num_sims - settings.num_parents
+    elites = pop.candidates[order[:k]].reshape(k, -1)
+    n_children = empc._NUM_SIMS - k
     n = n_children * elites.shape[1]
-    rng = _rng(settings.seed, pop.generation)
-    parents = rng.integers(0, settings.num_parents, size=(n_children, 2))
+    rng = _rng(seed, pop.generation)
+    parents = rng.integers(0, k, size=(n_children, 2))
     words = rng.bit_generator.random_raw(-(-2 * n // 64))
     bits = np.unpackbits(words.view(np.uint8), count=2 * n, bitorder="little").view(bool)
     crossover, mutated = bits.reshape(2, n_children, -1)
@@ -255,19 +250,18 @@ def _replay(pop, settings):
 
 
 def test_unmutated_children_come_from_the_parent_their_bit_names():
-    s = _small_settings(num_sims=512, num_parents=16)
-    pop = _cold(SPEC, s)
-    elites, parents, crossover, mutated = _replay(pop, s)
-    children = _step(pop, SPEC, s).candidates[16:].reshape(496, 3)
+    pop = _cold(SPEC)
+    elites, parents, crossover, mutated = _replay(pop)
+    children = _step(pop, SPEC).candidates[64:].reshape(960, 3)
     named = np.where(crossover, elites[parents[:, 1]], elites[parents[:, 0]])
     np.testing.assert_array_equal(children[~mutated], named[~mutated])
     # cold parents lie strictly inside the box, so every mutated one moved
     assert np.all(children[mutated] != named[mutated])
 
 
-def test_mask_frequencies_are_fair_coins():
-    s = EmpcSettings(num_sims=4096, num_parents=64, seed=3)
-    _, _, crossover, mutated = _replay(_cold(SPEC, s), s)
+def test_mask_frequencies_are_fair_coins(monkeypatch):
+    _population(monkeypatch, sims=4096, parents=64)
+    _, _, crossover, mutated = _replay(_cold(SPEC, seed=3), seed=3)
     for mask in (crossover, mutated):
         n = mask.size
         assert abs(np.count_nonzero(mask) - n / 2) < 5.0 * np.sqrt(n / 4)
@@ -294,23 +288,22 @@ class _SetBits:
         return packed.view(np.uint64)
 
 
-def _step_with_bits(pop, settings, crossover_prob, mutation_prob, monkeypatch):
+def _step_with_bits(pop, seed, crossover_prob, mutation_prob, monkeypatch):
     """One generation whose crossover and mutation bits are set with the
     given probabilities instead of the fair coins, and those masks."""
-    n_children = settings.num_sims - settings.num_parents
+    n_children = empc._NUM_SIMS - empc._NUM_PARENTS
     shape = (n_children, pop.candidates[0].size)
     masks = np.random.default_rng(11).random((2, *shape)) < np.array([crossover_prob, mutation_prob])[:, None, None]
     monkeypatch.setattr(empc, "_rng", lambda seed, generation: _SetBits(_rng(seed, generation), *masks))
-    return _step(pop, SPEC, settings), masks
+    return _step(pop, SPEC, seed), masks
 
 
 @pytest.mark.parametrize("crossover_prob", [0.0, 0.5, 1.0])
 def test_unmutated_children_come_from_their_drawn_parents(crossover_prob, monkeypatch):
-    s = _small_settings(num_sims=512, num_parents=16)
-    pop = _cold(SPEC, s)
-    elites, parents, _, _ = _replay(pop, s)
-    nxt, (crossover, _) = _step_with_bits(pop, s, crossover_prob, 0.0, monkeypatch)
-    children = nxt.candidates[16:].reshape(496, 3)
+    pop = _cold(SPEC)
+    elites, parents, _, _ = _replay(pop)
+    nxt, (crossover, _) = _step_with_bits(pop, SEED, crossover_prob, 0.0, monkeypatch)
+    children = nxt.candidates[64:].reshape(960, 3)
     first, second = elites[parents[:, 0]], elites[parents[:, 1]]
     np.testing.assert_array_equal(children, np.where(crossover, second, first))
     if crossover_prob == 0.0:
@@ -326,10 +319,10 @@ def test_mutated_fraction_matches_mutation_prob(mutation_prob, monkeypatch):
     # with crossover off every child starts as its first parent, so the
     # changed coordinates are exactly the mutated ones (a parent drawn
     # uniformly inside the box is never exactly at a bound)
-    s = EmpcSettings(num_sims=4096, num_parents=64, seed=3)
-    pop = _cold(SPEC, s)
-    elites, parents, _, _ = _replay(pop, s)
-    nxt, (_, mutated) = _step_with_bits(pop, s, 0.0, mutation_prob, monkeypatch)
+    _population(monkeypatch, sims=4096, parents=64)
+    pop = _cold(SPEC, seed=3)
+    elites, parents, _, _ = _replay(pop, seed=3)
+    nxt, (_, mutated) = _step_with_bits(pop, 3, 0.0, mutation_prob, monkeypatch)
     changed = nxt.candidates[64:].reshape(-1, 3) != elites[parents[:, 0]]
     np.testing.assert_array_equal(changed, mutated)
     n = changed.size
@@ -349,15 +342,15 @@ def _two_channel_spec(x_goal):
     return MpcSpec(model, 20, Q=np.eye(2), R=0.01 * np.eye(2), x_goal=x_goal, u_min=_U_MIN, u_max=_U_MAX)
 
 
-def test_unclamped_mutation_steps_have_std_sigma_per_channel():
+def test_unclamped_mutation_steps_have_std_sigma_per_channel(monkeypatch):
     # the goal lies at rms distance 0.1 from X0, so the mutation std is 0.1 of
     # its full scale, 0.02 of each channel's range
     spec, u_min, u_max = _two_channel_spec(X0 + 0.1), _U_MIN, _U_MAX
     sigma = 0.2 * (u_max - u_min) * 0.1
-    s = EmpcSettings(num_sims=4096, num_parents=64, seed=3)
-    pop = _cold(spec, s)
-    elites, parents, crossover, mutated = _replay(pop, s)
-    children = _step(pop, spec, s).candidates[64:].reshape(4032, 3, 2)
+    _population(monkeypatch, sims=4096, parents=64)
+    pop = _cold(spec, seed=3)
+    elites, parents, crossover, mutated = _replay(pop, seed=3)
+    children = _step(pop, spec, seed=3).candidates[64:].reshape(4032, 3, 2)
     named = np.where(crossover, elites[parents[:, 1]], elites[parents[:, 0]]).reshape(4032, 3, 2)
     # a parent 6 std inside the box is clamped with probability ~1e-9, and
     # which parent that is does not depend on the step
@@ -375,12 +368,11 @@ def test_full_scale_mutation_stays_in_per_channel_bounds():
     # far from the goal the mutation std is its full 0.2 of each channel's
     # range, so many children leave the box and must be clamped back
     spec, u_min, u_max = _two_channel_spec(np.array([50.0, 0.0])), _U_MIN, _U_MAX
-    s = _small_settings(num_sims=512, num_parents=16)
-    pop = _cold(spec, s)
+    pop = _cold(spec)
     for _ in range(3):
-        pop = _step(pop, spec, s)
+        pop = _step(pop, spec)
         assert np.all(pop.candidates >= u_min) and np.all(pop.candidates <= u_max)
-    children = pop.candidates[16:]
+    children = pop.candidates[64:]
     for bound in (u_min, u_max):
         assert np.all(np.any(children == bound, axis=(0, 1)))
 
@@ -400,12 +392,11 @@ def test_chunked_scoring_changes_no_draw(monkeypatch):
     # byte-identical candidates; the costs come from batched BLAS products,
     # which may round differently for another batch size, so they agree to
     # a few ulps
-    s = _small_settings(num_sims=300, num_parents=20)
-    pop = _cold(SPEC, s)
-    whole = _step(pop, SPEC, s)
+    pop = _cold(SPEC)
+    whole = _step(pop, SPEC)
     for size in (1, 7, 64, 257):
         monkeypatch.setattr(empc, "_scores", _ChunkedScores(size))
-        chunked = _step(pop, SPEC, s)
+        chunked = _step(pop, SPEC)
         np.testing.assert_array_equal(chunked.candidates, whole.candidates)
         np.testing.assert_allclose(chunked.costs, whole.costs, rtol=1e-13, atol=0)
 
@@ -415,14 +406,14 @@ import hashlib, sys
 import numpy as np
 from knotmpc.condense import MpcSpec, build
 from knotmpc.dynamics import DiscreteLinearModel
-from knotmpc.empc import EmpcSettings, solve_empc
+from knotmpc.empc import solve_empc
 from knotmpc.param import KnotSchedule
 model = DiscreteLinearModel(np.array([[1.0, 0.02], [-0.4, 0.97]]), np.array([[0.0], [0.05]]), np.zeros(2), 0.02)
 spec = MpcSpec(model, 20, np.diag([10.0, 0.1]), 0.01 * np.eye(1), np.array([0.5, 0.0]), -4.0, 4.0)
-settings = EmpcSettings(num_sims=256, num_parents=16, generations=3, seed=int(sys.argv[1]))
+seed = int(sys.argv[1])
 sched, x0, x1 = KnotSchedule(20, 3), np.array([-0.3, 0.1]), np.array([-0.2, 0.1])
-res = solve_empc(build("small_param", spec, x0, sched), spec, settings, x0)
-res = solve_empc(build("small_param", spec, x1, sched), spec, settings, x1, prev=res.population)
+res = solve_empc(build("small_param", spec, x0, sched), spec, x0, 3, seed)
+res = solve_empc(build("small_param", spec, x1, sched), spec, x1, 3, seed, prev=res.population)
 print(hashlib.sha256(res.population.candidates.tobytes()).hexdigest(), res.best_cost.hex())
 """
 
