@@ -236,12 +236,12 @@ class AdmmSolver:
         ubs = E * prob.ub
 
         x, y = _scaled_start(warm, D, E)
-        z = np.clip(As @ x, lbs, ubs)
         if warm is not None:
-            polished = self._try_polish(prob, P2s, As, q2s, D, E, lbs, ubs, y, z)
+            polished = self._try_polish(prob, P2s, As, q2s, D, E, lbs, ubs, y)
             if polished is not None:
                 return _solution(prob, polished, "solved", 0)
 
+        z = np.clip(As @ x, lbs, ubs)
         d = prob.q.size
         K = sp.bmat([[P2s + _SIGMA * sp.eye(d), As.T], [As, -sp.diags(inv_rho)]], format="csc")
         lu = spla.splu(K)
@@ -254,7 +254,7 @@ class AdmmSolver:
                 check_no += 1
                 # each attempt refactors, so it is due at checks 1, 2, 4, ... only
                 if converged or check_no & (check_no - 1) == 0:
-                    polished = self._try_polish(prob, P2s, As, q2s, D, E, lbs, ubs, y, z)
+                    polished = self._try_polish(prob, P2s, As, q2s, D, E, lbs, ubs, y)
                     if polished is not None:
                         return _solution(prob, polished, "solved", i)
                 if converged:
@@ -263,14 +263,13 @@ class AdmmSolver:
                     return _solution(prob, (D * x, E * y), "primal_infeasible", i)
         return _solution(prob, (D * x, E * y), "max_iters", s.max_iters)
 
-    def _try_polish(self, prob, P2s, As, q2s, D, E, lbs, ubs, y, z):
-        """Active-set finish from the current iterate of a general problem.
+    def _try_polish(self, prob, P2s, As, q2s, D, E, lbs, ubs, y):
+        """Active-set finish from the current dual iterate of a general problem.
 
-        Rows are classified active by dual sign, falling back to primal
-        proximity (the slack iterate clamped at a bound) where the dual is
-        still numerically silent.  The guessed set is refined a few rounds:
-        rows the candidate violates are added, rows with wrong-sign
-        multipliers dropped.  Returns unscaled (z, dual) only when a
+        Rows are classified active by the sign of their dual alone; a dual
+        inside the rounding dead zone marks no bound.  The guessed set is
+        refined a few rounds: rows the candidate violates are added, rows
+        with wrong-sign multipliers dropped.  Returns unscaled (z, dual) only when a
         candidate satisfies the full KKT conditions to the configured
         tolerances (stationarity within ``_dual_tol``), else None and the
         ADMM iteration carries on; a failed attempt costs time, never
@@ -283,13 +282,8 @@ class AdmmSolver:
         # rows the projection never clips keep a dual that is pure rounding
         # noise, so classify with a dead zone instead of the bare sign
         ytol = 1e-12 * max(1.0, float(np.max(np.abs(y))) if y.size else 0.0)
-        silent = np.abs(y) <= ytol
-        lbf = np.where(fin_lo, lbs, 0.0)
-        ubf = np.where(fin_up, ubs, 0.0)
-        at_lb = silent & fin_lo & (z <= lbf + 1e-9 * (1.0 + np.abs(lbf)))
-        at_ub = silent & fin_up & (z >= ubf - 1e-9 * (1.0 + np.abs(ubf))) & ~at_lb
-        low = ((y < -ytol) | at_lb) & fin_lo & ~eq
-        up = ((y > ytol) | at_ub) & fin_up & ~eq
+        low = (y < -ytol) & fin_lo & ~eq
+        up = (y > ytol) & fin_up & ~eq
 
         for _ in range(4):
             res = self._polish_solve(P2s, As, q2s, lbs, ubs, eq, low, up)
