@@ -25,7 +25,8 @@ population size (``empc``'s ``_NUM_SIMS`` and ``_NUM_PARENTS``).
 
 Config format.  One ``key = value`` per line; the keys are the fields of
 ``ExperimentConfig``, each at most once, and only ``experiment`` is
-required.  ``#`` starts a comment, blank lines are skipped.  A field typed
+required.  A key that the experiment never reads is an error
+(``ExperimentConfig.unread_keys``).  ``#`` starts a comment, blank lines are skipped.  A field typed
 as a tuple of numbers takes a comma list whose items are numbers or
 ranges ``a:b`` and ``a:b:step`` (step 1 by default): a range runs up from
 ``a`` and includes ``b`` when a whole number of steps lands on it, so
@@ -128,11 +129,19 @@ class ExperimentConfig:
     workers: int = 1
     out: str = "results.csv"
 
-    def validate(self) -> None:
+    def validate(self, given: typing.Collection[str] | None = None) -> None:
+        """Raise ``ConfigError`` on a bad value, or on a key in ``given`` (by
+        default, the fields set to other than their defaults) that the run
+        never reads."""
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"experiment: must be one of {', '.join(EXPERIMENTS)}; got {self.experiment!r}")
         if self.robot not in ROBOTS:
             raise ConfigError(f"robot: must be one of {', '.join(ROBOTS)}; got {self.robot!r}")
+        if given is None:
+            given = [f.name for f in fields(self) if getattr(self, f.name) != f.default]
+        for name in self.unread_keys():
+            if name in given:
+                raise ConfigError(f"{name}: {self.experiment} on {self.robot} never reads this key; remove it")
         if not self.links or any(l < 1 for l in self.links):
             raise ConfigError("links: need at least one positive link count")
         if self.T < 1:
@@ -159,8 +168,6 @@ class ExperimentConfig:
             raise ConfigError("horizons: must be >= 1")
         if any(m <= 0 for m in self.multipliers):
             raise ConfigError("multipliers: must be positive")
-        if self.controllers and self.experiment in ("param_sweep", "horizon_sweep"):
-            raise ConfigError(f"controllers: {self.experiment} runs fixed controllers; remove this key")
         horizon = self.horizon()
         for text in self.resolved_controllers():
             p = parse_controller_token(text).p
@@ -180,10 +187,26 @@ class ExperimentConfig:
             return ("small",)
         return self.controllers or _DEFAULT_CONTROLLERS[self.experiment]
 
+    def unread_keys(self) -> tuple[str, ...]:
+        """The keys this experiment's run never reads: ``_UNREAD`` of its
+        kind, and ``links`` unless the robot is the ``nlink`` chain."""
+        return _UNREAD[self.experiment] + (() if self.robot == "nlink" else ("links",))
+
     def horizon(self) -> int:
         """MPC horizon in steps; the knot sweep plans over the whole run."""
         return int(round(self.duration * self.rate)) if self.experiment == "param_sweep" else self.T
 
+
+# The keys each experiment never reads.  The knot sweep plans over
+# round(duration * rate) steps, and the sweeps fix their controllers
+# (``resolved_controllers``); a cold first step runs one period.
+_UNREAD = {
+    "param_sweep": ("T", "horizons", "multipliers", "controllers"),
+    "horizon_sweep": ("p", "multipliers", "controllers"),
+    "robustness": ("p", "horizons"),
+    "solve_time_scaling": ("p", "horizons", "multipliers", "duration"),
+    "closedloop_comparison": ("p", "horizons", "multipliers"),
+}
 
 _DEFAULT_CONTROLLERS = {
     "robustness": ("small", "small_param:2", "small_param:4", "small_param:8"),
@@ -288,7 +311,7 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
             raise ConfigError(f"{key}: unknown config key")
         kwargs[key] = _parse_value(text, schema[key], key)
     cfg = ExperimentConfig(**kwargs)
-    cfg.validate()
+    cfg.validate(given=raw)
     return cfg
 
 
@@ -312,10 +335,14 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
-    """Render a config back into the file format (used by preset export)."""
+    """Render the keys of a config that its run reads back into the file
+    format (used by preset export)."""
     lines = []
+    unread = cfg.unread_keys()
     for f in fields(cfg):
         val = getattr(cfg, f.name)
+        if f.name in unread:
+            continue
         if isinstance(val, tuple):
             if not val:
                 continue

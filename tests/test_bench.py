@@ -84,16 +84,15 @@ def test_token_kinds_are_controller_kinds():
 def test_config_from_mapping_parses_lists_and_ranges():
     cfg = config_from_mapping({
         "experiment": "param_sweep",
-        "robot": "pendulum_nograv",
+        "robot": "nlink",
         "p": "1,2,4:6",
-        "multipliers": "0.5:1.5:0.5",
         "trials": "3",
         "links": "2",
     })
     assert cfg.p == (1, 2, 4, 5, 6)
-    assert cfg.multipliers == (0.5, 1.0, 1.5)
     assert cfg.trials == 3
     assert cfg.links == (2,)
+    assert config_from_mapping({"experiment": "robustness", "multipliers": "0.5:1.5:0.5"}).multipliers == (0.5, 1.0, 1.5)
     # a range stops at its end, also when the step does not land on it
     for text, want in (("1:4:2", (1, 3)), ("2:2", (2,)), ("3,5:7:2", (3, 5, 7))):
         assert config_from_mapping({"experiment": "param_sweep", "p": text}).p == want
@@ -185,14 +184,13 @@ def test_load_config_rejects_repeated_keys(tmp_path):
 
 
 def test_dump_load_round_trip_of_every_field(tmp_path):
-    cfg = ExperimentConfig(
+    # every field a closed-loop comparison reads, then each field only one
+    # experiment reads, set to other than its default
+    base = ExperimentConfig(
         experiment="closedloop_comparison",
         robot="nlink",
         links=(2, 3),
         T=20,
-        p=(2, 5),
-        horizons=(5, 15),
-        multipliers=(0.5, 1.25),
         controllers=("small", "empc:4:2"),
         trials=3,
         seed=17,
@@ -201,10 +199,17 @@ def test_dump_load_round_trip_of_every_field(tmp_path):
         workers=2,
         out="all.csv",
     )
-    assert all(getattr(cfg, f.name) != f.default for f in fields(ExperimentConfig))
-    path = tmp_path / "all.cfg"
-    path.write_text(dump_config(cfg))
-    assert load_config(str(path)) == cfg
+    cfgs = [
+        base,
+        replace(base, experiment="param_sweep", T=50, controllers=(), p=(2, 5)),
+        replace(base, experiment="horizon_sweep", controllers=(), horizons=(5, 15)),
+        replace(base, experiment="robustness", multipliers=(0.5, 1.25)),
+    ]
+    assert all(any(getattr(c, f.name) != f.default for c in cfgs) for f in fields(ExperimentConfig))
+    for cfg in cfgs:
+        path = tmp_path / "all.cfg"
+        path.write_text(dump_config(cfg))
+        assert load_config(str(path)) == cfg
 
 
 def test_dump_load_round_trip(tmp_path):
@@ -317,18 +322,18 @@ def test_sample_endpoints_unit_step():
 # ---------------------------------------------------------------------------
 # experiment runners (tiny configurations)
 
+# each experiment's tiny keys, only those its run reads
+_TINY = {
+    "param_sweep": {"duration": "0.3", "p": "1,2"},
+    "horizon_sweep": {"duration": "0.3", "T": "10", "horizons": "5,10"},
+    "robustness": {"duration": "0.3", "T": "10", "multipliers": "0.8,1.0"},
+    "solve_time_scaling": {"T": "10"},
+    "closedloop_comparison": {"duration": "0.3", "T": "10"},
+}
+
+
 def _tiny(experiment, **kw):
-    base = {
-        "experiment": experiment,
-        "robot": "pendulum_nograv",
-        "trials": "1",
-        "duration": "0.3",
-        "T": "10",
-        "p": "1,2",
-        "horizons": "5,10",
-        "multipliers": "0.8,1.0",
-        "links": "1",
-    }
+    base = {"experiment": experiment, "robot": "pendulum_nograv", "trials": "1", **_TINY[experiment]}
     base.update(kw)
     return config_from_mapping(base)
 
@@ -380,7 +385,7 @@ def test_solve_time_scaling_runs_one_closed_loop_step_per_controller(tmp_path, m
         return res
 
     monkeypatch.setattr(bench, "run_closed_loop", recording)
-    cfg = _tiny("solve_time_scaling", robot="nlink", controllers="large,small,small_param:2,empc:2:1")
+    cfg = _tiny("solve_time_scaling", robot="nlink", links="1", controllers="large,small,small_param:2,empc:2:1")
     run_experiment(cfg, out_dir=str(tmp_path))
     assert sorted(results) == ["empc", "large", "small", "small_param"]
     with open(tmp_path / cfg.out, encoding="utf-8", newline="") as fh:
@@ -404,6 +409,47 @@ def test_sweeps_reject_a_controllers_key():
     for experiment in ("param_sweep", "horizon_sweep"):
         with pytest.raises(ConfigError, match="controllers"):
             config_from_mapping({"experiment": experiment, "controllers": "small"})
+
+
+# keys a run never reads, each with a value it would accept, as text and parsed
+_UNREAD_KEYS = [
+    ("param_sweep", "T", "10", 10),
+    ("param_sweep", "horizons", "5,10", (5, 10)),
+    ("param_sweep", "multipliers", "0.8,1.0", (0.8, 1.0)),
+    ("horizon_sweep", "p", "1,2", (1, 2)),
+    ("horizon_sweep", "multipliers", "0.8,1.0", (0.8, 1.0)),
+    ("robustness", "p", "1,2", (1, 2)),
+    ("robustness", "horizons", "5,10", (5, 10)),
+    ("closedloop_comparison", "p", "1,2", (1, 2)),
+    ("closedloop_comparison", "horizons", "5,10", (5, 10)),
+    ("closedloop_comparison", "multipliers", "0.8,1.0", (0.8, 1.0)),
+    ("solve_time_scaling", "p", "1,2", (1, 2)),
+    ("solve_time_scaling", "horizons", "5,10", (5, 10)),
+    ("solve_time_scaling", "multipliers", "0.8,1.0", (0.8, 1.0)),
+    ("solve_time_scaling", "duration", "0.5", 0.5),
+]
+
+
+@pytest.mark.parametrize("experiment, key, text, value", _UNREAD_KEYS)
+def test_a_key_the_run_never_reads_is_a_config_error(experiment, key, text, value):
+    # an ignored key would only mislead, also when it is set to its default
+    with pytest.raises(ConfigError, match=f"^{key}: {experiment} on pendulum never reads this key"):
+        config_from_mapping({"experiment": experiment, key: text})
+    default = getattr(ExperimentConfig(experiment), key)
+    default_text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        config_from_mapping({"experiment": experiment, key: default_text})
+    # a config built in code validates the fields that differ from their defaults
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        replace(ExperimentConfig(experiment), **{key: value}).validate()
+    ExperimentConfig(experiment).validate()
+
+
+def test_links_of_a_pendulum_is_a_config_error():
+    for robot in ("pendulum", "pendulum_nograv"):
+        with pytest.raises(ConfigError, match=f"^links: param_sweep on {robot} never reads this key"):
+            config_from_mapping({"experiment": "param_sweep", "robot": robot, "links": "1"})
+    assert config_from_mapping({"experiment": "param_sweep", "robot": "nlink", "links": "1"}).links == (1,)
 
 
 @pytest.mark.parametrize("experiment", ["closedloop_comparison", "horizon_sweep"])
@@ -441,7 +487,7 @@ import sys
 from knotmpc.bench import config_from_mapping, rows_to_csv_text, run_experiment
 cfg = config_from_mapping({
     "experiment": "robustness", "robot": "pendulum_nograv", "trials": "1",
-    "duration": "0.1", "T": "10", "multipliers": "0.8,1.0", "links": "1",
+    "duration": "0.1", "T": "10", "multipliers": "0.8,1.0",
     "controllers": "small,empc:2:1",
 })
 sys.stdout.write(rows_to_csv_text(run_experiment(cfg, out_dir=sys.argv[1]), include_timing=False))
@@ -469,7 +515,7 @@ def test_seed_changes_rows(tmp_path):
     cfg_a = _tiny("param_sweep")
     cfg_b = config_from_mapping({
         "experiment": "param_sweep", "robot": "pendulum_nograv", "trials": "1",
-        "duration": "0.3", "T": "10", "p": "1,2", "links": "1", "seed": "99",
+        "duration": "0.3", "p": "1,2", "seed": "99",
     })
     ra = run_experiment(cfg_a, out_dir=str(tmp_path))
     rb = run_experiment(cfg_b, out_dir=str(tmp_path))

@@ -13,8 +13,6 @@ from knotmpc.cli import main
 TINY = """\
 experiment = param_sweep
 robot = pendulum_nograv
-links = 1
-T = 10
 p = 1,2
 trials = 1
 duration = 0.3
@@ -99,6 +97,14 @@ def test_presets_write(tmp_path, capsys):
     files = sorted(p.name for p in tmp_path.glob("*.cfg"))
     assert "param_sweep_linear.cfg" in files
     assert len(files) == 8
+
+
+def test_presets_write_loads_back_as_the_presets(tmp_path):
+    from knotmpc.bench import PRESETS, load_config, preset_config
+
+    assert main(["presets", "--write", str(tmp_path)]) == 0
+    for name in PRESETS:
+        assert load_config(str(tmp_path / f"{name}.cfg")) == preset_config(name)
 
 
 def test_run_workers_override(tiny_config, tmp_path, monkeypatch):

@@ -91,3 +91,9 @@ def test_against_a_record_without_digests_names_no_controllers(parity, monkeypat
     status, report = _against(parity, monkeypatch, tmp_path, capsys, recorded, current)
     assert status == 0
     assert all(report[name]["changed_controllers"] is None for name in PRESETS)
+
+
+def test_every_reduced_preset_validates(parity):
+    # a reduced config that sets a key its run never reads is a ConfigError
+    for name in PRESETS:
+        parity.reduced_config(name).validate()

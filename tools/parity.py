@@ -3,9 +3,9 @@
     python3 tools/parity.py > side.json                  # record this checkout
     python3 tools/parity.py --against parent.json        # compare with a record
 
-Each preset runs reduced: trials=2, workers=1, links=(1, 2), and a 0.1 s
-duration except for the ``param_sweep*`` and ``solve_times*`` presets,
-which keep theirs.  BLAS runs one thread.  The hash is the first 16 hex
+Each preset runs reduced: trials=2, workers=1, links=(1, 2) on the
+``nlink`` robot (a pendulum reads no links), and a 0.1 s duration except
+for the ``param_sweep*`` and ``solve_times*`` presets, which keep theirs.  BLAS runs one thread.  The hash is the first 16 hex
 digits of the sha256 of the preset's CSV with the timing columns masked.
 Without ``--against`` the output is one JSON object: per preset, the
 hash, the ``actual_cost`` column (null where a row has none), each row's
@@ -41,7 +41,9 @@ from knotmpc.bench import PRESETS, preset_config, rows_to_csv_text, run_experime
 
 def reduced_config(name: str):
     """The preset's config under the parity protocol."""
-    cfg = replace(preset_config(name), trials=2, workers=1, links=(1, 2))
+    cfg = replace(preset_config(name), trials=2, workers=1)
+    if cfg.robot == "nlink":
+        cfg = replace(cfg, links=(1, 2))
     if name.startswith(("param_sweep", "solve_times")):
         return cfg
     return replace(cfg, duration=0.1)
