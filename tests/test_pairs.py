@@ -18,6 +18,14 @@ def pairs():
     return module
 
 
+@pytest.fixture
+def few_pairs(pairs, monkeypatch):
+    """The module with verdicts from any number of pairs, for the tests of
+    the statistics on small hand-made records."""
+    monkeypatch.setattr(pairs, "MIN_PAIRS", 1)
+    return pairs
+
+
 def _run(workload, pair, kind, side, failed=0, **metrics):
     return {"workload": workload, "trace": 0, "pair": pair, "kind": kind, "side": side,
             "result": {"correct": True, "attempted": 1000, "failed": failed,
@@ -73,6 +81,7 @@ def test_schedule_alternates_and_interleaves_nulls(pairs):
     assert all(order == ("parent", "parent_b") for _, kind, order in plan if kind == "null")
 
 
+@pytest.mark.usefixtures("few_pairs")
 def test_a_median_move_beyond_the_null_spread_is_a_gain(pairs):
     runs = _records(PARENT, CHANGE, NULLS)
     group = _group(pairs, runs)
@@ -96,6 +105,7 @@ def test_a_median_move_beyond_the_null_spread_is_a_gain(pairs):
     assert "track_cost" not in group["metrics"]
 
 
+@pytest.mark.usefixtures("few_pairs")
 def test_a_gain_needs_nine_of_ten_pairs_and_a_move_beyond_the_parent_iqr(pairs):
     # one pair in six worse: the median moves as far, but it is no gain
     s = _summary(pairs, _records(PARENT, CHANGE[:-1] + [2.1], NULLS[:1]))
@@ -109,6 +119,7 @@ def test_a_gain_needs_nine_of_ten_pairs_and_a_move_beyond_the_parent_iqr(pairs):
     assert s["verdict"] == "noise"
 
 
+@pytest.mark.usefixtures("few_pairs")
 def test_a_move_inside_the_null_spread_is_noise_and_beyond_it_against_is_a_loss(pairs):
     parent = [2.0, 2.1, 1.9, 2.2]
     noise = _records(parent, change=[1.9, 2.0, 1.8, 2.1], nulls=[(2.0, 1.8)])
@@ -121,6 +132,7 @@ def test_a_move_inside_the_null_spread_is_noise_and_beyond_it_against_is_a_loss(
     assert (s["equal_pairs"], s["verdict"]) == (4, "noise")
 
 
+@pytest.mark.usefixtures("few_pairs")
 def test_a_pair_missing_a_side_or_a_result_is_left_out_of_the_statistics(pairs):
     runs = _records(parent=[2.0, 2.1, 1.9], change=[1.0, 1.1, 0.9], nulls=[(2.0, 2.05)])
     runs = [r for r in runs if not (r["pair"] == 2 and r["side"] == "change")]
@@ -131,6 +143,7 @@ def test_a_pair_missing_a_side_or_a_result_is_left_out_of_the_statistics(pairs):
     assert group["pairs_run"] == 3 and group["outcomes"]["parent"]["bad_runs"] == 1
 
 
+@pytest.mark.usefixtures("few_pairs")
 def test_a_pair_missing_a_result_counts_against_the_change(pairs):
     # five pairs better and one whose parent run gave no result line: the
     # change is better in 5 of the 6 pairs run, short of nine in ten, even
@@ -144,6 +157,7 @@ def test_a_pair_missing_a_result_counts_against_the_change(pairs):
     assert s["verdict"] == "noise"
 
 
+@pytest.mark.usefixtures("few_pairs")
 def test_a_change_that_fails_more_operations_or_runs_is_no_gain(pairs):
     runs = _records(PARENT, CHANGE, NULLS)
     change_runs = [r for r in runs if r["side"] == "change"]
@@ -162,6 +176,7 @@ def test_a_change_that_fails_more_operations_or_runs_is_no_gain(pairs):
     assert group["metrics"]["op_ms.p90"]["verdict"] == "noise"
 
 
+@pytest.mark.usefixtures("few_pairs")
 def test_the_bound_check_holds_breaks_or_cannot_tell(pairs):
     # worse by 0.6 on a parent median of 2.0: beyond its bound of 0.25 x 2.0
     parent = [2.0, 2.0, 2.0, 2.0]
@@ -186,6 +201,7 @@ def test_the_bound_check_holds_breaks_or_cannot_tell(pairs):
     assert summary["knot_arm6"]["untraced"]["metrics"]["op_ms.p90"]["bound_check"] is None
 
 
+@pytest.mark.usefixtures("few_pairs")
 def test_one_outlier_null_does_not_set_the_bar(pairs):
     # the clear gain above with a third null pair that the host disturbed:
     # its difference of 3.0 is set aside and the next largest, 0.1, is the bar
@@ -194,6 +210,7 @@ def test_one_outlier_null_does_not_set_the_bar(pairs):
     assert (s["null_spread"], s["verdict"], s["bound_check"]) == (pytest.approx(0.1), "gain", "holds")
 
 
+@pytest.mark.usefixtures("few_pairs")
 def test_null_differences_of_one_sign_still_set_the_bar(pairs):
     # the second run of the parent reads 0.4 slower every time, an order
     # effect larger than the change's move of 0.3
@@ -207,6 +224,21 @@ WORKLOADS = ("knot_arm6", "empc_arm6")
 def _table(pairs, cost=1.0, failed=0):
     return {w: {str(s): {"failed": failed, "attempted": 1000, "track_cost": cost + s / 1000} for s in pairs.FIXED_SEEDS}
             for w in WORKLOADS}
+
+
+def test_fewer_than_ten_pairs_give_no_verdict(pairs):
+    # two pairs of identical code have read "gain" and "loss"; below
+    # MIN_PAIRS pairs run no metric gets a verdict, whatever its numbers
+    assert pairs.MIN_PAIRS == 10
+    parent = [2.0, 2.1, 1.9, 2.2, 2.0, 2.05, 2.1, 1.95, 2.0, 2.1]
+    change = [p - 0.4 for p in parent]
+    nulls = [(2.0, 2.05)] * 5
+    for n in (1, 2, 9):
+        group = _group(pairs, _records(parent[:n], change[:n], nulls[: n // 2]))
+        assert group["pairs_run"] == n
+        assert {s["verdict"] for s in group["metrics"].values()} == {"too few pairs"}
+    s = _summary(pairs, _records(parent, change, nulls))
+    assert (s["pairs"], s["verdict"]) == (10, "gain")
 
 
 def test_fixed_work_gives_relative_moves_and_flags_failures(pairs):

@@ -33,7 +33,9 @@ median difference is in the metric's better direction (from
 nine of ten pairs run (a pair missing a result on either side counts
 against it) and it failed no more operations and no more runs than the
 parent; "loss" when the median difference is beyond the bar the other way;
-else "noise".  Without null pairs it is "no null".  The bound check takes
+else "noise".  With fewer than ``MIN_PAIRS`` pairs run it is "too few
+pairs", because a few pairs of identical code read "gain" and "loss" alike;
+without null pairs it is "no null".  The bound check takes
 the metric's ``BENCHMARK.json`` bound as a share of the parent median:
 "broken" when the median difference is worse by more than that, else
 "unresolved" when the bar is wider than it and some run of the change
@@ -72,6 +74,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 MEDIAN_SEEDS = tuple(range(401, 411))
 FIXED_SEEDS = (7, 209, 3509, *MEDIAN_SEEDS)
+MIN_PAIRS = 10  # pairs run below which no metric gets a verdict
 
 
 def benchmark() -> dict:
@@ -203,7 +206,9 @@ def summarize(runs: list[dict], metrics: dict[str, dict]) -> dict:
             pq, cq = _quartiles(parent), _quartiles(change)
             bar = max(spread or 0.0, pq[2] - pq[0])
             better_pairs = sum(sign * d > 0 for d in diffs)
-            if spread is None:
+            if len(pair_ids) < MIN_PAIRS:
+                verdict = "too few pairs"
+            elif spread is None:
                 verdict = "no null"
             elif sign * med > bar and better_pairs >= 0.9 * len(pair_ids) and held:
                 verdict = "gain"
@@ -347,7 +352,8 @@ def main(argv=None) -> int:
                        "with < 3 null pairs), parent IQR); gain if the median pair difference is beyond "
                        "the bar in the better direction, the change is "
                        "better in >= 9/10 of the pairs run and fails no more operations or runs than the "
-                       "parent; loss if beyond the bar the other way; else noise",
+                       "parent; loss if beyond the bar the other way; else noise; too few pairs "
+                       f"below {MIN_PAIRS} pairs run",
             "bound_check": "bound = BENCHMARK.json bound x parent median; broken if the median pair difference "
                            "is worse by more than the bound, else unresolved if the bar is wider than it and "
                            "not every change run reads better than every parent run, else holds",
