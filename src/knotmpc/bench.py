@@ -25,15 +25,16 @@ population size (``empc``'s ``_NUM_SIMS`` and ``_NUM_PARENTS``).
 
 Config format.  One ``key = value`` per line; the keys are the fields of
 ``ExperimentConfig``, each at most once, and only ``experiment`` is
-required.  A key that the experiment never reads is an error
-(``ExperimentConfig.unread_keys``).  ``#`` starts a comment, blank lines are skipped.  A field typed
-as a tuple of numbers takes a comma list whose items are numbers or
-ranges ``a:b`` and ``a:b:step`` (step 1 by default): a range runs up from
-``a`` and includes ``b`` when a whole number of steps lands on it, so
-``p = 1,2,4:6`` gives (1, 2, 4, 5, 6) and ``multipliers = 0.5:1.5:0.5``
-gives (0.5, 1.0, 1.5).  On an integer field the endpoints and the step
-must be integers.  ``controllers`` is a plain comma list of controller
-tokens (see ``parse_controller_token``), which contain ``:`` themselves.
+required; a key that the experiment never reads is an error
+(``ExperimentConfig.unread_keys``).  ``#`` starts a comment, blank lines
+are skipped.  A field typed as a tuple of numbers takes a comma list
+whose items are numbers or ranges ``a:b`` and ``a:b:step`` (step 1 by
+default): a range runs up from ``a`` and includes ``b`` when a whole
+number of steps lands on it, so ``p = 1,2,4:6`` gives (1, 2, 4, 5, 6)
+and ``multipliers = 0.5:1.5:0.5`` gives (0.5, 1.0, 1.5).  On an integer
+field the endpoints and the step must be integers.  ``controllers`` is a
+plain comma list of controller tokens (see ``parse_controller_token``),
+which contain ``:`` themselves.
 
 Each trial's rows depend only on the config and the trial index (never
 on scheduling), so results are reproducible for a fixed seed under any

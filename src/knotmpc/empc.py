@@ -7,11 +7,11 @@ points (p, m), and one solver call runs the caller's number of
 generations over a population of ``_NUM_SIMS`` candidates.  A generation
 scores candidates by the problem's quadratic plus its offset, which equals
 their tracking cost under the discrete model; the cheapest ``_NUM_PARENTS``
-survive unchanged, and the rest of the population is refilled by parameter-wise crossover of two random parents
-plus Gaussian mutation, clamped to the problem's box.  Each child
-coordinate comes from its second parent, and is mutated, on a fair coin
-each: one random bit.  The first knot of the best candidate is the input
-to apply.  The box is the problem's only constraint, and the search never
+survive unchanged, and the rest of the population is refilled by
+parameter-wise crossover of two random parents plus Gaussian mutation,
+clamped to the problem's box.  Each child coordinate comes from its
+second parent, and is mutated, on a fair coin each: one random bit.  The
+first knot of the best candidate is the input to apply.  The box is the problem's only constraint, and the search never
 leaves it: a warm population is clamped into it before scoring, and a
 child coordinate can leave it only where mutated, so only those are
 clamped.  ``evaluate_cost`` rolls one candidate out; it is the reference
