@@ -55,7 +55,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .closedloop import CONTROLLER_KINDS, Controller, compute_metrics, cost_ratio, run_closed_loop
+from .closedloop import CONTROLLER_KINDS, Controller, actual_cost, compute_metrics, cost_ratio, run_closed_loop
 from .condense import MpcSpec
 from .dynamics import NLinkArm, NLinkParams, discretize, linearize
 from .qp import QpSettings
@@ -577,7 +577,8 @@ def _run_robustness(task: _Task) -> list[dict]:
 
 
 def _run_solve_time_scaling(task: _Task) -> list[dict]:
-    """The cold first control step of each controller, as a one-period closed loop."""
+    """The cold first control step of each controller, as a one-period
+    closed loop, with that run's realized cost."""
     cfg = task.cfg
     plant, x0, xg = _trial_setup(task)
     template = make_template(plant, cfg, cfg.T)
@@ -585,7 +586,8 @@ def _run_solve_time_scaling(task: _Task) -> list[dict]:
     for controller in _controllers(task):
         res = run_closed_loop(plant, controller, template, x0, xg, 1.0 / cfg.rate, cfg.rate)
         rows.append(_row(task, controller, cfg.T, x0, xg, steps=1, opt_time_med=float(res.opt_time[0]),
-                         mpc_time_med=float(res.mpc_time[0]), failures=res.failures))
+                         mpc_time_med=float(res.mpc_time[0]), failures=res.failures,
+                         actual_cost=actual_cost(res.states, res.inputs, template.Q, template.R, xg)))
     return rows
 
 

@@ -34,7 +34,7 @@ from knotmpc.bench import (
     write_csv,
 )
 from knotmpc.cli import main
-from knotmpc.closedloop import CONTROLLER_KINDS, Controller, run_closed_loop
+from knotmpc.closedloop import CONTROLLER_KINDS, Controller, actual_cost, run_closed_loop
 from knotmpc.dynamics import NLinkArm
 
 
@@ -400,6 +400,10 @@ def test_solve_time_scaling_runs_one_closed_loop_step_per_controller(tmp_path, m
         assert float(row["mpc_time_med"]) == res.mpc_time[0]
         # EMPC's search, like a QP solve, excludes the problem build
         assert 0.0 < res.opt_time[0] < res.mpc_time[0]
+        # the row's cost is the one-step run's realized cost, so parity sees the solution
+        spec = make_template(make_plant("nlink", 1), cfg, cfg.T)
+        xg = np.array([float(v) for v in row["goal"].split(";")])
+        assert float(row["actual_cost"]) == actual_cost(res.states, res.inputs, spec.Q, spec.R, xg)
         for col in TIMING_COLUMNS - {"opt_time_med", "mpc_time_med"}:
             assert row[col] == ""
 
