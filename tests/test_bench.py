@@ -92,7 +92,8 @@ def test_config_from_mapping_parses_lists_and_ranges():
     assert cfg.p == (1, 2, 4, 5, 6)
     assert cfg.trials == 3
     assert cfg.links == (2,)
-    assert config_from_mapping({"experiment": "robustness", "multipliers": "0.5:1.5:0.5"}).multipliers == (0.5, 1.0, 1.5)
+    cfg = config_from_mapping({"experiment": "robustness", "multipliers": "0.5:1.5:0.5"})
+    assert cfg.multipliers == (0.5, 1.0, 1.5)
     # a range stops at its end, also when the step does not land on it
     for text, want in (("1:4:2", (1, 3)), ("2:2", (2,)), ("3,5:7:2", (3, 5, 7))):
         assert config_from_mapping({"experiment": "param_sweep", "p": text}).p == want

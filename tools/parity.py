@@ -5,10 +5,11 @@
 
 Each preset runs reduced: trials=2, workers=1, links=(1, 2) on the
 ``nlink`` robot (a pendulum reads no links), and a 0.1 s duration except
-for the ``param_sweep*`` and ``solve_times*`` presets, which keep theirs.  BLAS runs one thread.  The hash is the first 16 hex
-digits of the sha256 of the preset's CSV with the timing columns masked.
-Without ``--against`` the output is one JSON object: per preset, the
-hash, the ``actual_cost`` column (null where a row has none), each row's
+for the ``param_sweep*`` and ``solve_times*`` presets, which keep theirs.
+BLAS runs one thread.  The hash is the first 16 hex digits of the sha256
+of the preset's CSV with the timing columns masked.  Without
+``--against`` the output is one JSON object: per preset, the hash, the
+``actual_cost`` column (null where a row has none), each row's
 ``controller`` token (kind, p and generations, as ``empc:3:3``) and
 ``digest`` (the same hash of that row alone) and the summed
 ``failures``.  With ``--against`` it is, per preset, whether the hash is
