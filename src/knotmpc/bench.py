@@ -23,18 +23,20 @@ fixed for every experiment: the tracking weights and torque bounds
 (``make_template``), the solver settings (``QpSettings()``) and the EMPC
 population size (``empc``'s ``_NUM_SIMS`` and ``_NUM_PARENTS``).
 
-Config format.  One ``key = value`` per line; the keys are the fields of
-``ExperimentConfig``, each at most once, and only ``experiment`` is
-required; a key that the experiment never reads is an error
-(``ExperimentConfig.unread_keys``).  ``#`` starts a comment, blank lines
-are skipped.  A field typed as a tuple of numbers takes a comma list
-whose items are numbers or ranges ``a:b`` and ``a:b:step`` (step 1 by
-default): a range runs up from ``a`` and includes ``b`` when a whole
-number of steps lands on it, so ``p = 1,2,4:6`` gives (1, 2, 4, 5, 6)
-and ``multipliers = 0.5:1.5:0.5`` gives (0.5, 1.0, 1.5).  On an integer
-field the endpoints and the step must be integers.  ``controllers`` is a
-plain comma list of controller tokens (see ``parse_controller_token``),
-which contain ``:`` themselves.
+Config format.  A config file is TOML (read by the stdlib's ``tomllib``,
+so Python >= 3.11) whose top-level keys are the fields of
+``ExperimentConfig``, each at most once; only ``experiment`` is
+required, and a key that the experiment never reads is an error
+(``ExperimentConfig.unread_keys``).  ``links``, ``p``, ``horizons``,
+``multipliers`` and ``controllers`` take non-empty arrays, every other
+key a single value: ``experiment``, ``robot`` and ``out`` a string,
+``T``, ``trials``, ``seed`` and ``workers`` an integer, ``duration`` and
+``rate`` a number.  For example::
+
+    experiment = "closedloop_comparison"
+    robot = "nlink"
+    links = [2, 4]
+    controllers = ["large", "empc:3:3"]  # tokens, see parse_controller_token
 
 Each trial's rows depend only on the config and the trial index (never
 on scheduling), so results are reproducible for a fixed seed under any
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -149,6 +152,8 @@ class ExperimentConfig:
             raise ConfigError(f"T: horizon must be >= 1, got {self.T}")
         if self.trials < 1:
             raise ConfigError(f"trials: must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         # every float field, before the checks below: NaN passes each x <= 0,
         # and an infinite duration or rate overflows round(duration * rate)
         for name, hint in typing.get_type_hints(ExperimentConfig).items():
@@ -235,10 +240,6 @@ def parse_controller_token(token: str) -> Controller:
         raise ConfigError(f"controllers: {e} in {token!r}") from e
 
 
-# ---------------------------------------------------------------------------
-# config file format (described in the module docstring)
-
-
 def _parse_int(text: str, field_name: str) -> int:
     try:
         return int(text)
@@ -246,109 +247,65 @@ def _parse_int(text: str, field_name: str) -> int:
         raise ConfigError(f"{field_name}: expected an integer, got {text!r}") from e
 
 
-def _parse_list(text: str, cast, field_name: str):
-    """Comma list of ``cast`` values and inclusive ranges, as the module
-    docstring describes."""
-    items = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if ":" in chunk:
-            parts = chunk.split(":")
-            if len(parts) not in (2, 3):
-                raise ConfigError(f"{field_name}: bad range {chunk!r}, expected a:b or a:b:step")
-            try:
-                a, b = cast(parts[0]), cast(parts[1])
-                step = cast(parts[2]) if len(parts) == 3 else cast(1)
-            except ValueError as e:
-                raise ConfigError(f"{field_name}: bad range {chunk!r}, expected {cast.__name__} bounds and step") from e
-            if not (np.isfinite(a) and np.isfinite(b)):
-                raise ConfigError(f"{field_name}: range {chunk!r} needs finite ends")
-            if not step > 0:
-                raise ConfigError(f"{field_name}: range step must be positive in {chunk!r}")
-            if not b >= a:
-                raise ConfigError(f"{field_name}: range {chunk!r} ends below its start")
-            # a slack of 1e-9 steps keeps an end that float steps reach only up to rounding
-            count = int((b - a) / step + 1e-9) + 1
-            items.extend(cast(round(a + i * step, 12)) for i in range(count))
-        else:
-            try:
-                items.append(cast(chunk))
-            except ValueError as e:
-                raise ConfigError(f"{field_name}: expected {cast.__name__}, got {chunk!r}") from e
-    if not items:
-        raise ConfigError(f"{field_name}: empty list")
-    return tuple(items)
+# ---------------------------------------------------------------------------
+# config files (the format is in the module docstring)
 
 
-def _parse_value(text: str, hint, key: str):
-    """Parse one value by its ``ExperimentConfig`` annotation."""
+# the types a scalar field's value may have; bool is an int to Python, never here
+_SCALAR_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _field_value(value, hint, key: str):
+    """``value`` as the field annotated ``hint`` stores it: a tuple field
+    takes a non-empty array of its item type, a float field any number."""
     if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        if item is str:  # controller tokens contain ':', so no ranges
-            tokens = tuple(t.strip() for t in text.split(",") if t.strip())
-            if not tokens:
-                raise ConfigError(f"{key}: empty list")
-            return tokens
-        return _parse_list(text, item, key)
-    if hint is str:
-        return text.strip()
-    if hint is int:
-        return _parse_int(text, key)
-    try:
-        return float(text)
-    except ValueError as e:
-        raise ConfigError(f"{key}: expected a number, got {text!r}") from e
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key}: expected an array, got {value!r}")
+        if not value:
+            raise ConfigError(f"{key}: empty list")
+        return tuple(_field_value(item, typing.get_args(hint)[0], key) for item in value)
+    types, name = _SCALAR_TYPES[hint]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"{key}: expected {name}, got {value!r}")
+    return float(value) if hint is float else value
 
 
-def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
+def config_from_mapping(raw: dict) -> ExperimentConfig:
+    """A validated config from parsed values, such as a TOML table's."""
     if "experiment" not in raw:
         raise ConfigError("experiment: missing (this key is required)")
     schema = typing.get_type_hints(ExperimentConfig)
     kwargs = {}
-    for key, text in raw.items():
+    for key, value in raw.items():
         if key not in schema:
             raise ConfigError(f"{key}: unknown config key")
-        kwargs[key] = _parse_value(text, schema[key], key)
+        kwargs[key] = _field_value(value, schema[key], key)
     cfg = ExperimentConfig(**kwargs)
     cfg.validate(given=raw)
     return cfg
 
 
 def load_config(path: str) -> ExperimentConfig:
-    """Read a config file in the format of the module docstring."""
-    raw, line_of = {}, {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in line_of:
-                raise ConfigError(f"{key}: set twice, on lines {line_of[key]} and {lineno}")
-            line_of[key] = lineno
-            raw[key] = value.strip()
+    """Read a TOML config file, as the module docstring describes."""
+    import tomllib  # here, so that importing knotmpc does not load it
+
+    with open(path, "rb") as fh:
+        try:
+            raw = tomllib.load(fh)
+        except (tomllib.TOMLDecodeError, UnicodeDecodeError) as e:
+            raise ConfigError(f"{path}: {e}") from e
     return config_from_mapping(raw)
 
 
 def dump_config(cfg: ExperimentConfig) -> str:
-    """Render the keys of a config that its run reads back into the file
-    format (used by preset export)."""
-    lines = []
+    """The keys of a config that its run reads, as a TOML config file
+    (used by preset export); a tuple becomes an array."""
     unread = cfg.unread_keys()
-    for f in fields(cfg):
-        val = getattr(cfg, f.name)
-        if f.name in unread:
-            continue
-        if isinstance(val, tuple):
-            if not val:
-                continue
-            val = ",".join(str(v) for v in val)
-        lines.append(f"{f.name} = {val}")
+    lines = [
+        f"{f.name} = {json.dumps(value)}"
+        for f in fields(cfg)
+        if f.name not in unread and (value := getattr(cfg, f.name)) != ()
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -491,19 +448,7 @@ def _row(task: _Task, controller: Controller, T: int, x0, xg, report=None, **ext
         steps=int(round(cfg.duration * cfg.rate)),
     )
     if report is not None:
-        row.update(
-            actual_cost=report.actual_cost,
-            rise_time=report.rise_time,
-            overshoot=report.overshoot,
-            itae=report.itae,
-            opt_time_q1=report.opt_time_quartiles[0],
-            opt_time_med=report.opt_time_quartiles[1],
-            opt_time_q3=report.opt_time_quartiles[2],
-            mpc_time_q1=report.mpc_time_quartiles[0],
-            mpc_time_med=report.mpc_time_quartiles[1],
-            mpc_time_q3=report.mpc_time_quartiles[2],
-            failures=report.failures,
-        )
+        row.update(vars(report))
     row.update(extra)
     return row
 
@@ -523,7 +468,7 @@ def _closed_loop(plant, controller, template, x0, xg, cfg, *, controller_plant=N
         cfg.rate,
         controller_plant=controller_plant,
     )
-    return compute_metrics(result, template.Q, template.R, xg, cfg.rate, plant.m)
+    return compute_metrics(result, template.Q, template.R, xg, cfg.rate)
 
 
 def _run_comparison(task: _Task) -> list[dict]:

@@ -1,9 +1,10 @@
 """Command line front end.
 
 ``knotmpc run <config-file-or-preset>`` executes one experiment and
-writes its CSV; ``knotmpc presets`` lists the bundled experiment
-presets.  Exit codes: 0 on success, 1 on a bad config, 2 on a runtime
-failure.
+writes its CSV, from a TOML config file (``knotmpc.bench`` describes its
+keys) or a preset name; ``knotmpc presets`` lists the bundled experiment
+presets, and ``--write DIR`` also writes each as ``<name>.toml``.  Exit
+codes: 0 on success, 1 on a bad config, 2 on a runtime failure.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment from a config file or preset name")
-    run.add_argument("config", help="path to a key=value config file, or a preset name")
+    run.add_argument("config", help="path to a TOML config file, or a preset name")
     run.add_argument("--seed", type=int, default=None, help="override the experiment seed")
     run.add_argument("--out", default=".", metavar="DIR", help="directory for the output CSV")
     run.add_argument("--workers", type=int, default=None, help="trial-level process count")
     run.add_argument("--trials", type=int, default=None, help="override the trial count")
 
     pre = sub.add_parser("presets", help="list bundled presets")
-    pre.add_argument("--write", metavar="DIR", default=None, help="also write each preset as a config file")
+    pre.add_argument("--write", metavar="DIR", default=None, help="also write each preset as a TOML config file")
     return parser
 
 
@@ -63,7 +64,7 @@ def _cmd_presets(args) -> int:
     if args.write is not None:
         os.makedirs(args.write, exist_ok=True)
         for name in sorted(PRESETS):
-            path = os.path.join(args.write, f"{name}.cfg")
+            path = os.path.join(args.write, f"{name}.toml")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(dump_config(preset_config(name)))
             print(f"wrote {path}")

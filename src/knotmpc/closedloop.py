@@ -241,13 +241,19 @@ class MetricsReport:
     rise_time: float  # median across joints, s (NaN if never reached)
     overshoot: float  # median across joints, percent
     itae: float  # median across joints
-    opt_time_quartiles: tuple[float, float, float]  # (q1, median, q3)
-    mpc_time_quartiles: tuple[float, float, float]
+    opt_time_q1: float  # quartiles of the per-step times, s
+    opt_time_med: float
+    opt_time_q3: float
+    mpc_time_q1: float
+    mpc_time_med: float
+    mpc_time_q3: float
     failures: int
 
 
-def compute_metrics(result: SimResult, spec_Q, spec_R, x_goal, rate: float, n_joints: int) -> MetricsReport:
-    """Aggregate a run into one report; joint-level metrics take medians."""
+def compute_metrics(result: SimResult, spec_Q, spec_R, x_goal, rate: float) -> MetricsReport:
+    """Aggregate a run into one report; joint-level metrics take medians.
+    The fields are the names of the harness's CSV columns."""
+    n_joints = result.inputs.shape[1]
     x0 = result.states[0]
     pos = result.states[:, :n_joints]
     rt = rise_time(pos, x0[:n_joints], x_goal[:n_joints], rate)
@@ -260,7 +266,11 @@ def compute_metrics(result: SimResult, spec_Q, spec_R, x_goal, rate: float, n_jo
         rise_time=float(np.median(rt)),
         overshoot=float(np.median(ov)),
         itae=float(np.median(ia)),
-        opt_time_quartiles=(float(q1), float(med), float(q3)),
-        mpc_time_quartiles=(float(m1), float(mmed), float(m3)),
+        opt_time_q1=float(q1),
+        opt_time_med=float(med),
+        opt_time_q3=float(q3),
+        mpc_time_q1=float(m1),
+        mpc_time_med=float(mmed),
+        mpc_time_q3=float(m3),
         failures=result.failures,
     )

@@ -52,7 +52,7 @@ def test_token_grammar():
 
 
 def test_token_errors():
-    for bad in ("small:3", "small_param", "empc:3", "empc", "huge", "large_param", "empc:0:1"):
+    for bad in ("small:3", "small_param", "empc:3", "empc", "huge", "large_param", "empc:0:1", "small_param:x"):
         with pytest.raises(ConfigError):
             parse_controller_token(bad)
 
@@ -81,33 +81,30 @@ def test_token_kinds_are_controller_kinds():
 # ---------------------------------------------------------------------------
 # config parsing
 
-def test_config_from_mapping_parses_lists_and_ranges():
+def test_config_from_mapping_takes_typed_values():
     cfg = config_from_mapping({
         "experiment": "param_sweep",
         "robot": "nlink",
-        "p": "1,2,4:6",
-        "trials": "3",
-        "links": "2",
+        "p": [1, 2, 4, 5, 6],
+        "trials": 3,
+        "links": [2],
     })
     assert cfg.p == (1, 2, 4, 5, 6)
     assert cfg.trials == 3
     assert cfg.links == (2,)
-    cfg = config_from_mapping({"experiment": "robustness", "multipliers": "0.5:1.5:0.5"})
-    assert cfg.multipliers == (0.5, 1.0, 1.5)
-    # a range stops at its end, also when the step does not land on it
-    for text, want in (("1:4:2", (1, 3)), ("2:2", (2,)), ("3,5:7:2", (3, 5, 7))):
-        assert config_from_mapping({"experiment": "param_sweep", "p": text}).p == want
-    for text, want in (("0.5:1.2:0.5", (0.5, 1.0)), ("0.5:1.1:0.1", (0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1))):
-        assert config_from_mapping({"experiment": "robustness", "multipliers": text}).multipliers == want
+    # a float field takes any number and stores a float
+    cfg = config_from_mapping({"experiment": "robustness", "multipliers": [0.5, 1, 1.5], "rate": 50})
+    assert cfg.multipliers == (0.5, 1.0, 1.5) and all(type(m) is float for m in cfg.multipliers)
+    assert type(cfg.rate) is float
 
 
 def test_load_config_ignores_comments(tmp_path):
-    path = tmp_path / "exp.cfg"
+    path = tmp_path / "exp.toml"
     path.write_text(
         "# sweep over knot counts\n"
-        "experiment = param_sweep\n"
-        "robot = pendulum\n\n"
-        "p = 1,2,4   # knot counts\n"
+        'experiment = "param_sweep"\n'
+        'robot = "pendulum"\n\n'
+        "p = [1, 2, 4]   # knot counts\n"
         "trials = 2\n"
     )
     cfg = load_config(str(path))
@@ -124,43 +121,71 @@ def test_config_errors():
     with pytest.raises(ConfigError):
         config_from_mapping({"experiment": "param_sweep", "color": "red"})
     with pytest.raises(ConfigError):
-        config_from_mapping({"experiment": "param_sweep", "trials": "0"})
+        config_from_mapping({"experiment": "param_sweep", "trials": 0})
     with pytest.raises(ConfigError):
         config_from_mapping({"experiment": "param_sweep", "robot": "quadrotor"})
     with pytest.raises(ConfigError):
-        config_from_mapping({"experiment": "robustness", "duration": "0.004", "rate": "100"})  # zero steps
-    # an int list takes integer endpoints and steps only, and a range must not run backwards
-    for text in ("1:2:0.5", "1.5:3", "1:2.0", "3,5:1", "2:1:1", "1:3:0", "1:2:3:4"):
+        config_from_mapping({"experiment": "robustness", "duration": 0.004, "rate": 100})  # zero steps
+    # an int list takes integers only
+    for value in ([1, 2.5], [1.0], [True], ["3"]):
         with pytest.raises(ConfigError, match="p: "):
-            config_from_mapping({"experiment": "param_sweep", "p": text})
-    with pytest.raises(ConfigError, match="multipliers: "):
-        config_from_mapping({"experiment": "robustness", "multipliers": "1.5:0.5"})
+            config_from_mapping({"experiment": "param_sweep", "p": value})
+
+
+# each field's range check, with a value of the right type just outside it
+_OUT_OF_RANGE = [
+    ("links", [2, 0]),
+    ("T", 0),
+    ("trials", -1),
+    ("seed", -1),
+    ("duration", -0.5),
+    ("rate", 0),
+    ("workers", 0),
+    ("p", [1, 0]),
+    ("horizons", [5, 0]),
+    ("multipliers", [0.5, 0.0]),
+]
+
+
+@pytest.mark.parametrize("key, value", _OUT_OF_RANGE)
+def test_out_of_range_values_are_config_errors(key, value):
+    experiment = {"p": "param_sweep", "horizons": "horizon_sweep"}.get(key, "robustness")
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        config_from_mapping({"experiment": experiment, "robot": "nlink", key: value})
+
+
+def _toml_value(key: str, text: str) -> str:
+    """``key = text`` as a TOML line, with ``text`` as an array's items on a tuple field."""
+    array = isinstance(getattr(ExperimentConfig("robustness"), key), tuple)
+    return f"{key} = [{text}]" if array else f"{key} = {text}"
 
 
 @pytest.mark.parametrize(
     "key, text",
     [("multipliers", "nan")]
     + [(key, text) for key in ("duration", "rate") for text in ("nan", "inf")]
-    + [("multipliers", "0.5,inf"), ("multipliers", "0.5:inf")],
+    + [("multipliers", "0.5,inf")],
 )
-def test_non_finite_numbers_are_config_errors(key, text):
+def test_non_finite_numbers_are_config_errors(tmp_path, key, text):
     # NaN passes every ``x <= 0`` check and inf overflows round(duration * rate):
     # both must be reported as a bad config, which the CLI exits 1 on
+    path = tmp_path / "exp.toml"
+    path.write_text(f'experiment = "robustness"\n{_toml_value(key, text)}\n')
     with pytest.raises(ConfigError, match=f"{key}: "):
-        config_from_mapping({"experiment": "robustness", key: text})
+        load_config(str(path))
 
 
 # the keys of the settings that are now fixed, each with a value it once accepted
 _REMOVED_KEYS = {
-    "u_max": "2.0",
-    "q_pos": "10.0",
-    "q_vel": "0.1",
-    "r_input": "0.01",
-    "qp_eps_prim": "1e-6",
-    "qp_eps_dual": "1e-6",
-    "qp_max_iters": "20000",
-    "empc_sims": "1024",
-    "empc_parents": "64",
+    "u_max": 2.0,
+    "q_pos": 10.0,
+    "q_vel": 0.1,
+    "r_input": 0.01,
+    "qp_eps_prim": 1e-6,
+    "qp_eps_dual": 1e-6,
+    "qp_max_iters": 20000,
+    "empc_sims": 1024,
+    "empc_parents": 64,
 }
 
 
@@ -170,17 +195,17 @@ def test_removed_keys_are_unknown(tmp_path, capsys, key):
     # config that sets one fails loudly instead of being ignored
     with pytest.raises(ConfigError, match=f"^{key}: unknown config key$"):
         config_from_mapping({"experiment": "robustness", key: _REMOVED_KEYS[key]})
-    path = tmp_path / "old.cfg"
-    path.write_text(f"experiment = robustness\n{key} = {_REMOVED_KEYS[key]}\n")
+    path = tmp_path / "old.toml"
+    path.write_text(f'experiment = "robustness"\n{key} = {_REMOVED_KEYS[key]}\n')
     assert main(["run", str(path), "--out", str(tmp_path)]) == 1
     assert f"{key}: unknown config key" in capsys.readouterr().err
     assert not (tmp_path / "results.csv").exists()
 
 
 def test_load_config_rejects_repeated_keys(tmp_path):
-    path = tmp_path / "exp.cfg"
-    path.write_text("experiment = param_sweep\ntrials = 2\n# fewer\ntrials = 1\n")
-    with pytest.raises(ConfigError, match="trials: set twice, on lines 2 and 4"):
+    path = tmp_path / "exp.toml"
+    path.write_text('experiment = "param_sweep"\ntrials = 2\n# fewer\ntrials = 1\n')
+    with pytest.raises(ConfigError, match="line 4"):
         load_config(str(path))
 
 
@@ -208,7 +233,7 @@ def test_dump_load_round_trip_of_every_field(tmp_path):
     ]
     assert all(any(getattr(c, f.name) != f.default for c in cfgs) for f in fields(ExperimentConfig))
     for cfg in cfgs:
-        path = tmp_path / "all.cfg"
+        path = tmp_path / "all.toml"
         path.write_text(dump_config(cfg))
         assert load_config(str(path)) == cfg
 
@@ -217,7 +242,7 @@ def test_dump_load_round_trip(tmp_path):
     for name in sorted(PRESETS):
         cfg = preset_config(name)
         text = dump_config(cfg)
-        path = tmp_path / f"{name}.cfg"
+        path = tmp_path / f"{name}.toml"
         path.write_text(text)
         again = load_config(str(path))
         assert again == cfg
@@ -230,13 +255,13 @@ def test_preset_config_unknown():
 
 def test_knot_counts_must_fit_the_horizon():
     with pytest.raises(ConfigError, match="horizon"):
-        config_from_mapping({"experiment": "closedloop_comparison", "T": "4", "controllers": "small_param:5"})
+        config_from_mapping({"experiment": "closedloop_comparison", "T": 4, "controllers": ["small_param:5"]})
     with pytest.raises(ConfigError, match="horizon"):
-        config_from_mapping({"experiment": "robustness", "T": "6"})  # default small_param:8
+        config_from_mapping({"experiment": "robustness", "T": 6})  # default small_param:8
     with pytest.raises(ConfigError, match="horizon"):
-        config_from_mapping({"experiment": "param_sweep", "duration": "0.1", "rate": "100", "p": "1,11"})
-    config_from_mapping({"experiment": "param_sweep", "duration": "0.1", "rate": "100", "p": "1,10"})
-    config_from_mapping({"experiment": "closedloop_comparison", "T": "5", "controllers": "empc:5:2"})
+        config_from_mapping({"experiment": "param_sweep", "duration": 0.1, "rate": 100, "p": [1, 11]})
+    config_from_mapping({"experiment": "param_sweep", "duration": 0.1, "rate": 100, "p": [1, 10]})
+    config_from_mapping({"experiment": "closedloop_comparison", "T": 5, "controllers": ["empc:5:2"]})
 
 
 def test_all_presets_validate():
@@ -325,16 +350,16 @@ def test_sample_endpoints_unit_step():
 
 # each experiment's tiny keys, only those its run reads
 _TINY = {
-    "param_sweep": {"duration": "0.3", "p": "1,2"},
-    "horizon_sweep": {"duration": "0.3", "T": "10", "horizons": "5,10"},
-    "robustness": {"duration": "0.3", "T": "10", "multipliers": "0.8,1.0"},
-    "solve_time_scaling": {"T": "10"},
-    "closedloop_comparison": {"duration": "0.3", "T": "10"},
+    "param_sweep": {"duration": 0.3, "p": [1, 2]},
+    "horizon_sweep": {"duration": 0.3, "T": 10, "horizons": [5, 10]},
+    "robustness": {"duration": 0.3, "T": 10, "multipliers": [0.8, 1.0]},
+    "solve_time_scaling": {"T": 10},
+    "closedloop_comparison": {"duration": 0.3, "T": 10},
 }
 
 
 def _tiny(experiment, **kw):
-    base = {"experiment": experiment, "robot": "pendulum_nograv", "trials": "1", **_TINY[experiment]}
+    base = {"experiment": experiment, "robot": "pendulum_nograv", "trials": 1, **_TINY[experiment]}
     base.update(kw)
     return config_from_mapping(base)
 
@@ -343,7 +368,7 @@ def _tiny(experiment, **kw):
 def test_tiny_run_produces_rows(tmp_path, experiment):
     kw = {}
     if experiment == "closedloop_comparison":
-        kw["controllers"] = "small,small_param:2"
+        kw["controllers"] = ["small", "small_param:2"]
     cfg = _tiny(experiment, **kw)
     rows = run_experiment(cfg, out_dir=str(tmp_path))
     assert rows, "no rows produced"
@@ -365,7 +390,7 @@ def test_horizon_sweep_simulates_each_horizon_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench, "run_closed_loop", counting)
     # the baseline horizon T = 10 is also swept, and 5 is listed twice
-    rows = run_experiment(_tiny("horizon_sweep", horizons="5,10,5"), out_dir=str(tmp_path))
+    rows = run_experiment(_tiny("horizon_sweep", horizons=[5, 10, 5]), out_dir=str(tmp_path))
     assert sorted(horizons) == [5, 10]
     assert sorted(r["T"] for r in rows) == [5, 5, 10]
     five = [r["actual_cost"] for r in rows if r["T"] == 5]
@@ -386,7 +411,7 @@ def test_solve_time_scaling_runs_one_closed_loop_step_per_controller(tmp_path, m
         return res
 
     monkeypatch.setattr(bench, "run_closed_loop", recording)
-    cfg = _tiny("solve_time_scaling", robot="nlink", links="1", controllers="large,small,small_param:2,empc:2:1")
+    cfg = _tiny("solve_time_scaling", robot="nlink", links=[1], controllers=["large", "small", "small_param:2", "empc:2:1"])
     run_experiment(cfg, out_dir=str(tmp_path))
     assert sorted(results) == ["empc", "large", "small", "small_param"]
     with open(tmp_path / cfg.out, encoding="utf-8", newline="") as fh:
@@ -413,10 +438,11 @@ def test_sweeps_reject_a_controllers_key():
     # the sweeps fix their controllers, so a controllers key would be ignored
     for experiment in ("param_sweep", "horizon_sweep"):
         with pytest.raises(ConfigError, match="controllers"):
-            config_from_mapping({"experiment": experiment, "controllers": "small"})
+            config_from_mapping({"experiment": experiment, "controllers": ["small"]})
 
 
-# keys a run never reads, each with a value it would accept, as text and parsed
+# keys a run never reads, each with a value it would accept, as TOML text
+# (an array's items on a tuple field) and as a value
 _UNREAD_KEYS = [
     ("param_sweep", "T", "10", 10),
     ("param_sweep", "horizons", "5,10", (5, 10)),
@@ -436,14 +462,17 @@ _UNREAD_KEYS = [
 
 
 @pytest.mark.parametrize("experiment, key, text, value", _UNREAD_KEYS)
-def test_a_key_the_run_never_reads_is_a_config_error(experiment, key, text, value):
+def test_a_key_the_run_never_reads_is_a_config_error(tmp_path, experiment, key, text, value):
     # an ignored key would only mislead, also when it is set to its default
+    path = tmp_path / "exp.toml"
+    path.write_text(f'experiment = "{experiment}"\n{_toml_value(key, text)}\n')
     with pytest.raises(ConfigError, match=f"^{key}: {experiment} on pendulum never reads this key"):
-        config_from_mapping({"experiment": experiment, key: text})
+        load_config(str(path))
+    with pytest.raises(ConfigError, match=f"^{key}: {experiment} on pendulum never reads this key"):
+        config_from_mapping({"experiment": experiment, key: value})
     default = getattr(ExperimentConfig(experiment), key)
-    default_text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
     with pytest.raises(ConfigError, match=f"^{key}: "):
-        config_from_mapping({"experiment": experiment, key: default_text})
+        config_from_mapping({"experiment": experiment, key: default})
     # a config built in code validates the fields that differ from their defaults
     with pytest.raises(ConfigError, match=f"^{key}: "):
         replace(ExperimentConfig(experiment), **{key: value}).validate()
@@ -453,18 +482,19 @@ def test_a_key_the_run_never_reads_is_a_config_error(experiment, key, text, valu
 def test_links_of_a_pendulum_is_a_config_error():
     for robot in ("pendulum", "pendulum_nograv"):
         with pytest.raises(ConfigError, match=f"^links: param_sweep on {robot} never reads this key"):
-            config_from_mapping({"experiment": "param_sweep", "robot": robot, "links": "1"})
-    assert config_from_mapping({"experiment": "param_sweep", "robot": "nlink", "links": "1"}).links == (1,)
+            config_from_mapping({"experiment": "param_sweep", "robot": robot, "links": [1]})
+    assert config_from_mapping({"experiment": "param_sweep", "robot": "nlink", "links": [1]}).links == (1,)
 
 
 @pytest.mark.parametrize("experiment", ["closedloop_comparison", "horizon_sweep"])
-@pytest.mark.parametrize("text", ["", " , "])
+@pytest.mark.parametrize("text", ["", "\n"])
 def test_empty_controllers_is_a_config_error(tmp_path, experiment, text):
-    # an empty list would otherwise fall back to the default controllers
+    # an empty list would otherwise fall back to the default controllers;
+    # the file writes it on one line and across two
     with pytest.raises(ConfigError, match="controllers: empty list"):
-        config_from_mapping({"experiment": experiment, "controllers": text})
-    path = tmp_path / "empty.cfg"
-    path.write_text(f"experiment = {experiment}\ncontrollers = {text}\n")
+        config_from_mapping({"experiment": experiment, "controllers": []})
+    path = tmp_path / "empty.toml"
+    path.write_text(f'experiment = "{experiment}"\ncontrollers = [{text}]\n')
     with pytest.raises(ConfigError, match="controllers: empty list"):
         load_config(str(path))
 
@@ -478,8 +508,7 @@ def test_param_sweep_has_cost_ratio(tmp_path):
 
 
 def test_worker_count_does_not_change_results(tmp_path):
-    cfg = _tiny("closedloop_comparison", controllers="small,small_param:2,empc:2:1",
-                trials="2")
+    cfg = _tiny("closedloop_comparison", controllers=["small", "small_param:2", "empc:2:1"], trials=2)
     texts = []
     for workers in (1, 1, 2):
         rows = run_experiment(replace(cfg, workers=workers), out_dir=str(tmp_path))
@@ -491,9 +520,9 @@ _ROBUSTNESS_ROWS = """
 import sys
 from knotmpc.bench import config_from_mapping, rows_to_csv_text, run_experiment
 cfg = config_from_mapping({
-    "experiment": "robustness", "robot": "pendulum_nograv", "trials": "1",
-    "duration": "0.1", "T": "10", "multipliers": "0.8,1.0",
-    "controllers": "small,empc:2:1",
+    "experiment": "robustness", "robot": "pendulum_nograv", "trials": 1,
+    "duration": 0.1, "T": 10, "multipliers": [0.8, 1.0],
+    "controllers": ["small", "empc:2:1"],
 })
 sys.stdout.write(rows_to_csv_text(run_experiment(cfg, out_dir=sys.argv[1]), include_timing=False))
 """
@@ -519,8 +548,8 @@ def test_robustness_rows_independent_of_hash_seed(tmp_path):
 def test_seed_changes_rows(tmp_path):
     cfg_a = _tiny("param_sweep")
     cfg_b = config_from_mapping({
-        "experiment": "param_sweep", "robot": "pendulum_nograv", "trials": "1",
-        "duration": "0.3", "p": "1,2", "seed": "99",
+        "experiment": "param_sweep", "robot": "pendulum_nograv", "trials": 1,
+        "duration": 0.3, "p": [1, 2], "seed": 99,
     })
     ra = run_experiment(cfg_a, out_dir=str(tmp_path))
     rb = run_experiment(cfg_b, out_dir=str(tmp_path))

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -11,9 +12,9 @@ import knotmpc
 from knotmpc.cli import main
 
 TINY = """\
-experiment = param_sweep
-robot = pendulum_nograv
-p = 1,2
+experiment = "param_sweep"
+robot = "pendulum_nograv"
+p = [1, 2]
 trials = 1
 duration = 0.3
 """
@@ -21,7 +22,7 @@ duration = 0.3
 
 @pytest.fixture
 def tiny_config(tmp_path):
-    path = tmp_path / "tiny.cfg"
+    path = tmp_path / "tiny.toml"
     path.write_text(TINY)
     return path
 
@@ -62,20 +63,52 @@ def test_run_seed_override(tiny_config, tmp_path):
 
 
 def test_run_missing_file_fails():
-    assert main(["run", "/nonexistent/exp.cfg"]) == 1
+    assert main(["run", "/nonexistent/exp.toml"]) == 1
 
 
 def test_run_invalid_config(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("experiment = time_travel\n")
+    bad = tmp_path / "bad.toml"
+    bad.write_text('experiment = "time_travel"\n')
     assert main(["run", str(bad)]) == 1
+
+
+# files `knotmpc run` must refuse as a bad config, each with a word its message names
+_BAD_FILES = {
+    "malformed": ('experiment = "robustness\n', "line 1"),
+    "repeated-key": ('experiment = "robustness"\nT = 10\nT = 20\n', "line 3"),
+    "string-for-number": ('experiment = "robustness"\nrate = "100"\n', "rate: expected a number"),
+    "bool-for-int": ('experiment = "robustness"\ntrials = true\n', "trials: expected an integer"),
+    "scalar-for-array": ('experiment = "robustness"\nmultipliers = 0.8\n', "multipliers: expected an array"),
+    "empty-array": ('experiment = "robustness"\ncontrollers = []\n', "controllers: empty list"),
+    "table": ('experiment = "robustness"\n[solver]\nmax_iters = 10\n', "solver: unknown config key"),
+    "inline-table": ('experiment = "robustness"\nT = {steps = 10}\n', "T: expected an integer"),
+    "negative-seed": ('experiment = "robustness"\nseed = -1\n', "seed: must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("name", _BAD_FILES)
+def test_run_rejects_a_bad_config_file(tmp_path, capsys, name):
+    text, message = _BAD_FILES[name]
+    path = tmp_path / "bad.toml"
+    path.write_text(text)
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_negative_seed_override_is_a_config_error(tiny_config, tmp_path, capsys):
+    # a bad config (exit 1), not a failure inside the run's SeedSequence (exit 2)
+    assert main(["run", str(tiny_config), "--out", str(tmp_path), "--seed", "-3"]) == 1
+    assert "seed: must be >= 0, got -3" in capsys.readouterr().err
+    assert main(["run", "param_sweep_linear", "--out", str(tmp_path), "--seed", "-3"]) == 1
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_run_knots_beyond_horizon_is_a_config_error(tmp_path, capsys):
     # caught by validation (exit 1), not by the knot schedule mid-run (exit 2)
     cases = {
-        "tokens.cfg": "experiment = closedloop_comparison\nT = 4\ncontrollers = small,small_param:5\n",
-        "sweep.cfg": "experiment = param_sweep\nrobot = pendulum_nograv\nduration = 0.05\np = 1,6\n",
+        "tokens.toml": 'experiment = "closedloop_comparison"\nT = 4\ncontrollers = ["small", "small_param:5"]\n',
+        "sweep.toml": 'experiment = "param_sweep"\nrobot = "pendulum_nograv"\nduration = 0.05\np = [1, 6]\n',
     }
     for name, text in cases.items():
         path = tmp_path / name
@@ -94,8 +127,8 @@ def test_presets_listing(capsys):
 
 def test_presets_write(tmp_path, capsys):
     assert main(["presets", "--write", str(tmp_path)]) == 0
-    files = sorted(p.name for p in tmp_path.glob("*.cfg"))
-    assert "param_sweep_linear.cfg" in files
+    files = sorted(p.name for p in tmp_path.glob("*.toml"))
+    assert "param_sweep_linear.toml" in files
     assert len(files) == 8
 
 
@@ -104,7 +137,7 @@ def test_presets_write_loads_back_as_the_presets(tmp_path):
 
     assert main(["presets", "--write", str(tmp_path)]) == 0
     for name in PRESETS:
-        assert load_config(str(tmp_path / f"{name}.cfg")) == preset_config(name)
+        assert load_config(str(tmp_path / f"{name}.toml")) == preset_config(name)
 
 
 def test_run_workers_override(tiny_config, tmp_path, monkeypatch):
@@ -119,20 +152,26 @@ def test_run_workers_override(tiny_config, tmp_path, monkeypatch):
     assert seen == [1, 4]
 
 
+def _source_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(knotmpc.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_import_does_not_load_the_toml_parser():
+    # the parser loads only with a config file, so benchmark set-up does not pay for it
+    code = "import sys, knotmpc; print('tomllib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_source_env(), check=True)
+    assert proc.stdout.strip() == "False"
+
+
 def test_installed_entry_point():
     # `python -m knotmpc` runs the same main as the installed script, so this
     # works from a source checkout; the script mapping is checked below
-    src = str(Path(knotmpc.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "knotmpc", "presets"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = subprocess.run([sys.executable, "-m", "knotmpc", "presets"], capture_output=True, text=True,
+                          env=_source_env())
     assert proc.returncode == 0
     assert "param_sweep_linear" in proc.stdout
-    tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as f:
         scripts = tomllib.load(f)["project"]["scripts"]

@@ -471,9 +471,8 @@ def test_compute_metrics_quartiles():
     goal = np.array([0.5, 0.0])
     res = run_closed_loop(plant, Controller("small"), template,
                           x0=np.zeros(2), x_goal=goal, duration=1.0, rate=100.0)
-    rep = compute_metrics(res, template.Q, template.R, goal, 100.0, n_joints=1)
-    q1, q2, q3 = rep.opt_time_quartiles
-    assert q1 <= q2 <= q3
+    rep = compute_metrics(res, template.Q, template.R, goal, 100.0)
+    assert rep.opt_time_q1 <= rep.opt_time_med <= rep.opt_time_q3
     assert rep.actual_cost > 0
     assert rep.failures == 0
     assert np.isfinite(rep.rise_time)

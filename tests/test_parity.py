@@ -61,8 +61,8 @@ def test_against_exits_nonzero_when_parity_breaks(parity, monkeypatch, tmp_path,
     assert sorted(report) == sorted(PRESETS)
     assert report["horizon_sweep"]["failures_before"] == 1
     assert report["closedloop_arms"] == {
-        "hash_unchanged": True, "max_rel_actual_cost": 0.0, "changed_controllers": [],
-        "failures": 1, "failures_before": 1,
+        "hash_unchanged": True, "max_rel_actual_cost": 0.0, "actual_cost_gained": 0, "actual_cost_lost": 0,
+        "changed_controllers": [], "failures": 1, "failures_before": 1,
     }
 
 
@@ -82,6 +82,24 @@ def test_against_names_the_controllers_whose_rows_changed(parity, monkeypatch, t
     assert status == 1
     assert report["closedloop_arms"]["changed_controllers"] == ["empc:3:3"]
     assert all(report[name]["changed_controllers"] == [] for name in PRESETS if name != "closedloop_arms")
+
+
+def test_a_filled_cost_column_is_counted_apart_from_the_rows_that_moved(parity, monkeypatch, tmp_path, capsys):
+    # a row that gains a cost moved no solution, so it counts as gained, not as an inf change;
+    # only row lists of different lengths fail to pair up
+    recorded, current = _records(), _records()
+    current["solve_times_t50"]["actual_cost"] = [1.0, 2.0]
+    current["solve_times_t100"]["actual_cost"] = [1.5, 2.0]
+    current["horizon_sweep"]["actual_cost"] = [None, None]
+    current["closedloop_arms"]["actual_cost"] = [1.0, None, 3.0]
+    _, report = _against(parity, monkeypatch, tmp_path, capsys, recorded, current)
+    costs = {name: [report[name][k] for k in ("max_rel_actual_cost", "actual_cost_gained", "actual_cost_lost")]
+             for name in PRESETS}
+    assert costs["solve_times_t50"] == [0.0, 1, 0]
+    assert costs["solve_times_t100"] == [0.5, 1, 0]
+    assert costs["horizon_sweep"] == [0.0, 0, 1]
+    assert costs["closedloop_arms"] == [float("inf"), None, None]
+    assert costs["robustness_arm"] == [0.0, 0, 0]
 
 
 def test_against_a_record_without_digests_names_no_controllers(parity, monkeypatch, tmp_path, capsys):

@@ -525,6 +525,11 @@ def test_warm_start_must_be_finite():
         solver.solve(prob, warm=(np.full(18, np.nan), np.zeros(18)))
     with pytest.raises(ValueError, match="finite"):
         solver.solve(prob, warm=(np.zeros(18), np.full(18, np.inf)))
+    # and of the problem's size, on both paths
+    with pytest.raises(ValueError, match="wrong dimensions"):
+        solver.solve(prob, warm=(np.zeros(17), np.zeros(18)))
+    with pytest.raises(ValueError, match="wrong dimensions"):
+        solver.solve(_random_equality_problem(), warm=(np.zeros(6), np.zeros(3)))
 
 
 def test_walk_factors_once_per_pivot(monkeypatch):
@@ -588,3 +593,105 @@ def test_warm_box_solve_from_any_start_reaches_the_optimum(data):
     sol = AdmmSolver().solve(BoxQp(P, q, lb, ub), warm=(z, y))
     assert sol.status == "solved" and sol.iterations == 0
     np.testing.assert_allclose(sol.z, z_ref, rtol=0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the finishes' refusals: a candidate that fails a gate is never "solved"
+
+
+def _counting_cho_factor(monkeypatch) -> list:
+    calls = []
+    cho_factor = qp.sla.cho_factor
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(qp.sla, "cho_factor", counting)
+    return calls
+
+
+@pytest.mark.parametrize("path", ["box", "sparse"])
+def test_unbounded_qp_is_never_solved(monkeypatch, path):
+    # P = vv' is singular and q is outside its range, so the objective falls
+    # without bound along (1, -1).  The box walk's shifted retry and the
+    # sparse finish's regularized solve each return a candidate whose
+    # stationarity residual stays near |q|, so both are refused, and the
+    # loop ends at the iteration cap
+    v = np.ones(2)
+    P, q = np.outer(v, v), np.array([1.0, -1.0])
+    prob = BoxQp(P, q) if path == "box" else QpProblem(P, q, np.eye(2))
+    calls = _counting_cho_factor(monkeypatch)
+    sol = AdmmSolver(QpSettings(max_iters=50)).solve(prob)
+    assert (sol.status, sol.iterations) == ("max_iters", 50)
+    if path == "box":
+        assert calls == [(2, 2)] * 4  # a failed Cholesky and its shifted retry at each of two checks
+
+
+def test_walk_that_spends_its_pivot_cap_is_refused(monkeypatch):
+    # from the box's centre every optimum lies beyond ub = 1, each at its own
+    # distance, so the walk pins one coordinate per factorization and meets
+    # its cap of 150 pivots before the 200th; the warm attempt is dropped
+    # and ADMM's iterate, on the bounds already, finishes at the first check
+    d = 200
+    prob = BoxQp(0.5 * np.eye(d), -0.5 * (2.0 + 0.01 * np.arange(d)), -np.ones(d), np.ones(d))
+    calls = _counting_cho_factor(monkeypatch)
+    sol = AdmmSolver().solve(prob, warm=(np.zeros(d), np.zeros(d)))
+    assert len(calls) == 150
+    assert (sol.status, sol.iterations) == ("solved", 25)
+    np.testing.assert_array_equal(sol.z, 1.0)
+
+
+def test_wrong_sign_multiplier_is_refused():
+    # the warm dual pins z_0 at its lower bound, where the scaled gradient is
+    # -1e-9: below the walk's release threshold, so the walk stops, but the
+    # unscaled multiplier 1e-6 (E_0 = 1e3) has the wrong sign beyond the gate's
+    # 1e-8 relative tolerance.  The optimum z_0 = 1e-12 sits off that bound
+    prob = BoxQp(np.diag([5e5, 0.5]), np.array([-5e-7, 0.5]), np.zeros(2), np.ones(2))
+    sol = AdmmSolver().solve(prob, warm=(np.zeros(2), np.array([-1.0, -1.0])))
+    assert (sol.status, sol.iterations) == ("solved", 25)
+    np.testing.assert_allclose(sol.z, [1e-12, 0.0], atol=1e-18)
+
+
+def test_primal_gate_refuses_a_candidate_unscaled_past_its_bound():
+    # the walk pins z on the scaled bound E lb; unscaled, (E lb) / E lands one
+    # ulp (1.2e-4) below lb = 1e12 + 5, more than eps_prim, so the finish
+    # refuses the candidate instead of reporting an infeasible point
+    lb = 1e12 + 5.0
+    prob = BoxQp(np.array([[1.5]]), np.zeros(1), [lb], [np.inf])
+    P2 = 2.0 * prob.P
+    D = qp._box_scaling(P2)
+    E = 1.0 / D
+    assert (E * lb) / E < lb - QpSettings().eps_prim
+    P2s, q2s = D[:, None] * P2 * D[None, :], D * (2.0 * prob.q)
+    assert AdmmSolver()._polish_box(prob, P2s, q2s, D, E, E * prob.lb, E * prob.ub, E * prob.lb) is None
+
+
+def test_failed_equality_solve_is_refused(monkeypatch):
+    # with a PSD P the finish's regularized KKT matrix is quasi-definite and
+    # never singular; an indefinite P = -delta/2 cancels the regularization
+    # delta exactly, so with no active row the sparse LU fails, and the
+    # warm attempt is dropped for ADMM
+    results = []
+    polish_solve = AdmmSolver._polish_solve
+
+    def recording(self, *args):
+        results.append(polish_solve(self, *args))
+        return results[-1]
+
+    monkeypatch.setattr(AdmmSolver, "_polish_solve", recording)
+    prob = QpProblem(np.array([[-5e-10]]), np.zeros(1), np.eye(1), [-1.0], [1.0])
+    sol = AdmmSolver().solve(prob, warm=(np.zeros(1), np.zeros(1)))
+    assert results[0] is None
+    assert sol.iterations > 0
+
+
+def test_non_finite_stationarity_is_refused():
+    # |q| = 1e300 with no active row: the finish's regularized solve
+    # overflows, its stationarity residual is not finite, and the warm attempt
+    # is dropped; from ADMM's dual the finish then pins the lower bound
+    prob = QpProblem(np.array([[1e-20]]), np.array([1e300]), np.eye(1), [-1.0], [1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = AdmmSolver().solve(prob, warm=(np.zeros(1), np.zeros(1)))
+    assert (sol.status, sol.iterations) == ("solved", 25)
+    np.testing.assert_array_equal(sol.z, [-1.0])

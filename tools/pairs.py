@@ -386,7 +386,8 @@ def main(argv=None) -> int:
         print(f"{workload:10s} fixed work median over 401-410: track_cost rel {moves['median_track_cost_rel']!r}")
     for preset, p in (parity_report or {}).items():
         print(f"parity {preset:22s} hash {'unchanged' if p['hash_unchanged'] else 'changed'}, "
-              f"actual_cost rel {p['max_rel_actual_cost']!r}, failures {p['failures_before']} -> {p['failures']}")
+              f"actual_cost rel {p['max_rel_actual_cost']!r} (rows gained {p.get('actual_cost_gained')}, "
+              f"lost {p.get('actual_cost_lost')}), failures {p['failures_before']} -> {p['failures']}")
     print(f"wrote {out}")
     if any(r["exit"] != 0 or r["result"] is None for r in runs) or not fixed["compare"] or parity_report is None:
         print("a run gave no result or failed a check")

@@ -14,9 +14,11 @@ of the preset's CSV with the timing columns masked.  Without
 ``digest`` (the same hash of that row alone) and the summed
 ``failures``.  With ``--against`` it is, per preset, whether the hash is
 unchanged, the largest relative ``actual_cost`` change against the
-recorded side, the ``changed_controllers`` whose rows' digests differ
-(null against a record without digests) and the failures of both sides;
-the exit status is 1 when a hash changed or failures rose, else 0.
+recorded side over the rows that have a cost on both sides, how many rows
+gained or lost a cost (``actual_cost_gained``/``actual_cost_lost``), the
+``changed_controllers`` whose rows' digests differ (null against a record
+without digests) and the failures of both sides; the exit status is 1
+when a hash changed or failures rose, else 0.
 """
 
 from __future__ import annotations
@@ -65,16 +67,23 @@ def record(name: str, out_dir: str) -> dict:
     }
 
 
-def max_rel_change(old: list, new: list) -> float:
-    """Largest |new - old| / |old| over the rows; inf if the rows do not pair up."""
-    if len(old) != len(new) or any((a is None) != (b is None) for a, b in zip(old, new)):
-        return float("inf")
+def cost_change(old: list, new: list) -> dict:
+    """The largest |new - old| / |old| over the rows where both sides have a
+    cost, and the counts of rows that gained or lost one; with row lists of
+    different lengths nothing pairs up, so the change is inf and the counts
+    None."""
+    if len(old) != len(new):
+        return {"max_rel_actual_cost": float("inf"), "actual_cost_gained": None, "actual_cost_lost": None}
     worst = 0.0
     for a, b in zip(old, new):
-        if a is None or a == b:
+        if a is None or b is None or a == b:
             continue
         worst = max(worst, abs(b - a) / abs(a) if a else float("inf"))
-    return worst
+    return {
+        "max_rel_actual_cost": worst,
+        "actual_cost_gained": sum(a is None and b is not None for a, b in zip(old, new)),
+        "actual_cost_lost": sum(a is not None and b is None for a, b in zip(old, new)),
+    }
 
 
 def changed_controllers(old: dict, new: dict) -> list[str] | None:
@@ -90,7 +99,7 @@ def compare(old: dict, new: dict) -> dict:
     return {
         name: {
             "hash_unchanged": rec["hash"] == old[name]["hash"],
-            "max_rel_actual_cost": max_rel_change(old[name]["actual_cost"], rec["actual_cost"]),
+            **cost_change(old[name]["actual_cost"], rec["actual_cost"]),
             "changed_controllers": changed_controllers(old[name], rec),
             "failures": rec["failures"],
             "failures_before": old[name]["failures"],
