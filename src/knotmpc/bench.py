@@ -289,11 +289,11 @@ def load_config(path: str) -> ExperimentConfig:
     """Read a TOML config file, as the module docstring describes."""
     import tomllib  # here, so that importing knotmpc does not load it
 
-    with open(path, "rb") as fh:
-        try:
+    try:
+        with open(path, "rb") as fh:
             raw = tomllib.load(fh)
-        except (tomllib.TOMLDecodeError, UnicodeDecodeError) as e:
-            raise ConfigError(f"{path}: {e}") from e
+    except (OSError, tomllib.TOMLDecodeError, UnicodeDecodeError) as e:
+        raise ConfigError(f"{path}: {e}") from e
     return config_from_mapping(raw)
 
 

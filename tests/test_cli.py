@@ -62,8 +62,11 @@ def test_run_seed_override(tiny_config, tmp_path):
     assert _strip_timing(a / "results.csv") == _strip_timing(b / "results.csv")
 
 
-def test_run_missing_file_fails():
+def test_run_missing_file_fails(tmp_path, capsys):
     assert main(["run", "/nonexistent/exp.toml"]) == 1
+    # a path that exists but cannot be read as a file is a bad config too
+    assert main(["run", str(tmp_path)]) == 1
+    assert f"error: {tmp_path}: " in capsys.readouterr().err
 
 
 def test_run_invalid_config(tmp_path):
